@@ -76,15 +76,16 @@ from .monogamy import (
     weight_ladder,
 )
 from .polygamy import (
-    PolygamyReport,
-    WClassState,
-    build_wclass,
     coa_polygamy_check,
-    random_wclass,
     reoa_cut,
     theorem3_bound,
-    wclass_from_state,
     wclass_pair_coa,
+)
+from .wclass import (
+    WClassState,
+    build_wclass,
+    random_wclass,
+    wclass_from_state,
 )
 
 __version__ = "0.1.0"

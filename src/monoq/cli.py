@@ -1,7 +1,9 @@
 """Command-line front end: single-state evaluation, figure data, fuzzing.
 
 Exit codes: 0 on success (and fuzz runs with no violation beyond tolerance),
-1 when a fuzz run found violations, 2 on configuration or input errors.
+1 when a fuzz run found violations or a non-finite margin, 2 on configuration
+or input errors (including a negative seed or a non-finite alpha, mu or
+tolerance).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from .core import load_state
 from .errors import IoError, MonoqError, ParameterError, PreconditionError
@@ -24,7 +27,8 @@ from .harness import (
 )
 from .measures import AlphaMu
 from .monogamy import detect_ordering, theorem_bound
-from .polygamy import theorem3_bound, wclass_from_state
+from .polygamy import theorem3_bound
+from .wclass import wclass_from_state
 
 DEFAULT_SEED = 20240823
 
@@ -39,22 +43,18 @@ def _env_seed() -> int:
         raise ParameterError(f"MONOQ_SEED must be an integer, got {raw!r}") from exc
 
 
-def _open_out(path):
+@contextmanager
+def _output(path):
+    """Text stream writing to ``path``, or to stdout for None or '-'."""
     if path in (None, "-"):
-        return sys.stdout, False
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", encoding="utf-8", newline=""), True
+        stream = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def _emit(text: str, path) -> None:
-    stream, close = _open_out(path)
-    try:
-        stream.write(text)
-    finally:
-        if close:
-            stream.close()
+    with stream:
+        yield stream
 
 
 def cmd_eval(args) -> int:
@@ -91,18 +91,15 @@ def cmd_eval(args) -> int:
     except PreconditionError as exc:
         out["report"] = None
         out["skipped"] = str(exc)
-    _emit(json.dumps(out, indent=2, sort_keys=False) + "\n", args.out)
+    with _output(args.out) as stream:
+        stream.write(json.dumps(out, indent=2, sort_keys=False) + "\n")
     return 0
 
 
 def cmd_reproduce(args) -> int:
     header, rows = figure_rows(args.figure, alpha=args.alpha)
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         write_csv(header, rows, stream)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -126,12 +123,8 @@ def cmd_fuzz(args) -> int:
     config = build_config(settings)
     result = run_campaign(config)
     if args.out:
-        stream, close = _open_out(args.out)
-        try:
+        with _output(args.out) as stream:
             result.write_records_csv(stream)
-        finally:
-            if close:
-                stream.close()
     print(json.dumps(result.summary(), indent=2, sort_keys=False))
     return 1 if result.n_violations else 0
 
@@ -139,12 +132,8 @@ def cmd_fuzz(args) -> int:
 def cmd_falpha(args) -> int:
     alphas = [float(part) for part in str(args.alpha).split(",") if part.strip()]
     header, rows = falpha_table(alphas, args.points)
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         write_csv(header, rows, stream)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 

@@ -163,6 +163,17 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(tensor.reshape(d, d), kept_labels)
 
 
+def pair_marginals(psi: StateVector, focus: str, partners=None) -> dict[str, DensityMatrix]:
+    """Two-qubit marginals {partner: rho_(focus, partner)} of a pure state.
+
+    ``partners`` defaults to every label other than ``focus``, in label order.
+    """
+    rho = pure_to_density(psi)
+    if partners is None:
+        partners = [lab for lab in psi.labels if lab != focus]
+    return {lab: partial_trace(rho, {focus, lab}) for lab in partners}
+
+
 def hermitian_spectrum(rho: DensityMatrix | np.ndarray) -> Spectrum:
     """Descending eigenvalues with sub-1e-10 negative noise clipped to zero."""
     mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)

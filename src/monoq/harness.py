@@ -9,11 +9,12 @@ prints floats with 12 significant digits and no locale dependence.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateVector, load_state, partial_trace, pure_to_density
+from .core import StateVector, load_state, pair_marginals
 from .errors import ConfigError, IoError, PreconditionError, UnsupportedStateClassError
 from .measures import (
     ALPHA_WINDOW,
@@ -22,8 +23,8 @@ from .measures import (
     renyi_entanglement_two_qubit,
 )
 from .monogamy import ckw_check, detect_ordering, lemma1_check, scalar_weight_inequality, theorem_bound
-from .polygamy import reoa_cut, theorem3_bound, wclass_from_state, wclass_pair_coa
-from .wclass import build_wclass, random_wclass
+from .polygamy import reoa_cut, theorem3_bound, wclass_pair_coa
+from .wclass import build_wclass, random_wclass, wclass_from_state
 from . import core, measures
 
 # Order at which the six-decimal reference values of the worked examples are
@@ -85,33 +86,23 @@ def figure_rows(figure: str, alpha: float = REFERENCE_ALPHA):
     """
     if figure == "fig1":
         psi = reference_schmidt_state()
-        rho = pure_to_density(psi)
         e_cut = renyi_entanglement_pure(psi, {"A"}, alpha)
-        e_pairs = [
-            renyi_entanglement_two_qubit(partial_trace(rho, {"A", lab}), alpha)
-            for lab in ("B1", "B2")
-        ]
+        e_pairs = [renyi_entanglement_two_qubit(r, alpha) for r in pair_marginals(psi, "A").values()]
         mus = [2.0 + k / 20.0 for k in range(161)]
-        rows = []
-        for mu in mus:
-            terms = [e**mu for e in e_pairs]
-            ours = terms[0] + (2.0**mu - 1.0) * terms[1]
-            rows.append((mu, e_cut**mu, ours, sum(terms)))
-        return ("mu", "lhs", "ours", "prior"), rows
-    if figure == "fig2":
-        psi = w_state(3)
-        w = wclass_from_state(psi)
+    elif figure == "fig2":
+        w = wclass_from_state(w_state(3))
         e_cut = reoa_cut(w, alpha)
         coas = [wclass_pair_coa(w, i) for i in (1, 2)]
         e_pairs = [measures.f_alpha(c * c, alpha) for c in coas]
         mus = [k / 100.0 for k in range(101)]
-        rows = []
-        for mu in mus:
-            terms = [e**mu for e in e_pairs]
-            ours = terms[0] + (2.0**mu - 1.0) * terms[1]
-            rows.append((mu, e_cut**mu, ours, sum(terms)))
-        return ("mu", "lhs", "ours", "prior"), rows
-    raise ConfigError(f"unknown figure {figure!r}; expected fig1 or fig2")
+    else:
+        raise ConfigError(f"unknown figure {figure!r}; expected fig1 or fig2")
+    rows = []
+    for mu in mus:
+        terms = [e**mu for e in e_pairs]
+        ours = terms[0] + (2.0**mu - 1.0) * terms[1]
+        rows.append((mu, e_cut**mu, ours, sum(terms)))
+    return ("mu", "lhs", "ours", "prior"), rows
 
 
 def write_csv(header, rows, stream) -> None:
@@ -152,6 +143,8 @@ class CampaignConfig:
             raise ConfigError(f"class must be one of {STATE_CLASSES}, got {self.state_class!r}")
         if self.n_states < 1:
             raise ConfigError(f"n_states must be at least 1, got {self.n_states}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not self.alpha_grid or not self.mu_grid:
             raise ConfigError("alpha and mu grids must be nonempty")
         if not self.tolerance > 0:
@@ -160,6 +153,11 @@ class CampaignConfig:
             raise ConfigError("state class 'file' needs a state file path")
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         object.__setattr__(self, "mu_grid", tuple(float(m) for m in self.mu_grid))
+        if not all(map(math.isfinite, (self.tolerance, *self.alpha_grid, *self.mu_grid))):
+            raise ConfigError(
+                f"tolerance and grid values must be finite, got tolerance {self.tolerance}, "
+                f"alpha {self.alpha_grid}, mu {self.mu_grid}"
+            )
 
 
 _CONFIG_KEYS = {
@@ -297,13 +295,13 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
-def _campaign_state(config: CampaignConfig, index: int):
-    seed = derive_seed(config.seed, index)
-    if config.state_class == "haar":
-        return seed, core.haar_random_state(config.n_qubits, seed)
-    if config.state_class == "wclass":
-        return seed, random_wclass(config.n_qubits, seed).to_state_vector()
-    return 0, load_state(config.state_file)
+def _sample_state(state_class: str, n_qubits: int, seed: int) -> StateVector:
+    """The seeded state of a campaign index, or of the record that replays it."""
+    if state_class == "haar":
+        return core.haar_random_state(n_qubits, seed)
+    if state_class == "wclass":
+        return random_wclass(n_qubits, seed).to_state_vector()
+    raise ConfigError(f"{state_class!r} states have no seed; pass the state in")
 
 
 @dataclass(frozen=True)
@@ -319,7 +317,7 @@ class CampaignResult:
     @property
     def n_violations(self) -> int:
         tol = self.config.tolerance
-        return sum(1 for r in self.records if r.margin < -tol)
+        return sum(1 for r in self.records if not r.margin >= -tol)  # NaN counts
 
     @property
     def min_margin(self) -> float:
@@ -357,15 +355,19 @@ class CampaignResult:
             stream.write(",".join(record.to_csv_row()) + "\n")
 
 
+def _scalar_margin(t: float, x: float) -> float:
+    """Scalar-inequality margin oriented so that >= -tol means its regime holds."""
+    check = scalar_weight_inequality(t, x)
+    return check.margin if check.regime == "lower" else -check.margin
+
+
 def _scalar_campaign(config: CampaignConfig) -> CampaignResult:
     records = []
     ts = np.linspace(0.0, 1.0, 200)
     index = 0
     for x in config.mu_grid:
         for t in ts:
-            check = scalar_weight_inequality(float(t), float(x))
-            # orient so that "margin >= -tol" always means the regime holds
-            oriented = check.margin if check.regime == "lower" else -check.margin
+            rhs = 1.0 + (2.0**x - 1.0) * t**x
             records.append(
                 WitnessRecord(
                     index=index,
@@ -377,13 +379,46 @@ def _scalar_campaign(config: CampaignConfig) -> CampaignResult:
                     mu=float(x),
                     t=float(t),
                     lhs=(1.0 + t) ** x,
-                    rhs=1.0 + (2.0**x - 1.0) * t**x,
-                    margin=float(oriented),
-                    baseline_rhs=1.0 + (2.0**x - 1.0) * t**x,
+                    rhs=rhs,
+                    margin=_scalar_margin(float(t), float(x)),
+                    baseline_rhs=rhs,
                 )
             )
             index += 1
     return CampaignResult(config, tuple(records), len(records), len(records), 0)
+
+
+# Per-mode evaluators (target, profile, alpha, mu) -> BoundReport, shared by
+# campaigns and replay so that a record and its replay cannot drift apart.
+_EVALUATORS = {
+    "ckw": lambda psi, profile, alpha, mu: ckw_check(psi),
+    "lemma1": lambda psi, profile, alpha, mu: lemma1_check(psi, mu),
+    "monogamy": lambda psi, profile, alpha, mu: theorem_bound(psi, profile, AlphaMu(alpha, mu)),
+    "polygamy": lambda w, profile, alpha, mu: theorem3_bound(w, profile, AlphaMu(alpha, mu)),
+}
+
+
+def _prepare(mode: str, psi: StateVector):
+    """(evaluation target, ordering profile) of a state; None when its hypothesis fails."""
+    if mode in ("ckw", "lemma1"):
+        return psi, None
+    target = psi
+    if mode == "polygamy":
+        try:
+            target = wclass_from_state(psi)
+        except UnsupportedStateClassError as exc:
+            raise ConfigError(f"polygamy campaigns need W-class states: {exc}") from exc
+    profile = detect_ordering(psi)
+    return (target, profile) if profile.satisfied else None
+
+
+def _cells(config: CampaignConfig) -> list[tuple[float | None, float | None]]:
+    """The (alpha, mu) cells evaluated on every state of a campaign."""
+    if config.mode == "ckw":
+        return [(None, None)]
+    if config.mode == "lemma1":
+        return [(None, mu) for mu in config.mu_grid]
+    return [(alpha, mu) for alpha in config.alpha_grid for mu in config.mu_grid]
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
@@ -399,127 +434,58 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             "haar states beyond 3 qubits have no computable ordering tails; use class=wclass"
         )
 
+    evaluate = _EVALUATORS[config.mode]
+    cells = _cells(config)
     records: list[WitnessRecord] = []
     n_satisfied = 0
     n_skipped = 0
     n_states = 1 if config.state_class == "file" else config.n_states
     for index in range(n_states):
-        seed, psi = _campaign_state(config, index)
-        common = {
-            "index": index,
-            "state_class": config.state_class,
-            "n_qubits": psi.n_qubits,
-            "state_seed": seed,
-        }
-        if config.mode == "ckw":
-            report = ckw_check(psi)
-            n_satisfied += 1
+        if config.state_class == "file":
+            seed, psi = 0, load_state(config.state_file)
+        else:
+            seed = derive_seed(config.seed, index)
+            psi = _sample_state(config.state_class, config.n_qubits, seed)
+        prepared = _prepare(config.mode, psi)
+        if prepared is None:
+            n_skipped += 1
+            continue
+        n_satisfied += 1
+        for alpha, mu in cells:
+            report = evaluate(*prepared, alpha, mu)
             records.append(
                 WitnessRecord(
-                    mode="ckw",
-                    alpha=None,
-                    mu=None,
+                    index=index,
+                    mode=config.mode,
+                    state_class=config.state_class,
+                    n_qubits=psi.n_qubits,
+                    state_seed=seed,
+                    alpha=alpha,
+                    mu=mu,
                     lhs=report.lhs,
                     rhs=report.rhs,
                     margin=report.margin,
                     baseline_rhs=report.baseline_rhs,
-                    **common,
                 )
             )
-        elif config.mode == "lemma1":
-            n_satisfied += 1
-            for x in config.mu_grid:
-                report = lemma1_check(psi, float(x))
-                records.append(
-                    WitnessRecord(
-                        mode="lemma1",
-                        alpha=None,
-                        mu=float(x),
-                        lhs=report.lhs,
-                        rhs=report.rhs,
-                        margin=report.margin,
-                        baseline_rhs=report.baseline_rhs,
-                        **common,
-                    )
-                )
-        elif config.mode == "monogamy":
-            profile = detect_ordering(psi)
-            if not profile.satisfied:
-                n_skipped += 1
-                continue
-            n_satisfied += 1
-            for alpha in config.alpha_grid:
-                for mu in config.mu_grid:
-                    report = theorem_bound(psi, profile, AlphaMu(alpha, mu))
-                    records.append(
-                        WitnessRecord(
-                            mode="monogamy",
-                            alpha=float(alpha),
-                            mu=float(mu),
-                            lhs=report.lhs,
-                            rhs=report.rhs,
-                            margin=report.margin,
-                            baseline_rhs=report.baseline_rhs,
-                            **common,
-                        )
-                    )
-        elif config.mode == "polygamy":
-            try:
-                w = wclass_from_state(psi)
-            except UnsupportedStateClassError as exc:
-                raise ConfigError(f"polygamy campaigns need W-class states: {exc}") from exc
-            profile = detect_ordering(psi)
-            if not profile.satisfied:
-                n_skipped += 1
-                continue
-            n_satisfied += 1
-            for alpha in config.alpha_grid:
-                for mu in config.mu_grid:
-                    report = theorem3_bound(w, profile, AlphaMu(alpha, mu))
-                    records.append(
-                        WitnessRecord(
-                            mode="polygamy",
-                            alpha=float(alpha),
-                            mu=float(mu),
-                            lhs=report.lhs,
-                            rhs=report.rhs,
-                            margin=report.margin,
-                            baseline_rhs=report.baseline_rhs,
-                            **common,
-                        )
-                    )
-        else:  # pragma: no cover - guarded by CampaignConfig
-            raise ConfigError(f"unhandled mode {config.mode!r}")
     return CampaignResult(config, tuple(records), n_states, n_satisfied, n_skipped)
 
 
 def replay_record(record: WitnessRecord, state: StateVector | None = None) -> float:
-    """Recompute a witness margin from its recorded parameters."""
+    """Recompute a witness margin from its recorded parameters.
+
+    File-class records carry no seed, so their state must be passed in.
+    """
     if record.mode == "scalar":
-        check = scalar_weight_inequality(record.t, record.mu)
-        return check.margin if check.regime == "lower" else -check.margin
+        return _scalar_margin(record.t, record.mu)
+    if record.mode not in _EVALUATORS:
+        raise ConfigError(f"cannot replay mode {record.mode!r}")
     if state is None:
-        if record.state_class == "haar":
-            state = core.haar_random_state(record.n_qubits, record.state_seed)
-        elif record.state_class == "wclass":
-            state = random_wclass(record.n_qubits, record.state_seed).to_state_vector()
-        else:
-            raise ConfigError("replaying a file-class record needs the state passed in")
-    if record.mode == "ckw":
-        return ckw_check(state).margin
-    if record.mode == "lemma1":
-        return lemma1_check(state, record.mu).margin
-    if record.mode == "monogamy":
-        profile = detect_ordering(state)
-        if not profile.satisfied:
-            raise PreconditionError("recorded state no longer satisfies the hypothesis")
-        return theorem_bound(state, profile, AlphaMu(record.alpha, record.mu)).margin
-    if record.mode == "polygamy":
-        profile = detect_ordering(state)
-        if not profile.satisfied:
-            raise PreconditionError("recorded state no longer satisfies the hypothesis")
-        return theorem3_bound(wclass_from_state(state), profile, AlphaMu(record.alpha, record.mu)).margin
-    raise ConfigError(f"cannot replay mode {record.mode!r}")
+        state = _sample_state(record.state_class, record.n_qubits, record.state_seed)
+    prepared = _prepare(record.mode, state)
+    if prepared is None:
+        raise PreconditionError("recorded state no longer satisfies the hypothesis")
+    return _EVALUATORS[record.mode](*prepared, record.alpha, record.mu).margin
 
 
 def falpha_table(alphas, points: int = 101):

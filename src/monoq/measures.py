@@ -9,6 +9,7 @@ the analytic route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,14 @@ VON_NEUMANN_SWITCH = 1e-6
 DOMAIN_ATOL = 1e-12
 
 
+def _require_alpha(alpha: float) -> None:
+    """Reject a Renyi order that is not a positive finite number."""
+    if not math.isfinite(alpha):
+        raise ParameterError(f"alpha must be finite, got {alpha}")
+    if not alpha > 0:
+        raise ParameterError(f"alpha must be positive, got {alpha}")
+
+
 @dataclass(frozen=True)
 class AlphaMu:
     """Order/power parameter pair with per-theorem validity checks."""
@@ -36,8 +45,9 @@ class AlphaMu:
     mu: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
+        _require_alpha(self.alpha)
+        if not math.isfinite(self.mu):
+            raise ParameterError(f"mu must be finite, got {self.mu}")
         if self.mu < 0:
             raise ParameterError(f"mu must be nonnegative, got {self.mu}")
 
@@ -73,8 +83,7 @@ def renyi_entropy(spectrum, alpha: float) -> float:
     ``0**alpha`` is treated as 0, and within 1e-6 of alpha = 1 the von
     Neumann entropy -sum p log2 p is returned as the continuity limit.
     """
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    _require_alpha(alpha)
     vals = np.asarray(
         spectrum.eigenvalues if isinstance(spectrum, Spectrum) else spectrum, dtype=float
     )
@@ -91,8 +100,7 @@ def f_alpha(x, alpha: float):
     a squared concurrence it gives the analytic two-qubit entanglement.
     Accepts scalars or arrays.
     """
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    _require_alpha(alpha)
     arr = np.asarray(x, dtype=float)
     if np.any(arr < -DOMAIN_ATOL) or np.any(arr > 1.0 + DOMAIN_ATOL):
         raise DomainError(f"argument outside [0, 1]: {x!r}")
@@ -254,8 +262,7 @@ def convex_roof_oracle(rho: DensityMatrix, alpha: float, n_trials: int, seed: in
         raise ParameterError(f"n_trials must be at least 1, got {n_trials}")
     if rho.dim != 4:
         raise SizeError(f"expected a two-qubit (4x4) state, got dim {rho.dim}")
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    _require_alpha(alpha)
     rng = np.random.default_rng(seed)
     basis = _eigen_basis(rho)
     rank = basis.shape[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateVector, partial_trace, pure_to_density
+from .core import StateVector, pair_marginals
 from .errors import (
     DomainError,
     InvalidSubsystemError,
@@ -41,9 +41,12 @@ ORDERING_ATOL = 1e-12
 class BoundReport:
     """Evaluated inequality: left side, weighted terms, and margins.
 
-    ``margin`` is oriented so that a nonnegative value means the inequality
-    holds; ``tightness_gain`` is how far the weighted side moved past the
-    unweighted baseline in the claimed direction.
+    Covers lower bounds (monogamy, ``margin = lhs - rhs``) and upper bounds
+    (polygamy, ``margin = rhs - lhs``) alike: ``margin`` is oriented so that
+    a nonnegative value means the inequality holds, and ``tightness_gain``
+    is how far the weighted side moved past the unweighted baseline in the
+    claimed direction (``rhs - baseline`` for a lower bound, ``baseline -
+    rhs`` for an upper bound).
     """
 
     kind: str
@@ -55,6 +58,27 @@ class BoundReport:
     tightness_gain: float
     alpha: float | None = None
     mu: float | None = None
+
+    @classmethod
+    def from_terms(cls, kind, lhs, terms, upper: bool, alpha=None, mu=None) -> "BoundReport":
+        """Report comparing ``lhs`` with the sum of weighted terms (weight, term).
+
+        ``upper`` marks an upper bound on ``lhs``, otherwise a lower bound; the
+        unweighted sum of the same terms is the baseline.
+        """
+        rhs = float(sum(w * t for w, t in terms))
+        baseline = float(sum(t for _, t in terms))
+        return cls(
+            kind=kind,
+            lhs=lhs,
+            rhs_terms=terms,
+            rhs=rhs,
+            margin=rhs - lhs if upper else lhs - rhs,
+            baseline_rhs=baseline,
+            tightness_gain=baseline - rhs if upper else rhs - baseline,
+            alpha=alpha,
+            mu=mu,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -143,12 +167,7 @@ def weight_ladder(n_parties: int, split, mu: float) -> np.ndarray:
 
 
 def _pair_marginal_concurrences(psi: StateVector, focus: str) -> dict[str, float]:
-    rho = pure_to_density(psi)
-    return {
-        lab: wootters_concurrence(partial_trace(rho, {focus, lab}))
-        for lab in psi.labels
-        if lab != focus
-    }
+    return {lab: wootters_concurrence(r) for lab, r in pair_marginals(psi, focus).items()}
 
 
 def detect_ordering(psi: StateVector, focus: str = "A", relabel: bool = True) -> OrderingProfile:
@@ -218,17 +237,8 @@ def ckw_check(psi: StateVector, focus: str = "A") -> BoundReport:
     """Squared-concurrence monogamy: C^2 one-vs-rest >= sum of pair C^2."""
     pairs = _pair_marginal_concurrences(psi, focus)
     lhs = concurrence_pure(psi, {focus}) ** 2
-    terms = tuple((1.0, pairs[lab] ** 2) for lab in psi.labels if lab != focus)
-    rhs = float(sum(t for _, t in terms))
-    return BoundReport(
-        kind="ckw",
-        lhs=lhs,
-        rhs_terms=terms,
-        rhs=rhs,
-        margin=lhs - rhs,
-        baseline_rhs=rhs,
-        tightness_gain=0.0,
-    )
+    terms = tuple((1.0, c**2) for c in pairs.values())
+    return BoundReport.from_terms("ckw", lhs, terms, upper=False)
 
 
 def lemma1_check(psi: StateVector, x: float, focus: str = "A") -> BoundReport:
@@ -247,56 +257,43 @@ def lemma1_check(psi: StateVector, x: float, focus: str = "A") -> BoundReport:
     lhs = concurrence_pure(psi, {focus}) ** x
     weight = 2.0 ** (x / 2.0) - 1.0
     terms = ((1.0, pairs[0] ** x), (weight, pairs[1] ** x))
-    rhs = float(terms[0][1] + weight * terms[1][1])
-    baseline = float(terms[0][1] + terms[1][1])
-    return BoundReport(
-        kind="lemma1",
-        lhs=lhs,
-        rhs_terms=terms,
-        rhs=rhs,
-        margin=lhs - rhs,
-        baseline_rhs=baseline,
-        tightness_gain=rhs - baseline,
-        mu=x,
-    )
+    return BoundReport.from_terms("lemma1", lhs, terms, upper=False, mu=x)
+
+
+def ladder_report(
+    prefix: str, lhs: float, pair_e, profile: OrderingProfile, params: AlphaMu, upper: bool
+) -> BoundReport:
+    """Ladder-weighted bound on ``lhs`` from pairwise entanglements ``pair_e``.
+
+    The right side is the ladder-weighted sum of ``pair_e`` raised to mu and
+    the unweighted sum is the baseline.  ``upper`` selects an upper bound
+    (polygamy) instead of a lower bound (monogamy).  Raises
+    PreconditionError when the profile satisfies no ladder hypothesis: the
+    bound claims nothing there.
+    """
+    if not profile.satisfied:
+        which = "weighted upper bound" if upper else "weighted bound"
+        raise PreconditionError(f"ordering hypothesis unsatisfied; the {which} is not claimed")
+    mu = params.mu
+    weights = weight_ladder(profile.n_parties, profile.split_index, mu)
+    terms = tuple((float(w), float(e**mu)) for w, e in zip(weights, pair_e))
+    kind = f"{prefix}-full" if profile.is_full else f"{prefix}-split-{profile.split_index}"
+    return BoundReport.from_terms(kind, lhs, terms, upper, params.alpha, mu)
 
 
 def theorem_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) -> BoundReport:
     """Weighted lower bound on the mu-th power of the one-vs-rest entanglement.
 
     The left side is the pure-cut entanglement raised to mu; the right side
-    is the ladder-weighted sum of pairwise two-qubit entanglement powers.
-    The unweighted sum of the same terms is reported as the baseline.
-    Raises PreconditionError when the profile satisfies no ladder hypothesis:
-    the bound claims nothing there.
+    is the ladder-weighted sum of pairwise two-qubit entanglement powers
+    (see ``ladder_report``).
     """
     params.require_monogamy()
-    if not profile.satisfied:
-        raise PreconditionError(
-            "ordering hypothesis unsatisfied; the weighted bound is not claimed"
-        )
-    alpha, mu = params.alpha, params.mu
-    rho = pure_to_density(psi)
-    pair_e = [
-        renyi_entanglement_two_qubit(partial_trace(rho, {profile.focus, lab}), alpha)
-        for lab in profile.party_order
-    ]
-    weights = weight_ladder(profile.n_parties, profile.split_index, mu)
-    terms = tuple((float(w), e**mu) for w, e in zip(weights, pair_e))
-    lhs = renyi_entanglement_pure(psi, {profile.focus}, alpha) ** mu
-    rhs = float(sum(w * t for w, t in terms))
-    baseline = float(sum(t for _, t in terms))
-    return BoundReport(
-        kind="ladder-full" if profile.is_full else f"ladder-split-{profile.split_index}",
-        lhs=lhs,
-        rhs_terms=terms,
-        rhs=rhs,
-        margin=lhs - rhs,
-        baseline_rhs=baseline,
-        tightness_gain=rhs - baseline,
-        alpha=alpha,
-        mu=mu,
-    )
+    alpha = params.alpha
+    marginals = pair_marginals(psi, profile.focus, profile.party_order)
+    pair_e = [renyi_entanglement_two_qubit(r, alpha) for r in marginals.values()]
+    lhs = renyi_entanglement_pure(psi, {profile.focus}, alpha) ** params.mu
+    return ladder_report("ladder", lhs, pair_e, profile, params, upper=False)
 
 
 @dataclass(frozen=True)

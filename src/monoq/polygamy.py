@@ -9,10 +9,8 @@ analytic and the hypotheses are decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import DensityMatrix, StateVector, partial_trace, pure_to_density
-from .errors import PreconditionError, SizeError, UnsupportedStateClassError
+from .core import DensityMatrix, StateVector, pair_marginals
+from .errors import SizeError, UnsupportedStateClassError
 from .measures import (
     AlphaMu,
     coa_two_qubit,
@@ -20,53 +18,15 @@ from .measures import (
     f_alpha,
     renyi_entanglement_pure,
 )
-from .monogamy import BoundReport, OrderingProfile, weight_ladder
-from .wclass import WClassState, build_wclass, random_wclass, wclass_from_state
+from .monogamy import BoundReport, OrderingProfile, ladder_report
+from .wclass import WClassState, wclass_from_state
 
 __all__ = [
-    "WClassState",
-    "PolygamyReport",
-    "build_wclass",
-    "random_wclass",
-    "wclass_from_state",
     "wclass_pair_coa",
     "reoa_cut",
     "theorem3_bound",
     "coa_polygamy_check",
 ]
-
-
-@dataclass(frozen=True)
-class PolygamyReport:
-    """Evaluated upper bound; margin = rhs - lhs, so nonnegative means it holds.
-
-    ``tightness_gain`` = baseline - rhs: how far the weighted bound sits below
-    the unweighted one.
-    """
-
-    kind: str
-    lhs: float
-    rhs_terms: tuple[tuple[float, float], ...]
-    rhs: float
-    margin: float
-    baseline_rhs: float
-    tightness_gain: float
-    alpha: float | None = None
-    mu: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "alpha": self.alpha,
-            "mu": self.mu,
-            "lhs": self.lhs,
-            "weights": [w for w, _ in self.rhs_terms],
-            "terms": [t for _, t in self.rhs_terms],
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "baseline_rhs": self.baseline_rhs,
-            "tightness_gain": self.tightness_gain,
-        }
 
 
 def _as_wclass(state) -> WClassState:
@@ -103,44 +63,25 @@ def reoa_cut(state, alpha: float) -> float:
     return renyi_entanglement_pure(state, {state.labels[0]}, alpha)
 
 
-def theorem3_bound(w, profile: OrderingProfile, params: AlphaMu) -> PolygamyReport:
+def theorem3_bound(w, profile: OrderingProfile, params: AlphaMu) -> BoundReport:
     """Weighted upper bound on the mu-th power of assisted entanglement.
 
     The pairwise assisted terms are evaluated through ``f_alpha`` at the
-    squared pair concurrence of assistance, exact on W-class marginals.  The
-    ladder weights match the profile's split; the unweighted sum is reported
-    as the baseline.
+    squared pair concurrence of assistance, exact on W-class marginals, and
+    weighted by the ladder of the profile's split (see ``ladder_report``).
     """
     params.require_polygamy()
-    if not profile.satisfied:
-        raise PreconditionError(
-            "ordering hypothesis unsatisfied; the weighted upper bound is not claimed"
-        )
     w = _as_wclass(w)
     if w.labels[0] != profile.focus:
         raise UnsupportedStateClassError(
             f"profile focus {profile.focus!r} must be the excitation qubit {w.labels[0]!r}"
         )
     aligned = w.permuted(profile.party_order)
-    alpha, mu = params.alpha, params.mu
+    alpha = params.alpha
     coas = [aligned.pair_concurrence(i) for i in range(1, aligned.n_parties)]
-    pair_terms = [f_alpha(c * c, alpha) ** mu for c in coas]
-    weights = weight_ladder(profile.n_parties, profile.split_index, mu)
-    terms = tuple((float(wt), float(t)) for wt, t in zip(weights, pair_terms))
-    lhs = reoa_cut(aligned, alpha) ** mu
-    rhs = float(sum(wt * t for wt, t in terms))
-    baseline = float(sum(t for _, t in terms))
-    return PolygamyReport(
-        kind="assist-full" if profile.is_full else f"assist-split-{profile.split_index}",
-        lhs=lhs,
-        rhs_terms=terms,
-        rhs=rhs,
-        margin=rhs - lhs,
-        baseline_rhs=baseline,
-        tightness_gain=baseline - rhs,
-        alpha=alpha,
-        mu=mu,
-    )
+    pair_e = [f_alpha(c * c, alpha) for c in coas]
+    lhs = reoa_cut(aligned, alpha) ** params.mu
+    return ladder_report("assist", lhs, pair_e, profile, params, upper=True)
 
 
 def coa_polygamy_check(psi: StateVector, focus: str = "A") -> BoundReport:
@@ -150,20 +91,6 @@ def coa_polygamy_check(psi: StateVector, focus: str = "A") -> BoundReport:
     """
     if psi.n_qubits > 6:
         raise SizeError(f"capped at 6 qubits, got {psi.n_qubits}")
-    rho = pure_to_density(psi)
     lhs = concurrence_pure(psi, {focus}) ** 2
-    terms = tuple(
-        (1.0, coa_two_qubit(partial_trace(rho, {focus, lab})) ** 2)
-        for lab in psi.labels
-        if lab != focus
-    )
-    rhs = float(sum(t for _, t in terms))
-    return BoundReport(
-        kind="coa-polygamy",
-        lhs=lhs,
-        rhs_terms=terms,
-        rhs=rhs,
-        margin=rhs - lhs,
-        baseline_rhs=rhs,
-        tightness_gain=0.0,
-    )
+    terms = tuple((1.0, coa_two_qubit(r) ** 2) for r in pair_marginals(psi, focus).values())
+    return BoundReport.from_terms("coa-polygamy", lhs, terms, upper=True)

@@ -135,6 +135,21 @@ class TestFuzz:
         assert main(["fuzz", "--mode", "ckw", "--states", "0"]) == 2
         assert "n_states" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--seed", "-1"], "seed must be nonnegative"),
+            (["--mu", "nan"], "must be finite"),
+            (["--alpha", "inf"], "must be finite"),
+            (["--tolerance", "inf"], "must be finite"),
+        ],
+        ids=["seed", "mu", "alpha", "tolerance"],
+    )
+    def test_negative_or_non_finite_input_exits_2(self, extra, message, capsys):
+        # exit 1 would read as "violations found"; exit 0 would pass garbage
+        assert main(["fuzz", "--mode", "monogamy", "--states", "5", *extra]) == 2
+        assert message in capsys.readouterr().err
+
     def test_config_file_with_cli_override(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("mode=ckw\nstates=40\nqubits=3\nseed=9\n")
@@ -150,8 +165,9 @@ class TestFuzz:
         assert json.loads(capsys.readouterr().out)["seed"] == 777
 
     def test_bad_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("MONOQ_SEED", "abc")
-        assert main(["fuzz", "--mode", "ckw", "--states", "5"]) == 2
+        for value in ("abc", "-5"):
+            monkeypatch.setenv("MONOQ_SEED", value)
+            assert main(["fuzz", "--mode", "ckw", "--states", "5"]) == 2
 
 
 class TestFalpha:

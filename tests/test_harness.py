@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 from monoq import (
+    ALPHA_WINDOW,
     CampaignConfig,
+    CampaignResult,
     ConfigError,
+    WitnessRecord,
     build_config,
+    build_wclass,
+    detect_ordering,
     figure_csv,
     figure_rows,
+    load_state,
     reference_schmidt_state,
     replay_record,
     run_campaign,
+    save_state,
     w_state,
 )
 from monoq.harness import (
@@ -115,6 +122,11 @@ class TestConfig:
             build_config({})
         with pytest.raises(ConfigError):
             CampaignConfig(mode="monogamy", state_class="file")
+        nan, inf = float("nan"), float("inf")
+        for bad in ({"seed": -1}, {"tolerance": inf}, {"tolerance": nan}, {"mu": "2,nan"},
+                    {"alpha": "inf"}, {"alpha": "0.9,-inf"}):
+            with pytest.raises(ConfigError):
+                build_config({"mode": "monogamy", **bad})
 
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "campaign.cfg"
@@ -205,6 +217,14 @@ class TestCampaigns:
         b.write_records_csv(out_b)
         assert out_a.getvalue() == out_b.getvalue()
 
+    def test_nan_margin_is_a_violation(self):
+        config = CampaignConfig(mode="ckw", n_states=2, tolerance=1e-9)
+        fields = dict(mode="ckw", state_class="haar", n_qubits=3, state_seed=0, alpha=None,
+                      mu=None, lhs=0.0, rhs=0.0, baseline_rhs=0.0)
+        records = (WitnessRecord(index=0, margin=0.5, **fields),
+                   WitnessRecord(index=1, margin=float("nan"), **fields))
+        assert CampaignResult(config, records, 2, 2, 0).n_violations == 1
+
     def test_summary_fields(self):
         config = CampaignConfig(mode="ckw", n_states=10, n_qubits=3, seed=2)
         summary = run_campaign(config).summary()
@@ -212,8 +232,6 @@ class TestCampaigns:
             assert key in summary
 
     def test_file_class_single_state(self, tmp_path):
-        from monoq import save_state
-
         path = tmp_path / "w.json"
         save_state(w_state(), path)
         config = CampaignConfig(
@@ -245,14 +263,35 @@ class TestReplay:
                 alpha_grid=(1.3027,), mu_grid=(0.5,),
             ),
             CampaignConfig(mode="scalar", n_states=1, mu_grid=(0.5, 2.0)),
+            CampaignConfig(
+                mode="polygamy", n_states=20, n_qubits=6, seed=35, state_class="wclass",
+                alpha_grid=ALPHA_WINDOW, mu_grid=(0.25, 1.0),
+            ),
+            CampaignConfig(
+                mode="polygamy", state_class="file", state_file="split.json",
+                alpha_grid=ALPHA_WINDOW, mu_grid=(0.25, 0.5, 1.0),
+            ),
+            CampaignConfig(
+                mode="monogamy", state_class="file", state_file="split.json",
+                alpha_grid=ALPHA_WINDOW, mu_grid=(2.0, 5.0),
+            ),
         ],
-        ids=["ckw", "lemma1", "monogamy", "polygamy", "scalar"],
+        ids=["ckw", "lemma1", "monogamy", "polygamy", "scalar", "polygamy-q6",
+             "polygamy-split-file", "monogamy-split-file"],
     )
-    def test_records_replay_exactly(self, config):
+    def test_records_replay_exactly(self, config, tmp_path, monkeypatch):
+        state = None
+        if config.state_class == "file":
+            # seeded W-class states order their partners by decreasing modulus,
+            # so only a tie in the last two partners yields a split ladder
+            monkeypatch.chdir(tmp_path)
+            save_state(build_wclass(np.sqrt(0.295), (0.7, 0.3, 0.25, 0.25))[1], config.state_file)
+            state = load_state(config.state_file)
+            assert detect_ordering(state).split_index == 1
         result = run_campaign(config)
         assert result.records
-        for record in result.records[:40]:
-            assert abs(replay_record(record) - record.margin) < 1e-12
+        for record in result.records:
+            assert replay_record(record, state) == record.margin
 
 
 class TestHelpers:

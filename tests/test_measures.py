@@ -75,6 +75,8 @@ class TestRenyiEntropy:
             renyi_entropy([0.5, 0.5], 0.0)
         with pytest.raises(ParameterError):
             renyi_entropy([0.5, 0.5], -1.0)
+        with pytest.raises(ParameterError):
+            renyi_entropy([0.5, 0.5], float("inf"))
 
 
 class TestFAlpha:
@@ -123,6 +125,8 @@ class TestFAlpha:
             f_alpha(1.01, 0.9)
         with pytest.raises(ParameterError):
             f_alpha(0.5, 0.0)
+        with pytest.raises(ParameterError):
+            f_alpha(0.5, float("inf"))
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.83, max_value=1.3))
     @settings(max_examples=200, deadline=None)
@@ -267,6 +271,8 @@ class TestConvexRoofOracle:
     def test_bad_trial_count(self):
         with pytest.raises(ParameterError):
             convex_roof_oracle(bell_projector(), ALPHA_LO, n_trials=0, seed=0)
+        with pytest.raises(ParameterError):
+            convex_roof_oracle(bell_projector(), float("inf"), n_trials=10, seed=0)
 
 
 class TestAlphaMu:
@@ -275,6 +281,10 @@ class TestAlphaMu:
             AlphaMu(0.0, 2.0)
         with pytest.raises(ParameterError):
             AlphaMu(0.9, -1.0)
+        for alpha, mu in ((float("nan"), 2.0), (float("inf"), 2.0), (0.9, float("nan")),
+                          (0.9, float("inf"))):
+            with pytest.raises(ParameterError):
+                AlphaMu(alpha, mu)
 
     def test_monogamy_mode(self):
         AlphaMu(0.9, 2.0).require_monogamy()
