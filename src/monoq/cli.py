@@ -3,7 +3,7 @@
 Exit codes: 0 on success (and fuzz runs with no violation beyond tolerance),
 1 when a fuzz run found violations or a non-finite margin, 2 on configuration
 or input errors (including a negative seed or a non-finite alpha, mu or
-tolerance).
+tolerance), 3 when the program itself fails (its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -12,16 +12,20 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from contextlib import contextmanager
 
 from .core import load_state
 from .errors import IoError, MonoqError, ParameterError, PreconditionError
 from .harness import (
+    MODES,
     REFERENCE_ALPHA,
+    STATE_CLASSES,
     build_config,
     falpha_table,
     figure_rows,
     parse_config_file,
+    parse_grid,
     run_campaign,
     write_csv,
 )
@@ -30,13 +34,12 @@ from .monogamy import detect_ordering, theorem_bound
 from .polygamy import theorem3_bound
 from .wclass import wclass_from_state
 
-DEFAULT_SEED = 20240823
 
-
-def _env_seed() -> int:
+def _env_seed() -> int | None:
+    """The integer in MONOQ_SEED, or None when it is unset."""
     raw = os.environ.get("MONOQ_SEED")
     if raw is None:
-        return DEFAULT_SEED
+        return None
     try:
         return int(raw)
     except ValueError as exc:
@@ -104,22 +107,11 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    settings: dict = {}
-    if args.config:
-        settings.update(parse_config_file(args.config))
-    overrides = {
-        "mode": args.mode,
-        "states": args.states,
-        "qubits": args.qubits,
-        "alpha": args.alpha,
-        "mu": args.mu,
-        "seed": args.seed,
-        "class": args.state_class,
-        "tolerance": args.tolerance,
-        "state": args.state,
-    }
-    settings.update({k: v for k, v in overrides.items() if v is not None})
-    settings.setdefault("seed", _env_seed())
+    settings = parse_config_file(args.config) if args.config else {}
+    settings.update((key, value) for key, value in vars(args).items() if value is not None)
+    env_seed = _env_seed()
+    if env_seed is not None:
+        settings.setdefault("seed", env_seed)
     config = build_config(settings)
     result = run_campaign(config)
     if args.out:
@@ -130,8 +122,7 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_falpha(args) -> int:
-    alphas = [float(part) for part in str(args.alpha).split(",") if part.strip()]
-    header, rows = falpha_table(alphas, args.points)
+    header, rows = falpha_table(parse_grid(args.alpha), args.points)
     with _output(args.out) as stream:
         write_csv(header, rows, stream)
     return 0
@@ -161,13 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fuzz = sub.add_parser("fuzz", help="stochastic falsification campaign")
     p_fuzz.add_argument("--config", default=None, help="key=value campaign file")
-    p_fuzz.add_argument("--mode", choices=("monogamy", "polygamy", "lemma1", "ckw", "scalar"))
+    p_fuzz.add_argument("--mode", choices=MODES)
     p_fuzz.add_argument("--states", type=int, default=None)
     p_fuzz.add_argument("--qubits", type=int, default=None)
     p_fuzz.add_argument("--alpha", default=None, help="comma-separated alpha grid")
     p_fuzz.add_argument("--mu", default=None, help="comma-separated mu (or power) grid")
     p_fuzz.add_argument("--seed", type=int, default=None, help="defaults to MONOQ_SEED")
-    p_fuzz.add_argument("--class", dest="state_class", choices=("haar", "wclass", "file"))
+    p_fuzz.add_argument("--class", choices=STATE_CLASSES)
     p_fuzz.add_argument("--tolerance", type=float, default=None)
     p_fuzz.add_argument("--state", default=None, help="state file for class=file")
     p_fuzz.add_argument("--out", default=None, help="witness CSV path")
@@ -190,6 +181,9 @@ def main(argv=None) -> int:
     except MonoqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -35,6 +35,14 @@ def default_labels(n_qubits: int) -> tuple[str, ...]:
     return ("A",) + tuple(f"B{i}" for i in range(1, n_qubits))
 
 
+def resolve_labels(labels, n_qubits: int) -> tuple[str, ...]:
+    """``labels`` as a tuple of n distinct names; empty means the default names."""
+    labels = tuple(labels) or default_labels(n_qubits)
+    if len(labels) != n_qubits or len(set(labels)) != n_qubits:
+        raise InvalidSubsystemError(f"expected {n_qubits} distinct labels, got {labels!r}")
+    return labels
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Pure n-qubit state: 2**n complex amplitudes with unit norm."""
@@ -49,9 +57,7 @@ class StateVector:
             raise SizeError(f"amplitude count {amps.size} is not a power of 2")
         if n < 1 or n > MAX_QUBITS:
             raise SizeError(f"need between 1 and {MAX_QUBITS} qubits, got {n}")
-        labels = tuple(self.labels) or default_labels(n)
-        if len(labels) != n or len(set(labels)) != n:
-            raise InvalidSubsystemError(f"expected {n} distinct labels, got {labels!r}")
+        labels = resolve_labels(self.labels, n)
         norm2 = float(np.sum(np.abs(amps) ** 2))
         if abs(norm2 - 1.0) > NORM_ATOL:
             raise NormalizationError(f"squared norm {norm2!r} differs from 1 beyond {NORM_ATOL}")
@@ -88,9 +94,7 @@ class DensityMatrix:
         n = int(np.log2(dim))
         if 2**n != dim:
             raise SizeError(f"dimension {dim} is not a power of 2")
-        labels = tuple(self.labels) or default_labels(n)
-        if len(labels) != n or len(set(labels)) != n:
-            raise InvalidSubsystemError(f"expected {n} distinct labels, got {labels!r}")
+        labels = resolve_labels(self.labels, n)
         if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_ATOL:
             raise HermiticityError("matrix is not Hermitian within 1e-12")
         tr = complex(np.trace(mat))
@@ -163,15 +167,13 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(tensor.reshape(d, d), kept_labels)
 
 
-def pair_marginals(psi: StateVector, focus: str, partners=None) -> dict[str, DensityMatrix]:
+def pair_marginals(psi: StateVector, focus: str) -> dict[str, DensityMatrix]:
     """Two-qubit marginals {partner: rho_(focus, partner)} of a pure state.
 
-    ``partners`` defaults to every label other than ``focus``, in label order.
+    The partners are every label other than ``focus``, in label order.
     """
     rho = pure_to_density(psi)
-    if partners is None:
-        partners = [lab for lab in psi.labels if lab != focus]
-    return {lab: partial_trace(rho, {focus, lab}) for lab in partners}
+    return {lab: partial_trace(rho, {focus, lab}) for lab in psi.labels if lab != focus}
 
 
 def hermitian_spectrum(rho: DensityMatrix | np.ndarray) -> Spectrum:

@@ -160,19 +160,6 @@ class CampaignConfig:
             )
 
 
-_CONFIG_KEYS = {
-    "mode": str,
-    "states": int,
-    "qubits": int,
-    "alpha": str,
-    "mu": str,
-    "seed": int,
-    "class": str,
-    "tolerance": float,
-    "state": str,
-}
-
-
 def parse_config_file(path) -> dict:
     """Flat key=value campaign file; '#' starts a comment."""
     try:
@@ -188,10 +175,10 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            out[key] = _CONFIG_KEYS[key](value)
+            out[key] = _SETTINGS[key][1](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return out
@@ -215,26 +202,36 @@ _MODE_MU_DEFAULTS = {
 }
 
 
+# Campaign settings by key (config file and CLI): (CampaignConfig field, parser).
+_SETTINGS = {
+    "mode": ("mode", str),
+    "states": ("n_states", int),
+    "qubits": ("n_qubits", int),
+    "alpha": ("alpha_grid", parse_grid),
+    "mu": ("mu_grid", parse_grid),
+    "seed": ("seed", int),
+    "class": ("state_class", str),
+    "tolerance": ("tolerance", float),
+    "state": ("state_file", str),
+}
+
+
 def build_config(settings: dict) -> CampaignConfig:
-    """Resolve a key=value mapping (file and/or CLI overrides) into a config."""
+    """Resolve a key=value mapping (file and/or CLI overrides) into a config.
+
+    Unknown keys and None values are ignored.  Defaults come from
+    CampaignConfig, except the mode-dependent state class and mu grid.
+    """
     mode = settings.get("mode")
     if mode is None:
         raise ConfigError("campaign mode is required")
     kwargs = {
-        "mode": mode,
-        "n_states": int(settings.get("states", 1000)),
-        "n_qubits": int(settings.get("qubits", 3)),
-        "seed": int(settings.get("seed", 20240823)),
-        "state_class": settings.get("class", "wclass" if mode == "polygamy" else "haar"),
-        "tolerance": float(settings.get("tolerance", 1e-9)),
-        "state_file": settings.get("state"),
+        "state_class": "wclass" if mode == "polygamy" else "haar",
+        "mu_grid": _MODE_MU_DEFAULTS.get(mode, (2.0,)),
     }
-    if "alpha" in settings and settings["alpha"] is not None:
-        kwargs["alpha_grid"] = parse_grid(settings["alpha"])
-    if "mu" in settings and settings["mu"] is not None:
-        kwargs["mu_grid"] = parse_grid(settings["mu"])
-    else:
-        kwargs["mu_grid"] = _MODE_MU_DEFAULTS.get(mode, (2.0,))
+    for key, (field, parse) in _SETTINGS.items():
+        if settings.get(key) is not None:
+            kwargs[field] = parse(settings[key])
     return CampaignConfig(**kwargs)
 
 
@@ -259,36 +256,26 @@ class WitnessRecord:
     baseline_rhs: float
     t: float | None = None
 
-    CSV_HEADER = (
-        "index",
-        "mode",
-        "class",
-        "qubits",
-        "state_seed",
-        "alpha",
-        "mu",
-        "t",
-        "lhs",
-        "rhs",
-        "margin",
-        "baseline_rhs",
-    )
+    # Witness CSV columns in order: {column: field}.
+    CSV_COLUMNS = {
+        "index": "index",
+        "mode": "mode",
+        "class": "state_class",
+        "qubits": "n_qubits",
+        "state_seed": "state_seed",
+        "alpha": "alpha",
+        "mu": "mu",
+        "t": "t",
+        "lhs": "lhs",
+        "rhs": "rhs",
+        "margin": "margin",
+        "baseline_rhs": "baseline_rhs",
+    }
 
     def to_csv_row(self) -> tuple:
-        return (
-            str(self.index),
-            self.mode,
-            self.state_class,
-            str(self.n_qubits),
-            str(self.state_seed),
-            fmt12(self.alpha),
-            fmt12(self.mu),
-            fmt12(self.t),
-            fmt12(self.lhs),
-            fmt12(self.rhs),
-            fmt12(self.margin),
-            fmt12(self.baseline_rhs),
-        )
+        """CSV fields: integers and names as written, floats via ``fmt12``."""
+        values = (getattr(self, field) for field in self.CSV_COLUMNS.values())
+        return tuple(str(v) if isinstance(v, (int, str)) else fmt12(v) for v in values)
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -321,7 +308,7 @@ class CampaignResult:
 
     @property
     def min_margin(self) -> float:
-        return min((r.margin for r in self.records), default=float("nan"))
+        return float("nan") if self.worst is None else self.worst.margin
 
     @property
     def mean_tightness_gain(self) -> float:
@@ -330,7 +317,8 @@ class CampaignResult:
 
     @property
     def worst(self) -> WitnessRecord | None:
-        return min(self.records, key=lambda r: r.margin, default=None)
+        """First record of smallest margin; a NaN margin is smaller than any number."""
+        return min(self.records, key=lambda r: (not math.isnan(r.margin), r.margin), default=None)
 
     def summary(self) -> dict:
         return {
@@ -350,7 +338,7 @@ class CampaignResult:
         }
 
     def write_records_csv(self, stream) -> None:
-        stream.write(",".join(WitnessRecord.CSV_HEADER) + "\n")
+        stream.write(",".join(WitnessRecord.CSV_COLUMNS) + "\n")
         for record in self.records:
             stream.write(",".join(record.to_csv_row()) + "\n")
 

@@ -122,6 +122,14 @@ def f_alpha(x, alpha: float):
     return out
 
 
+def _cut(psi: StateVector, partition) -> set:
+    """One side of a bipartition of ``psi``: a proper nonempty subset of its labels."""
+    part = {partition} if isinstance(partition, str) else set(partition)
+    if not part or not part < set(psi.labels):
+        raise InvalidSubsystemError(f"{sorted(part)} is not a proper nonempty subset of {psi.labels!r}")
+    return part
+
+
 def concurrence_pure(psi: StateVector, partition) -> float:
     """Pure-state concurrence sqrt(2 (1 - tr rho_part^2)) across a bipartition.
 
@@ -130,9 +138,7 @@ def concurrence_pure(psi: StateVector, partition) -> float:
     2 sqrt(sum_{i<j} l_i l_j), which vanishes cleanly on product states
     instead of inheriting sqrt-of-roundoff noise from the purity.
     """
-    part = {partition} if isinstance(partition, str) else set(partition)
-    if not part or not part < set(psi.labels):
-        raise InvalidSubsystemError(f"{sorted(part)} is not a proper nonempty subset of {psi.labels!r}")
+    part = _cut(psi, partition)
     front = tuple(lab for lab in psi.labels if lab in part)
     back = tuple(lab for lab in psi.labels if lab not in part)
     matrix = psi.permuted(front + back).amplitudes.reshape(2 ** len(front), 2 ** len(back))
@@ -187,10 +193,7 @@ def renyi_entanglement_two_qubit(rho: DensityMatrix, alpha: float) -> float:
 
 def renyi_entanglement_pure(psi: StateVector, partition, alpha: float) -> float:
     """Renyi entropy of the reduced state across a bipartition of a pure state."""
-    part = {partition} if isinstance(partition, str) else set(partition)
-    if not part or not part < set(psi.labels):
-        raise InvalidSubsystemError(f"{sorted(part)} is not a proper nonempty subset of {psi.labels!r}")
-    reduced = partial_trace(pure_to_density(psi), part)
+    reduced = partial_trace(pure_to_density(psi), _cut(psi, partition))
     vals = np.linalg.eigvalsh(reduced.entries)
     return renyi_entropy(np.clip(vals, 0.0, None), alpha)
 
@@ -202,10 +205,14 @@ def renyi_entanglement_pure(psi: StateVector, partition, alpha: float) -> float:
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 
-def _eigen_basis(rho: DensityMatrix, cutoff: float = 1e-12) -> np.ndarray:
-    """Rows sqrt(p_k) |e_k> spanning the support of rho."""
+def _search_basis(rho: DensityMatrix, n_trials: int) -> np.ndarray:
+    """Rows sqrt(p_k) |e_k> (p_k > 1e-12) spanning the support of a checked search input."""
+    if n_trials < 1:
+        raise ParameterError(f"n_trials must be at least 1, got {n_trials}")
+    if rho.dim != 4:
+        raise SizeError(f"expected a two-qubit (4x4) state, got dim {rho.dim}")
     w, v = np.linalg.eigh(rho.entries)
-    keep = w > cutoff
+    keep = w > 1e-12
     return (v[:, keep] * np.sqrt(w[keep])).T
 
 
@@ -258,13 +265,9 @@ def convex_roof_oracle(rho: DensityMatrix, alpha: float, n_trials: int, seed: in
     bound on the true convex roof and is expected to approach the analytic
     two-qubit value from above.
     """
-    if n_trials < 1:
-        raise ParameterError(f"n_trials must be at least 1, got {n_trials}")
-    if rho.dim != 4:
-        raise SizeError(f"expected a two-qubit (4x4) state, got dim {rho.dim}")
+    basis = _search_basis(rho, n_trials)
     _require_alpha(alpha)
     rng = np.random.default_rng(seed)
-    basis = _eigen_basis(rho)
     rank = basis.shape[0]
     if rank == 1:
         psi = basis[0] / np.linalg.norm(basis[0])
@@ -311,12 +314,8 @@ def coa_search(rho: DensityMatrix, n_trials: int, seed: int) -> float:
     A lower bound on the concurrence of assistance; converges quickly because
     the maximizing set is high dimensional.
     """
-    if n_trials < 1:
-        raise ParameterError(f"n_trials must be at least 1, got {n_trials}")
-    if rho.dim != 4:
-        raise SizeError(f"expected a two-qubit (4x4) state, got dim {rho.dim}")
+    basis = _search_basis(rho, n_trials)
     rng = np.random.default_rng(seed)
-    basis = _eigen_basis(rho)
     rank = basis.shape[0]
     if rank == 1:
         psi = basis[0] / np.linalg.norm(basis[0])

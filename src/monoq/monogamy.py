@@ -10,7 +10,7 @@ margin and the gain over the unweighted baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .errors import (
 from .measures import (
     AlphaMu,
     concurrence_pure,
+    f_alpha,
     renyi_entanglement_pure,
-    renyi_entanglement_two_qubit,
     wootters_concurrence,
 )
 from .wclass import wclass_from_state
@@ -129,16 +129,7 @@ class OrderingProfile:
         return self.split_index is not None
 
     def to_dict(self) -> dict:
-        return {
-            "focus": self.focus,
-            "party_order": list(self.party_order),
-            "pair_concurrences": list(self.pair_concurrences),
-            "tail_concurrences": list(self.tail_concurrences),
-            "full_cut_concurrence": self.full_cut_concurrence,
-            "satisfied_ge": list(self.satisfied_ge),
-            "satisfied_le": list(self.satisfied_le),
-            "split_index": self.split_index,
-        }
+        return asdict(self)
 
 
 def weight_ladder(n_parties: int, split, mu: float) -> np.ndarray:
@@ -286,12 +277,12 @@ def theorem_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) -
 
     The left side is the pure-cut entanglement raised to mu; the right side
     is the ladder-weighted sum of pairwise two-qubit entanglement powers
-    (see ``ladder_report``).
+    (see ``ladder_report``), each ``f_alpha`` at the squared pair concurrence
+    that ``profile`` measured on ``psi``.
     """
     params.require_monogamy()
     alpha = params.alpha
-    marginals = pair_marginals(psi, profile.focus, profile.party_order)
-    pair_e = [renyi_entanglement_two_qubit(r, alpha) for r in marginals.values()]
+    pair_e = [f_alpha(c * c, alpha) for c in profile.pair_concurrences]
     lhs = renyi_entanglement_pure(psi, {profile.focus}, alpha) ** params.mu
     return ladder_report("ladder", lhs, pair_e, profile, params, upper=False)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_QUBITS, StateVector, default_labels
+from .core import MAX_QUBITS, StateVector, resolve_labels
 from .errors import (
     InvalidSubsystemError,
     NormalizationError,
@@ -39,9 +39,7 @@ class WClassState:
             raise SizeError(f"W-class states need at least 3 parties, got {n}")
         if n > MAX_QUBITS:
             raise SizeError(f"at most {MAX_QUBITS} parties supported, got {n}")
-        labels = tuple(self.labels) or default_labels(n)
-        if len(labels) != n or len(set(labels)) != n:
-            raise InvalidSubsystemError(f"expected {n} distinct labels, got {labels!r}")
+        labels = resolve_labels(self.labels, n)
         norm2 = abs(self.a) ** 2 + sum(abs(x) ** 2 for x in b)
         if abs(norm2 - 1.0) > 1e-12:
             raise NormalizationError(f"|a|^2 + sum |b_i|^2 = {norm2!r} differs from 1")
@@ -96,11 +94,11 @@ def build_wclass(a, b_list, labels=()) -> tuple[WClassState, StateVector]:
     return w, w.to_state_vector()
 
 
-def wclass_from_state(psi: StateVector, atol: float = WCLASS_SUPPORT_ATOL) -> WClassState:
+def wclass_from_state(psi: StateVector) -> WClassState:
     """Recognize a state vector with single-excitation support.
 
     Raises UnsupportedStateClassError when any amplitude outside the one-hot
-    basis states exceeds ``atol``.
+    basis states exceeds WCLASS_SUPPORT_ATOL.
     """
     n = psi.n_qubits
     amps = psi.amplitudes
@@ -108,7 +106,7 @@ def wclass_from_state(psi: StateVector, atol: float = WCLASS_SUPPORT_ATOL) -> WC
     mask = np.ones(amps.size, dtype=bool)
     mask[onehot] = False
     worst = float(np.max(np.abs(amps[mask]))) if np.any(mask) else 0.0
-    if worst > atol:
+    if worst > WCLASS_SUPPORT_ATOL:
         raise UnsupportedStateClassError(
             f"state has weight {worst:.3e} outside the single-excitation subspace"
         )
@@ -118,12 +116,11 @@ def wclass_from_state(psi: StateVector, atol: float = WCLASS_SUPPORT_ATOL) -> WC
     return WClassState(coeffs[0], tuple(coeffs[1:]), psi.labels)
 
 
-def random_wclass(n_parties: int, seed: int, sort_descending: bool = True) -> WClassState:
+def random_wclass(n_parties: int, seed: int) -> WClassState:
     """Seeded random W-class state from normalized complex Gaussian amplitudes.
 
-    With ``sort_descending`` the partner amplitudes are ordered by decreasing
-    modulus, the labeling under which the ordering hypotheses are most likely
-    to hold.
+    The partner amplitudes are ordered by decreasing modulus, the labeling
+    under which the ordering hypotheses are most likely to hold.
     """
     if n_parties < 3:
         raise SizeError(f"need at least 3 parties, got {n_parties}")
@@ -131,6 +128,5 @@ def random_wclass(n_parties: int, seed: int, sort_descending: bool = True) -> WC
     z = rng.normal(size=n_parties) + 1j * rng.normal(size=n_parties)
     z = z / np.linalg.norm(z)
     b = z[1:]
-    if sort_descending:
-        b = b[np.argsort(-np.abs(b), kind="stable")]
+    b = b[np.argsort(-np.abs(b), kind="stable")]
     return WClassState(z[0], tuple(b))

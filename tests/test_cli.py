@@ -170,6 +170,17 @@ class TestFuzz:
             assert main(["fuzz", "--mode", "ckw", "--states", "5"]) == 2
 
 
+def test_crash_exits_3_with_traceback(capsys, monkeypatch):
+    # a crash must not read as "violations found" (1) or bad input (2)
+    def crash(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("monoq.cli.run_campaign", crash)
+    assert main(["fuzz", "--mode", "ckw", "--states", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
 class TestFalpha:
     def test_table_output(self, capsys):
         assert main(["falpha", "--alpha", "0.823,1.3", "--points", "5"]) == 0
@@ -177,6 +188,10 @@ class TestFalpha:
         assert lines[0] == "x,f_alpha=0.823,f_alpha=1.3"
         assert lines[1].startswith("0,0,")
         assert lines[-1] == "1,1,1"
+
+    def test_bad_order_exits_2(self, capsys):
+        assert main(["falpha", "--alpha", "0.9,abc"]) == 2
+        assert "bad numeric grid" in capsys.readouterr().err
 
 
 def test_console_script_installed():

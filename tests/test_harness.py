@@ -1,7 +1,11 @@
+import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from monoq import (
     ALPHA_WINDOW,
@@ -21,7 +25,9 @@ from monoq import (
     save_state,
     w_state,
 )
+from monoq import harness
 from monoq.harness import (
+    MODES,
     REFERENCE_ALPHA,
     derive_seed,
     falpha_table,
@@ -128,6 +134,28 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 build_config({"mode": "monogamy", **bad})
 
+    def test_settings_table_covers_every_config_field(self):
+        assert {field for field, _ in harness._SETTINGS.values()} == {
+            f.name for f in dataclasses.fields(CampaignConfig)
+        }
+
+    @given(
+        mode=st.sampled_from(MODES),
+        tolerance=st.floats(),
+        alpha=st.floats(),
+        mu=st.floats(),
+        seed=st.integers(),
+    )
+    def test_any_float_or_seed_resolves_or_raises_config_error(self, mode, tolerance, alpha, mu, seed):
+        settings = {"mode": mode, "tolerance": tolerance, "alpha": (0.9, alpha), "mu": (mu,),
+                    "seed": seed}
+        try:
+            config = build_config(settings)
+        except ConfigError:
+            return
+        assert all(map(math.isfinite, (config.tolerance, *config.alpha_grid, *config.mu_grid)))
+        assert config.seed >= 0 and config.tolerance > 0
+
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "campaign.cfg"
         path.write_text("# demo\nmode=ckw\nstates=50\nqubits=3\nseed=5\ntolerance=1e-10\n")
@@ -150,6 +178,15 @@ class TestConfig:
         config = CampaignConfig(mode="monogamy", n_states=2, n_qubits=4, state_class="haar")
         with pytest.raises(ConfigError):
             run_campaign(config)
+
+
+def _ckw_result(*margins) -> CampaignResult:
+    """Campaign result over hand-made ckw records with the given margins."""
+    fields = dict(mode="ckw", state_class="haar", n_qubits=3, state_seed=0, alpha=None,
+                  mu=None, lhs=0.0, rhs=0.0, baseline_rhs=0.0)
+    records = tuple(WitnessRecord(index=i, margin=m, **fields) for i, m in enumerate(margins))
+    n = len(records)
+    return CampaignResult(CampaignConfig(mode="ckw", n_states=n), records, n, n, 0)
 
 
 class TestCampaigns:
@@ -218,12 +255,18 @@ class TestCampaigns:
         assert out_a.getvalue() == out_b.getvalue()
 
     def test_nan_margin_is_a_violation(self):
-        config = CampaignConfig(mode="ckw", n_states=2, tolerance=1e-9)
-        fields = dict(mode="ckw", state_class="haar", n_qubits=3, state_seed=0, alpha=None,
-                      mu=None, lhs=0.0, rhs=0.0, baseline_rhs=0.0)
-        records = (WitnessRecord(index=0, margin=0.5, **fields),
-                   WitnessRecord(index=1, margin=float("nan"), **fields))
-        assert CampaignResult(config, records, 2, 2, 0).n_violations == 1
+        assert _ckw_result(0.5, float("nan")).n_violations == 1
+
+    @pytest.mark.parametrize("margins", [(0.5, float("nan")), (float("nan"), 0.5)])
+    def test_nan_margin_is_the_worst(self, margins):
+        summary = _ckw_result(*margins).summary()
+        assert summary["n_violations"] == 1
+        assert math.isnan(summary["min_margin"])
+        assert summary["worst"]["index"] == [math.isnan(m) for m in margins].index(True)
+
+    def test_worst_is_the_first_smallest_margin(self):
+        result = _ckw_result(0.5, -0.25, -0.25)
+        assert result.worst.index == 1 and result.min_margin == -0.25
 
     def test_summary_fields(self):
         config = CampaignConfig(mode="ckw", n_states=10, n_qubits=3, seed=2)

@@ -286,6 +286,15 @@ class TestAlphaMu:
             with pytest.raises(ParameterError):
                 AlphaMu(alpha, mu)
 
+    @given(st.floats(), st.floats())
+    def test_any_float_constructs_or_raises_parameter_error(self, alpha, mu):
+        try:
+            params = AlphaMu(alpha, mu)
+        except ParameterError:
+            return
+        assert np.isfinite(params.alpha) and params.alpha > 0
+        assert np.isfinite(params.mu) and params.mu >= 0
+
     def test_monogamy_mode(self):
         AlphaMu(0.9, 2.0).require_monogamy()
         with pytest.raises(ParameterError):

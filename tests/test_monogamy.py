@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,6 +211,13 @@ class TestTheoremBound:
         psi = reference_schmidt_state()
         report = theorem_bound(psi, detect_ordering(psi), AlphaMu(ALPHA_LO, 3.0))
         assert [w for w, _ in report.rhs_terms] == [1.0, 7.0]
+
+    def test_pair_terms_come_from_the_profile(self):
+        # the pair concurrences detect_ordering tested are the ones the bound uses
+        psi = reference_schmidt_state()
+        profile = dataclasses.replace(detect_ordering(psi), pair_concurrences=(0.5, 0.25))
+        report = theorem_bound(psi, profile, AlphaMu(0.9, 3.0))
+        assert [t for _, t in report.rhs_terms] == [f_alpha(c * c, 0.9) ** 3.0 for c in (0.5, 0.25)]
 
     def test_product_state_zero_bound(self):
         psi = StateVector(np.kron(np.kron([1, 0], [1, 0]), [0, 1]).astype(complex))
