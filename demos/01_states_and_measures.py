@@ -37,7 +37,7 @@ print("Bell state marginal on A:\n", np.round(rho_a.entries.real, 6))
 
 w = w_state()
 spec = hermitian_spectrum(partial_trace(pure_to_density(w), {"A"}))
-print("W state marginal spectrum on A:", np.round(spec.eigenvalues, 6), "(= 2/3, 1/3)")
+print("W state marginal spectrum on A:", np.round(spec, 6), "(= 2/3, 1/3)")
 
 print()
 print("=" * 72)

@@ -8,7 +8,6 @@ hypotheses, and a seeded fuzzing harness that hunts for violations.
 
 from .core import (
     DensityMatrix,
-    Spectrum,
     StateVector,
     haar_random_state,
     haar_random_unitary,

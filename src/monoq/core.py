@@ -9,7 +9,7 @@ seeded explicitly and never touches global RNG state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,21 +115,6 @@ class DensityMatrix:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Descending eigenvalues of a density matrix, clipped into [0, 1]."""
-
-    eigenvalues: np.ndarray = field(default_factory=lambda: np.array([1.0]))
-
-    def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float).reshape(-1)
-        vals = np.sort(vals)[::-1]
-        object.__setattr__(self, "eigenvalues", vals)
-
-    def __iter__(self):
-        return iter(self.eigenvalues)
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -167,16 +152,46 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(tensor.reshape(d, d), kept_labels)
 
 
-def pair_marginals(psi: StateVector, focus: str) -> dict[str, DensityMatrix]:
-    """Two-qubit marginals {partner: rho_(focus, partner)} of a pure state.
+def pair_marginal_stack(amplitudes: np.ndarray, focus: int = 0) -> np.ndarray:
+    """Two-qubit marginals of a stack of pure states, shape (B, n-1, 4, 4).
 
-    The partners are every label other than ``focus``, in label order.
+    ``amplitudes`` is (B, 2**n).  Entry [b, k] is the marginal of state b on
+    qubit ``focus`` (first factor) and the k-th other qubit in tensor order
+    (second factor), contracted straight from the amplitudes: the pair's axes
+    go to the front, the rest is reshaped to (4, K), and rho = M M^H is summed
+    over K pairwise, last traced qubit first.  That is the order
+    ``partial_trace`` sums the projector in, so the entries equal the dense
+    route's, without forming a 2^n x 2^n matrix or validating anything.
     """
-    rho = pure_to_density(psi)
-    return {lab: partial_trace(rho, {focus, lab}) for lab in psi.labels if lab != focus}
+    b, n = amplitudes.shape[0], int(amplitudes.shape[1]).bit_length() - 1
+    tensor = amplitudes.reshape((b,) + (2,) * n)
+    partners = [q for q in range(n) if q != focus]
+    out = np.empty((b, len(partners), 4, 4), dtype=complex)
+    for k, q in enumerate(partners):
+        m = np.moveaxis(tensor, (1 + focus, 1 + q), (1, 2)).reshape(b, 4, 1, -1)
+        terms = m * m.conj().transpose(0, 2, 1, 3)
+        while terms.shape[-1] > 1:
+            terms = terms[..., 0::2] + terms[..., 1::2]
+        out[:, k] = terms[..., 0]
+    return out
 
 
-def hermitian_spectrum(rho: DensityMatrix | np.ndarray) -> Spectrum:
+def schmidt_probabilities(amplitudes: np.ndarray, part) -> np.ndarray:
+    """Descending Schmidt probabilities of the cut ``part`` | rest, shape (B, r).
+
+    ``amplitudes`` is (B, 2**n) and ``part`` a tuple of qubit axes; r is the
+    smaller side's dimension.  One SVD of the amplitudes reshaped to
+    (2**len(part), rest), squared: the one route to a pure-state cut spectrum.
+    """
+    b, n = amplitudes.shape[0], int(amplitudes.shape[1]).bit_length() - 1
+    part = tuple(part)
+    tensor = amplitudes.reshape((b,) + (2,) * n)
+    front = np.moveaxis(tensor, [1 + q for q in part], list(range(1, 1 + len(part))))
+    matrix = front.reshape(b, 2 ** len(part), -1)
+    return np.linalg.svd(matrix, compute_uv=False) ** 2
+
+
+def hermitian_spectrum(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     """Descending eigenvalues with sub-1e-10 negative noise clipped to zero."""
     mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_ATOL:
@@ -184,7 +199,7 @@ def hermitian_spectrum(rho: DensityMatrix | np.ndarray) -> Spectrum:
     vals = np.linalg.eigvalsh(mat)
     if np.min(vals) < EIGENVALUE_FLOOR:
         raise PositivityError(f"eigenvalue {np.min(vals)!r} below {EIGENVALUE_FLOOR}")
-    return Spectrum(np.clip(vals, 0.0, None))
+    return np.sort(np.clip(vals, 0.0, None))[::-1]
 
 
 def haar_random_state(n_qubits: int, seed: int) -> StateVector:

@@ -14,16 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateVector, load_state, pair_marginals
+from .core import StateVector, load_state
 from .errors import ConfigError, IoError, PreconditionError, UnsupportedStateClassError
-from .measures import (
-    ALPHA_WINDOW,
-    AlphaMu,
-    renyi_entanglement_pure,
-    renyi_entanglement_two_qubit,
+from .measures import ALPHA_WINDOW, MU_MAX, AlphaMu, PureFeatures, cut_axes, renyi_entanglement_pure
+from .monogamy import (
+    ckw_reports,
+    lemma1_reports,
+    ordering_profile,
+    scalar_weight_inequality,
+    theorem_reports,
 )
-from .monogamy import ckw_check, detect_ordering, lemma1_check, scalar_weight_inequality, theorem_bound
-from .polygamy import reoa_cut, theorem3_bound, wclass_pair_coa
+from .polygamy import reoa_cut, theorem3_reports, wclass_pair_coa
 from .wclass import build_wclass, random_wclass, wclass_from_state
 from . import core, measures
 
@@ -87,7 +88,8 @@ def figure_rows(figure: str, alpha: float = REFERENCE_ALPHA):
     if figure == "fig1":
         psi = reference_schmidt_state()
         e_cut = renyi_entanglement_pure(psi, {"A"}, alpha)
-        e_pairs = [renyi_entanglement_two_qubit(r, alpha) for r in pair_marginals(psi, "A").values()]
+        pairs = PureFeatures.of_state(psi).pair_concurrences[0]
+        e_pairs = measures.f_alpha(pairs * pairs, alpha).tolist()
         mus = [2.0 + k / 20.0 for k in range(161)]
     elif figure == "fig2":
         w = wclass_from_state(w_state(3))
@@ -122,23 +124,40 @@ def figure_csv(figure: str, alpha: float = REFERENCE_ALPHA) -> str:
 # campaign configuration
 # ---------------------------------------------------------------------------
 
+_MODE_MU_DEFAULTS = {
+    "monogamy": (2.0, 3.0, 5.0),
+    "polygamy": (0.25, 0.5, 0.75, 1.0),
+    "lemma1": (2.0, 3.0, 4.0),
+    "ckw": (2.0,),
+    "scalar": tuple(np.round(np.linspace(0.0, 6.0, 25), 10)),
+}
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Fully resolved fuzzing campaign parameters."""
+    """Fully resolved fuzzing campaign parameters.
+
+    ``mu_grid`` and ``state_class`` default by mode: the mode's mu grid, and
+    W-class states for polygamy (its bound needs them), Haar otherwise.
+    """
 
     mode: str
     n_states: int = 1000
     n_qubits: int = 3
     alpha_grid: tuple[float, ...] = ALPHA_WINDOW
-    mu_grid: tuple[float, ...] = (2.0, 3.0, 5.0)
+    mu_grid: tuple[float, ...] | None = None
     seed: int = 20240823
-    state_class: str = "haar"
+    state_class: str | None = None
     tolerance: float = 1e-9
     state_file: str | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.state_class is None:
+            object.__setattr__(self, "state_class", "wclass" if self.mode == "polygamy" else "haar")
+        if self.mu_grid is None:
+            object.__setattr__(self, "mu_grid", _MODE_MU_DEFAULTS[self.mode])
         if self.state_class not in STATE_CLASSES:
             raise ConfigError(f"class must be one of {STATE_CLASSES}, got {self.state_class!r}")
         if self.n_states < 1:
@@ -158,6 +177,8 @@ class CampaignConfig:
                 f"tolerance and grid values must be finite, got tolerance {self.tolerance}, "
                 f"alpha {self.alpha_grid}, mu {self.mu_grid}"
             )
+        if max(self.mu_grid) > MU_MAX:
+            raise ConfigError(f"mu values must be at most {MU_MAX:g}, got {self.mu_grid}")
 
 
 def parse_config_file(path) -> dict:
@@ -193,15 +214,6 @@ def parse_grid(text) -> tuple[float, ...]:
         raise ConfigError(f"bad numeric grid {text!r}: {exc}") from exc
 
 
-_MODE_MU_DEFAULTS = {
-    "monogamy": (2.0, 3.0, 5.0),
-    "polygamy": (0.25, 0.5, 0.75, 1.0),
-    "lemma1": (2.0, 3.0, 4.0),
-    "ckw": (2.0,),
-    "scalar": tuple(np.round(np.linspace(0.0, 6.0, 25), 10)),
-}
-
-
 # Campaign settings by key (config file and CLI): (CampaignConfig field, parser).
 _SETTINGS = {
     "mode": ("mode", str),
@@ -219,16 +231,12 @@ _SETTINGS = {
 def build_config(settings: dict) -> CampaignConfig:
     """Resolve a key=value mapping (file and/or CLI overrides) into a config.
 
-    Unknown keys and None values are ignored.  Defaults come from
-    CampaignConfig, except the mode-dependent state class and mu grid.
+    Unknown keys and None values are ignored; defaults come from
+    CampaignConfig.
     """
-    mode = settings.get("mode")
-    if mode is None:
+    if settings.get("mode") is None:
         raise ConfigError("campaign mode is required")
-    kwargs = {
-        "state_class": "wclass" if mode == "polygamy" else "haar",
-        "mu_grid": _MODE_MU_DEFAULTS.get(mode, (2.0,)),
-    }
+    kwargs = {}
     for key, (field, parse) in _SETTINGS.items():
         if settings.get(key) is not None:
             kwargs[field] = parse(settings[key])
@@ -376,28 +384,64 @@ def _scalar_campaign(config: CampaignConfig) -> CampaignResult:
     return CampaignResult(config, tuple(records), len(records), len(records), 0)
 
 
-# Per-mode evaluators (target, profile, alpha, mu) -> BoundReport, shared by
-# campaigns and replay so that a record and its replay cannot drift apart.
+# Per-mode evaluators (features, prepared states, alpha, mu) -> one BoundReport
+# per state, shared by campaigns and replay so that a record and its replay
+# cannot drift apart.  ``prepared`` holds what ``_prepare`` returned per state.
 _EVALUATORS = {
-    "ckw": lambda psi, profile, alpha, mu: ckw_check(psi),
-    "lemma1": lambda psi, profile, alpha, mu: lemma1_check(psi, mu),
-    "monogamy": lambda psi, profile, alpha, mu: theorem_bound(psi, profile, AlphaMu(alpha, mu)),
-    "polygamy": lambda w, profile, alpha, mu: theorem3_bound(w, profile, AlphaMu(alpha, mu)),
+    "ckw": lambda feats, prepared, alpha, mu: ckw_reports(feats),
+    "lemma1": lambda feats, prepared, alpha, mu: lemma1_reports(feats, mu),
+    "monogamy": lambda feats, prepared, alpha, mu: theorem_reports(
+        feats.cut_probs, [p for _, p in prepared], AlphaMu(alpha, mu)
+    ),
+    "polygamy": lambda feats, prepared, alpha, mu: theorem3_reports(
+        feats.cut_probs, [w for w, _ in prepared], [p for _, p in prepared], AlphaMu(alpha, mu)
+    ),
 }
 
+# Qubit every campaign bound is evaluated around.
+FOCUS = "A"
 
-def _prepare(mode: str, psi: StateVector):
-    """(evaluation target, ordering profile) of a state; None when its hypothesis fails."""
+# A feature batch holds at most this many amplitudes (1 MiB of complex
+# numbers): 8192 three-qubit states, 64 ten-qubit states.
+CHUNK_AMPLITUDES = 2**16
+
+
+def _prepare(mode: str, psis, feats: PureFeatures) -> list:
+    """Per state: (W-class target or None, ordering profile), or None when its hypothesis fails.
+
+    ckw and lemma1 have no hypothesis, so every state passes as (None, None).
+    """
     if mode in ("ckw", "lemma1"):
-        return psi, None
-    target = psi
-    if mode == "polygamy":
-        try:
-            target = wclass_from_state(psi)
-        except UnsupportedStateClassError as exc:
-            raise ConfigError(f"polygamy campaigns need W-class states: {exc}") from exc
-    profile = detect_ordering(psi)
-    return (target, profile) if profile.satisfied else None
+        return [(None, None)] * len(psis)
+    prepared = []
+    for psi, pairs, cut in zip(psis, feats.pair_concurrences.tolist(), feats.cut_concurrence.tolist()):
+        target = None
+        if mode == "polygamy":
+            try:
+                target = wclass_from_state(psi)
+            except UnsupportedStateClassError as exc:
+                raise ConfigError(f"polygamy campaigns need W-class states: {exc}") from exc
+        profile = ordering_profile(psi, FOCUS, pairs, cut)
+        prepared.append((target, profile) if profile.satisfied else None)
+    return prepared
+
+
+def _evaluate(mode: str, psis, cells) -> list:
+    """Per state of ``psis``: None when its hypothesis fails, else one report per cell.
+
+    The states' features are computed once, from their stacked amplitudes,
+    and every cell is evaluated on the states that pass, from those features.
+    """
+    feats = PureFeatures.of(np.stack([psi.amplitudes for psi in psis]), *cut_axes(psis[0], {FOCUS}))
+    prepared = _prepare(mode, psis, feats)
+    keep = [i for i, p in enumerate(prepared) if p is not None]
+    out = [None] * len(psis)
+    if keep:
+        feats, passed = feats.take(keep), [prepared[i] for i in keep]
+        per_cell = [_EVALUATORS[mode](feats, passed, alpha, mu) for alpha, mu in cells]
+        for j, i in enumerate(keep):
+            out[i] = [reports[j] for reports in per_cell]
+    return out
 
 
 def _cells(config: CampaignConfig) -> list[tuple[float | None, float | None]]:
@@ -407,6 +451,23 @@ def _cells(config: CampaignConfig) -> list[tuple[float | None, float | None]]:
     if config.mode == "lemma1":
         return [(None, mu) for mu in config.mu_grid]
     return [(alpha, mu) for alpha in config.alpha_grid for mu in config.mu_grid]
+
+
+def _sampled_chunks(config: CampaignConfig):
+    """Lists of (index, seed, state), each of at most CHUNK_AMPLITUDES amplitudes (or one state)."""
+    if config.state_class == "file":
+        yield [(0, 0, load_state(config.state_file))]
+        return
+    chunk = []
+    for index in range(config.n_states):
+        seed = derive_seed(config.seed, index)
+        psi = _sample_state(config.state_class, config.n_qubits, seed)
+        chunk.append((index, seed, psi))
+        if (len(chunk) + 1) * psi.amplitudes.size > CHUNK_AMPLITUDES:
+            yield chunk
+            chunk = []
+    if chunk:
+        yield chunk
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
@@ -422,47 +483,39 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             "haar states beyond 3 qubits have no computable ordering tails; use class=wclass"
         )
 
-    evaluate = _EVALUATORS[config.mode]
     cells = _cells(config)
     records: list[WitnessRecord] = []
-    n_satisfied = 0
-    n_skipped = 0
-    n_states = 1 if config.state_class == "file" else config.n_states
-    for index in range(n_states):
-        if config.state_class == "file":
-            seed, psi = 0, load_state(config.state_file)
-        else:
-            seed = derive_seed(config.seed, index)
-            psi = _sample_state(config.state_class, config.n_qubits, seed)
-        prepared = _prepare(config.mode, psi)
-        if prepared is None:
-            n_skipped += 1
-            continue
-        n_satisfied += 1
-        for alpha, mu in cells:
-            report = evaluate(*prepared, alpha, mu)
-            records.append(
-                WitnessRecord(
-                    index=index,
-                    mode=config.mode,
-                    state_class=config.state_class,
-                    n_qubits=psi.n_qubits,
-                    state_seed=seed,
-                    alpha=alpha,
-                    mu=mu,
-                    lhs=report.lhs,
-                    rhs=report.rhs,
-                    margin=report.margin,
-                    baseline_rhs=report.baseline_rhs,
+    n_sampled = n_satisfied = 0
+    for chunk in _sampled_chunks(config):
+        n_sampled += len(chunk)
+        for (index, seed, psi), reports in zip(chunk, _evaluate(config.mode, [c[2] for c in chunk], cells)):
+            if reports is None:
+                continue
+            n_satisfied += 1
+            for (alpha, mu), report in zip(cells, reports):
+                records.append(
+                    WitnessRecord(
+                        index=index,
+                        mode=config.mode,
+                        state_class=config.state_class,
+                        n_qubits=psi.n_qubits,
+                        state_seed=seed,
+                        alpha=alpha,
+                        mu=mu,
+                        lhs=report.lhs,
+                        rhs=report.rhs,
+                        margin=report.margin,
+                        baseline_rhs=report.baseline_rhs,
+                    )
                 )
-            )
-    return CampaignResult(config, tuple(records), n_states, n_satisfied, n_skipped)
+    return CampaignResult(config, tuple(records), n_sampled, n_satisfied, n_sampled - n_satisfied)
 
 
 def replay_record(record: WitnessRecord, state: StateVector | None = None) -> float:
     """Recompute a witness margin from its recorded parameters.
 
-    File-class records carry no seed, so their state must be passed in.
+    File-class records carry no seed, so their state must be passed in.  The
+    state goes through the campaign's own path as a batch of one.
     """
     if record.mode == "scalar":
         return _scalar_margin(record.t, record.mu)
@@ -470,10 +523,10 @@ def replay_record(record: WitnessRecord, state: StateVector | None = None) -> fl
         raise ConfigError(f"cannot replay mode {record.mode!r}")
     if state is None:
         state = _sample_state(record.state_class, record.n_qubits, record.state_seed)
-    prepared = _prepare(record.mode, state)
-    if prepared is None:
+    (reports,) = _evaluate(record.mode, [state], [(record.alpha, record.mu)])
+    if reports is None:
         raise PreconditionError("recorded state no longer satisfies the hypothesis")
-    return _EVALUATORS[record.mode](*prepared, record.alpha, record.mu).margin
+    return reports[0].margin
 
 
 def falpha_table(alphas, points: int = 101):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import DensityMatrix, Spectrum, StateVector, partial_trace, pure_to_density
+from .core import DensityMatrix, StateVector, pair_marginal_stack, schmidt_probabilities
 from .errors import DomainError, InvalidSubsystemError, ParameterError, SizeError
 
 # Order window on which the analytic two-qubit formula and the weighted
@@ -27,6 +27,20 @@ ALPHA_WINDOW = ((np.sqrt(7.0) - 1.0) / 2.0, (np.sqrt(13.0) - 1.0) / 2.0)
 VON_NEUMANN_SWITCH = 1e-6
 
 DOMAIN_ATOL = 1e-12
+
+# Largest accepted power mu (or x): the ladder weights (2^mu - 1)^k, k <= 8,
+# stay finite up to here, so a larger power is rejected as bad input.
+MU_MAX = 100.0
+
+
+def require_power(mu: float, name: str = "mu") -> None:
+    """Reject a power that is not a finite number in [0, MU_MAX]."""
+    if not math.isfinite(mu):
+        raise ParameterError(f"{name} must be finite, got {mu}")
+    if mu < 0:
+        raise ParameterError(f"{name} must be nonnegative, got {mu}")
+    if mu > MU_MAX:
+        raise ParameterError(f"{name} must be at most {MU_MAX:g}, got {mu}")
 
 
 def _require_alpha(alpha: float) -> None:
@@ -46,10 +60,7 @@ class AlphaMu:
 
     def __post_init__(self):
         _require_alpha(self.alpha)
-        if not math.isfinite(self.mu):
-            raise ParameterError(f"mu must be finite, got {self.mu}")
-        if self.mu < 0:
-            raise ParameterError(f"mu must be nonnegative, got {self.mu}")
+        require_power(self.mu)
 
     @property
     def in_theorem_window(self) -> bool:
@@ -73,24 +84,27 @@ class AlphaMu:
         return self
 
 
-def _clip_small_negative(value: float) -> float:
-    return 0.0 if -1e-12 < value < 0.0 else value
+def renyi_entropy(spectrum, alpha: float):
+    """Renyi entropy log2(sum p_i^alpha) / (1 - alpha) of a spectrum, in bits.
 
-
-def renyi_entropy(spectrum, alpha: float) -> float:
-    """Renyi entropy log2(sum p_i^alpha) / (1 - alpha) of a spectrum.
-
-    ``0**alpha`` is treated as 0, and within 1e-6 of alpha = 1 the von
-    Neumann entropy -sum p log2 p is returned as the continuity limit.
+    ``spectrum`` is an array of probabilities over its last axis: a 1-D
+    array gives a float, a stack (..., d) an array of shape (...).  Entries
+    <= 0 contribute nothing, within 1e-6 of alpha = 1 the von Neumann entropy
+    -sum p log2 p is returned as the continuity limit, and results in
+    (-1e-12, 0) are clipped to 0.
     """
     _require_alpha(alpha)
-    vals = np.asarray(
-        spectrum.eigenvalues if isinstance(spectrum, Spectrum) else spectrum, dtype=float
-    )
-    vals = vals[vals > 0.0]
+    vals = np.asarray(spectrum, dtype=float)
+    pos = vals > 0.0
+    probs = np.where(pos, vals, 0.0)
+    # keepdims: every step runs on arrays, so a row of a stack and the same
+    # spectrum alone round alike
     if abs(alpha - 1.0) < VON_NEUMANN_SWITCH:
-        return _clip_small_negative(float(-np.sum(vals * np.log2(vals))))
-    return _clip_small_negative(float(np.log2(np.sum(vals**alpha)) / (1.0 - alpha)))
+        out = -np.sum(probs * np.log2(np.where(pos, vals, 1.0)), axis=-1, keepdims=True)
+    else:
+        out = np.log2(np.sum(probs**alpha, axis=-1, keepdims=True)) / (1.0 - alpha)
+    out = np.where((out < 0.0) & (out > -1e-12), 0.0, out)[..., 0]
+    return float(out) if vals.ndim == 1 else out
 
 
 def f_alpha(x, alpha: float):
@@ -130,47 +144,65 @@ def _cut(psi: StateVector, partition) -> set:
     return part
 
 
+def cut_axes(psi: StateVector, partition) -> tuple[int, ...]:
+    """Tensor axes of one side of a bipartition of ``psi``."""
+    part = _cut(psi, partition)
+    return tuple(i for i, lab in enumerate(psi.labels) if lab in part)
+
+
+def _cut_concurrences(probs: np.ndarray) -> np.ndarray:
+    """Pure-state concurrences 2 sqrt(sum_{i<j} p_i p_j) from Schmidt probabilities (..., r)."""
+    tails = np.cumsum(probs[..., ::-1], axis=-1)[..., ::-1]
+    pair_sum = np.sum(probs[..., :-1] * tails[..., 1:], axis=-1)
+    return 2.0 * np.sqrt(np.maximum(0.0, pair_sum))
+
+
 def concurrence_pure(psi: StateVector, partition) -> float:
     """Pure-state concurrence sqrt(2 (1 - tr rho_part^2)) across a bipartition.
 
     ``partition`` names one side of the cut; it must be a proper nonempty
-    subset of the labels.  Evaluated from the Schmidt coefficients as
+    subset of the labels.  Evaluated from the Schmidt probabilities as
     2 sqrt(sum_{i<j} l_i l_j), which vanishes cleanly on product states
     instead of inheriting sqrt-of-roundoff noise from the purity.
     """
-    part = _cut(psi, partition)
-    front = tuple(lab for lab in psi.labels if lab in part)
-    back = tuple(lab for lab in psi.labels if lab not in part)
-    matrix = psi.permuted(front + back).amplitudes.reshape(2 ** len(front), 2 ** len(back))
-    lam = np.linalg.svd(matrix, compute_uv=False) ** 2
-    pair_sum = sum(float(lam[i] * np.sum(lam[i + 1 :])) for i in range(lam.size - 1))
-    return float(2.0 * np.sqrt(max(0.0, pair_sum)))
+    probs = schmidt_probabilities(psi.amplitudes[None], cut_axes(psi, partition))
+    return float(_cut_concurrences(probs)[0])
 
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-def _spin_flip_lambdas(rho: DensityMatrix) -> np.ndarray:
-    """Descending square roots of the eigenvalues of rho (YY) rho* (YY).
+def _spin_flip_lambdas(rhos: np.ndarray) -> np.ndarray:
+    """Descending square roots of the eigenvalues of rho (YY) rho* (YY), for a (..., 4, 4) stack.
 
     Computed as the singular values of the symmetric spin-flip overlap
     tau_kl = <e_k~| YY |e_l~*> on the subnormalized eigenvectors
     |e_k~> = sqrt(w_k) |e_k>, which carries the same spectrum at amplitude
-    precision instead of the sqrt-of-eigenvalue noise floor.
+    precision instead of the sqrt-of-eigenvalue noise floor.  Wootters
+    concurrence is max(0, l1 - l2 - l3 - l4); concurrence of assistance is
+    the sum of the four.
     """
+    w, v = np.linalg.eigh(rhos)
+    # rows are subnormalized eigenvectors
+    basis = np.swapaxes(v * np.sqrt(np.clip(w, 0.0, None))[..., None, :], -1, -2)
+    tau = basis.conj() @ _YY @ np.swapaxes(basis.conj(), -1, -2)
+    return np.sort(np.linalg.svd(tau, compute_uv=False), axis=-1)[..., ::-1]
+
+
+def _wootters(lam: np.ndarray) -> np.ndarray:
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+
+
+def _two_qubit_lambdas(rho: DensityMatrix) -> np.ndarray:
     if rho.dim != 4:
         raise SizeError(f"expected a two-qubit (4x4) state, got dim {rho.dim}")
-    w, v = np.linalg.eigh(rho.entries)
-    basis = (v * np.sqrt(np.clip(w, 0.0, None))).T  # rows are subnormalized eigenvectors
-    tau = basis.conj() @ _YY @ basis.conj().T
-    return np.sort(np.linalg.svd(tau, compute_uv=False))[::-1]
+    return _spin_flip_lambdas(rho.entries)
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:
     """Two-qubit mixed-state concurrence max(0, l1 - l2 - l3 - l4)."""
-    lam = _spin_flip_lambdas(rho)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(_wootters(_two_qubit_lambdas(rho)))
 
 
 def coa_two_qubit(rho: DensityMatrix) -> float:
@@ -178,7 +210,7 @@ def coa_two_qubit(rho: DensityMatrix) -> float:
 
     Always at least as large as the concurrence of the same state.
     """
-    return float(np.sum(_spin_flip_lambdas(rho)))
+    return float(_two_qubit_lambdas(rho).sum(axis=-1))
 
 
 def renyi_entanglement_two_qubit(rho: DensityMatrix, alpha: float) -> float:
@@ -193,9 +225,52 @@ def renyi_entanglement_two_qubit(rho: DensityMatrix, alpha: float) -> float:
 
 def renyi_entanglement_pure(psi: StateVector, partition, alpha: float) -> float:
     """Renyi entropy of the reduced state across a bipartition of a pure state."""
-    reduced = partial_trace(pure_to_density(psi), _cut(psi, partition))
-    vals = np.linalg.eigvalsh(reduced.entries)
-    return renyi_entropy(np.clip(vals, 0.0, None), alpha)
+    probs = schmidt_probabilities(psi.amplitudes[None], cut_axes(psi, partition))
+    return renyi_entropy(probs[0], alpha)
+
+
+@dataclass(frozen=True)
+class PureFeatures:
+    """What every bound reads from a stack of pure states around one focus qubit.
+
+    ``cut_probs`` (B, 2) holds the Schmidt probabilities of focus | rest and
+    ``pair_lambdas`` (B, n-1, 4) the spin-flip lambdas of the marginal on the
+    focus and each other qubit, in tensor order.  Both come straight from
+    the amplitudes, once per state; every (alpha, mu) cell is evaluated from
+    them.  Row b of a stack equals the features of state b alone.
+    """
+
+    cut_probs: np.ndarray
+    pair_lambdas: np.ndarray
+
+    @classmethod
+    def of(cls, amplitudes: np.ndarray, focus: int = 0) -> "PureFeatures":
+        """Features of a (B, 2**n) amplitude stack around qubit axis ``focus``."""
+        return cls(
+            schmidt_probabilities(amplitudes, (focus,)),
+            _spin_flip_lambdas(pair_marginal_stack(amplitudes, focus)),
+        )
+
+    @classmethod
+    def of_state(cls, psi: StateVector, focus: str = "A") -> "PureFeatures":
+        """Features of one state, a batch of one; ``focus`` must leave a proper cut."""
+        (axis,) = cut_axes(psi, {focus})
+        return cls.of(psi.amplitudes[None], axis)
+
+    def take(self, rows) -> "PureFeatures":
+        return PureFeatures(self.cut_probs[rows], self.pair_lambdas[rows])
+
+    @property
+    def cut_concurrence(self) -> np.ndarray:
+        return _cut_concurrences(self.cut_probs)
+
+    @property
+    def pair_concurrences(self) -> np.ndarray:
+        return _wootters(self.pair_lambdas)
+
+    @property
+    def pair_coas(self) -> np.ndarray:
+        return self.pair_lambdas.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import StateVector, pair_marginals
+from .core import StateVector, schmidt_probabilities
 from .errors import (
     DomainError,
     InvalidSubsystemError,
@@ -22,13 +22,7 @@ from .errors import (
     PreconditionError,
     UnsupportedStateClassError,
 )
-from .measures import (
-    AlphaMu,
-    concurrence_pure,
-    f_alpha,
-    renyi_entanglement_pure,
-    wootters_concurrence,
-)
+from .measures import AlphaMu, PureFeatures, cut_axes, f_alpha, renyi_entropy, require_power
 from .wclass import wclass_from_state
 
 #: Sentinel split index for the fully ordered ladder.
@@ -140,8 +134,7 @@ def weight_ladder(n_parties: int, split, mu: float) -> np.ndarray:
     (2^mu - 1)^(i-1), the middle block carries (2^mu - 1)^(m+1), and the last
     party carries (2^mu - 1)^m.
     """
-    if mu < 0:
-        raise ParameterError(f"mu must be nonnegative, got {mu}")
+    require_power(mu)
     if n_parties < 3:
         raise ParameterError(f"need at least 3 parties, got {n_parties}")
     base = 2.0**mu - 1.0
@@ -157,10 +150,6 @@ def weight_ladder(n_parties: int, split, mu: float) -> np.ndarray:
     return np.array(head + middle + [base**m])
 
 
-def _pair_marginal_concurrences(psi: StateVector, focus: str) -> dict[str, float]:
-    return {lab: wootters_concurrence(r) for lab, r in pair_marginals(psi, focus).items()}
-
-
 def detect_ordering(psi: StateVector, focus: str = "A", relabel: bool = True) -> OrderingProfile:
     """Measure the concurrence ordering of a pure state around a focus qubit.
 
@@ -173,16 +162,29 @@ def detect_ordering(psi: StateVector, focus: str = "A", relabel: bool = True) ->
     """
     if focus not in psi.labels:
         raise InvalidSubsystemError(f"focus {focus!r} not among labels {psi.labels!r}")
+    feats = PureFeatures.of_state(psi, focus)
+    return ordering_profile(
+        psi, focus, feats.pair_concurrences[0].tolist(), float(feats.cut_concurrence[0]), relabel
+    )
+
+
+def ordering_profile(
+    psi: StateVector, focus: str, pairs, full_cut: float, relabel: bool = True
+) -> OrderingProfile:
+    """The profile of ``psi`` from its measured concurrences (see ``detect_ordering``).
+
+    ``pairs`` are the pair concurrences with every other qubit in label
+    order and ``full_cut`` the focus-vs-rest concurrence.
+    """
     n = psi.n_qubits
     if n < 3:
         raise ParameterError(f"ordering profiles need at least 3 qubits, got {n}")
-
-    pairs = _pair_marginal_concurrences(psi, focus)
-    order = [lab for lab in psi.labels if lab != focus]
+    partners = [lab for lab in psi.labels if lab != focus]
+    pair_of = dict(zip(partners, pairs))
+    order = list(partners)
     if relabel:
-        order.sort(key=lambda lab: -pairs[lab])
-    pair_vals = tuple(pairs[lab] for lab in order)
-    full_cut = concurrence_pure(psi, {focus})
+        order.sort(key=lambda lab: -pair_of[lab])
+    pair_vals = tuple(pair_of[lab] for lab in order)
 
     if n == 3:
         # the only tail keeps a single partner, so it is a pair concurrence
@@ -224,12 +226,37 @@ def detect_ordering(psi: StateVector, focus: str = "A", relabel: bool = True) ->
     )
 
 
+def ckw_reports(feats: PureFeatures) -> list[BoundReport]:
+    """Squared-concurrence monogamy reports, one per state of ``feats``."""
+    return [
+        BoundReport.from_terms("ckw", cut**2, tuple((1.0, c**2) for c in pairs), upper=False)
+        for cut, pairs in zip(feats.cut_concurrence.tolist(), feats.pair_concurrences.tolist())
+    ]
+
+
 def ckw_check(psi: StateVector, focus: str = "A") -> BoundReport:
     """Squared-concurrence monogamy: C^2 one-vs-rest >= sum of pair C^2."""
-    pairs = _pair_marginal_concurrences(psi, focus)
-    lhs = concurrence_pure(psi, {focus}) ** 2
-    terms = tuple((1.0, c**2) for c in pairs.values())
-    return BoundReport.from_terms("ckw", lhs, terms, upper=False)
+    return ckw_reports(PureFeatures.of_state(psi, focus))[0]
+
+
+def lemma1_reports(feats: PureFeatures, x: float) -> list[BoundReport]:
+    """Weighted concurrence-power reports at power ``x``, one per state of ``feats``."""
+    if x < 2:
+        raise ParameterError(f"the weighted concurrence inequality needs x >= 2, got {x}")
+    require_power(x, "x")
+    if feats.pair_lambdas.shape[1] != 2:
+        raise UnsupportedStateClassError(
+            "both sides are computable only for pure three-qubit states"
+        )
+    weight = 2.0 ** (x / 2.0) - 1.0
+    return [
+        BoundReport.from_terms(
+            "lemma1", cut**x, ((1.0, c1**x), (weight, c2**x)), upper=False, mu=x
+        )
+        for cut, (c2, c1) in zip(
+            feats.cut_concurrence.tolist(), np.sort(feats.pair_concurrences, axis=-1).tolist()
+        )
+    ]
 
 
 def lemma1_check(psi: StateVector, x: float, focus: str = "A") -> BoundReport:
@@ -238,38 +265,45 @@ def lemma1_check(psi: StateVector, x: float, focus: str = "A") -> BoundReport:
     Checks C_cut^x >= C_1^x + (2^(x/2) - 1) C_2^x with the partners ordered
     so that C_1 >= C_2, for powers x >= 2.
     """
-    if x < 2:
-        raise ParameterError(f"the weighted concurrence inequality needs x >= 2, got {x}")
-    if psi.n_qubits != 3:
-        raise UnsupportedStateClassError(
-            "both sides are computable only for pure three-qubit states"
-        )
-    pairs = sorted(_pair_marginal_concurrences(psi, focus).values(), reverse=True)
-    lhs = concurrence_pure(psi, {focus}) ** x
-    weight = 2.0 ** (x / 2.0) - 1.0
-    terms = ((1.0, pairs[0] ** x), (weight, pairs[1] ** x))
-    return BoundReport.from_terms("lemma1", lhs, terms, upper=False, mu=x)
+    return lemma1_reports(PureFeatures.of_state(psi, focus), x)[0]
 
 
-def ladder_report(
-    prefix: str, lhs: float, pair_e, profile: OrderingProfile, params: AlphaMu, upper: bool
-) -> BoundReport:
-    """Ladder-weighted bound on ``lhs`` from pairwise entanglements ``pair_e``.
+def ladder_reports(
+    prefix: str, lhs, pair_e, profiles, params: AlphaMu, upper: bool
+) -> list[BoundReport]:
+    """Ladder-weighted bounds on ``lhs[b]`` from pairwise entanglements ``pair_e[b]``, per state b.
 
-    The right side is the ladder-weighted sum of ``pair_e`` raised to mu and
+    ``pair_e[b]`` is in the party order of ``profiles[b]``.  The right side
+    is the ladder-weighted sum of the pair entanglements raised to mu, and
     the unweighted sum is the baseline.  ``upper`` selects an upper bound
     (polygamy) instead of a lower bound (monogamy).  Raises
-    PreconditionError when the profile satisfies no ladder hypothesis: the
+    PreconditionError when a profile satisfies no ladder hypothesis: the
     bound claims nothing there.
     """
-    if not profile.satisfied:
-        which = "weighted upper bound" if upper else "weighted bound"
-        raise PreconditionError(f"ordering hypothesis unsatisfied; the {which} is not claimed")
     mu = params.mu
-    weights = weight_ladder(profile.n_parties, profile.split_index, mu)
-    terms = tuple((float(w), float(e**mu)) for w, e in zip(weights, pair_e))
-    kind = f"{prefix}-full" if profile.is_full else f"{prefix}-split-{profile.split_index}"
-    return BoundReport.from_terms(kind, lhs, terms, upper, params.alpha, mu)
+    ladders: dict = {}
+    reports = []
+    for l, row, profile in zip(lhs, pair_e, profiles):
+        if not profile.satisfied:
+            which = "weighted upper bound" if upper else "weighted bound"
+            raise PreconditionError(f"ordering hypothesis unsatisfied; the {which} is not claimed")
+        split = profile.split_index
+        if split not in ladders:
+            ladders[split] = weight_ladder(profile.n_parties, split, mu).tolist()
+        terms = tuple((w, e**mu) for w, e in zip(ladders[split], row))
+        kind = f"{prefix}-full" if profile.is_full else f"{prefix}-split-{split}"
+        reports.append(BoundReport.from_terms(kind, l, terms, upper, params.alpha, mu))
+    return reports
+
+
+def theorem_reports(cut_probs: np.ndarray, profiles, params: AlphaMu) -> list[BoundReport]:
+    """Weighted monogamy reports, one per (focus | rest Schmidt probabilities, profile)."""
+    params.require_monogamy()
+    alpha = params.alpha
+    lhs = [e**params.mu for e in renyi_entropy(cut_probs, alpha).tolist()]
+    pair_c = np.array([p.pair_concurrences for p in profiles])
+    pair_e = f_alpha(pair_c * pair_c, alpha).tolist()
+    return ladder_reports("ladder", lhs, pair_e, profiles, params, upper=False)
 
 
 def theorem_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) -> BoundReport:
@@ -277,14 +311,12 @@ def theorem_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) -
 
     The left side is the pure-cut entanglement raised to mu; the right side
     is the ladder-weighted sum of pairwise two-qubit entanglement powers
-    (see ``ladder_report``), each ``f_alpha`` at the squared pair concurrence
+    (see ``ladder_reports``), each ``f_alpha`` at the squared pair concurrence
     that ``profile`` measured on ``psi``.
     """
     params.require_monogamy()
-    alpha = params.alpha
-    pair_e = [f_alpha(c * c, alpha) for c in profile.pair_concurrences]
-    lhs = renyi_entanglement_pure(psi, {profile.focus}, alpha) ** params.mu
-    return ladder_report("ladder", lhs, pair_e, profile, params, upper=False)
+    probs = schmidt_probabilities(psi.amplitudes[None], cut_axes(psi, {profile.focus}))
+    return theorem_reports(probs, [profile], params)[0]
 
 
 @dataclass(frozen=True)
@@ -305,8 +337,7 @@ def scalar_weight_inequality(t: float, x: float) -> ScalarCheck:
     """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must lie in [0, 1], got {t}")
-    if x < 0:
-        raise ParameterError(f"x must be nonnegative, got {x}")
+    require_power(x, "x")
     margin = (1.0 + t) ** x - 1.0 - (2.0**x - 1.0) * t**x
     regime = "lower" if x >= 1.0 else "upper"
     ok = margin >= -1e-12 if regime == "lower" else margin <= 1e-12

@@ -9,16 +9,12 @@ analytic and the hypotheses are decidable.
 
 from __future__ import annotations
 
-from .core import DensityMatrix, StateVector, pair_marginals
+import numpy as np
+
+from .core import DensityMatrix, StateVector, schmidt_probabilities
 from .errors import SizeError, UnsupportedStateClassError
-from .measures import (
-    AlphaMu,
-    coa_two_qubit,
-    concurrence_pure,
-    f_alpha,
-    renyi_entanglement_pure,
-)
-from .monogamy import BoundReport, OrderingProfile, ladder_report
+from .measures import AlphaMu, PureFeatures, f_alpha, renyi_entanglement_pure, renyi_entropy
+from .monogamy import BoundReport, OrderingProfile, ladder_reports
 from .wclass import WClassState, wclass_from_state
 
 __all__ = [
@@ -63,25 +59,40 @@ def reoa_cut(state, alpha: float) -> float:
     return renyi_entanglement_pure(state, {state.labels[0]}, alpha)
 
 
+def theorem3_reports(cut_probs: np.ndarray, targets, profiles, params: AlphaMu) -> list[BoundReport]:
+    """Weighted polygamy reports, one per (cut probabilities, W-class state, profile).
+
+    ``cut_probs`` are the focus | rest Schmidt probabilities of each state.
+    """
+    params.require_polygamy()
+    coas = []
+    for w, profile in zip(targets, profiles):
+        if w.labels[0] != profile.focus:
+            raise UnsupportedStateClassError(
+                f"profile focus {profile.focus!r} must be the excitation qubit {w.labels[0]!r}"
+            )
+        b_of = dict(zip(w.labels[1:], w.b))
+        coas.append([2.0 * abs(w.a) * abs(b_of[lab]) for lab in profile.party_order])
+    alpha = params.alpha
+    pair_c = np.array(coas)
+    pair_e = f_alpha(pair_c * pair_c, alpha).tolist()
+    lhs = [e**params.mu for e in renyi_entropy(cut_probs, alpha).tolist()]
+    return ladder_reports("assist", lhs, pair_e, profiles, params, upper=True)
+
+
 def theorem3_bound(w, profile: OrderingProfile, params: AlphaMu) -> BoundReport:
     """Weighted upper bound on the mu-th power of assisted entanglement.
 
     The pairwise assisted terms are evaluated through ``f_alpha`` at the
-    squared pair concurrence of assistance, exact on W-class marginals, and
-    weighted by the ladder of the profile's split (see ``ladder_report``).
+    squared pair concurrence of assistance 2|a||b_i|, exact on W-class
+    marginals, and weighted by the ladder of the profile's split (see
+    ``ladder_reports``).  The left side is the focus-vs-rest entanglement of
+    ``w`` raised to mu.
     """
     params.require_polygamy()
     w = _as_wclass(w)
-    if w.labels[0] != profile.focus:
-        raise UnsupportedStateClassError(
-            f"profile focus {profile.focus!r} must be the excitation qubit {w.labels[0]!r}"
-        )
-    aligned = w.permuted(profile.party_order)
-    alpha = params.alpha
-    coas = [aligned.pair_concurrence(i) for i in range(1, aligned.n_parties)]
-    pair_e = [f_alpha(c * c, alpha) for c in coas]
-    lhs = reoa_cut(aligned, alpha) ** params.mu
-    return ladder_report("assist", lhs, pair_e, profile, params, upper=True)
+    probs = schmidt_probabilities(w.to_state_vector().amplitudes[None], (0,))
+    return theorem3_reports(probs, [w], [profile], params)[0]
 
 
 def coa_polygamy_check(psi: StateVector, focus: str = "A") -> BoundReport:
@@ -91,6 +102,7 @@ def coa_polygamy_check(psi: StateVector, focus: str = "A") -> BoundReport:
     """
     if psi.n_qubits > 6:
         raise SizeError(f"capped at 6 qubits, got {psi.n_qubits}")
-    lhs = concurrence_pure(psi, {focus}) ** 2
-    terms = tuple((1.0, coa_two_qubit(r) ** 2) for r in pair_marginals(psi, focus).values())
+    feats = PureFeatures.of_state(psi, focus)
+    lhs = float(feats.cut_concurrence[0]) ** 2
+    terms = tuple((1.0, c**2) for c in feats.pair_coas[0].tolist())
     return BoundReport.from_terms("coa-polygamy", lhs, terms, upper=True)

@@ -150,6 +150,19 @@ class TestFuzz:
         assert main(["fuzz", "--mode", "monogamy", "--states", "5", *extra]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode, mu", [("monogamy", "2000"), ("lemma1", "3000"), ("scalar", "2000")]
+    )
+    def test_power_above_cap_exits_2(self, mode, mu, capsys):
+        # 2.0**mu used to overflow and crash (exit 3) on such input
+        assert main(["fuzz", "--mode", mode, "--states", "2", "--mu", mu]) == 2
+        assert "must be at most 100" in capsys.readouterr().err
+
+    def test_power_at_cap_runs(self, capsys):
+        code = main(["fuzz", "--mode", "monogamy", "--states", "5", "--mu", "100"])
+        assert code in (0, 1)
+        assert json.loads(capsys.readouterr().out)["n_records"] == 5 * 2
+
     def test_config_file_with_cli_override(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("mode=ckw\nstates=40\nqubits=3\nseed=9\n")

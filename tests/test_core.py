@@ -81,7 +81,7 @@ class TestPartialTrace:
         reduced = partial_trace(pure_to_density(w_state()), {"A"})
         np.testing.assert_allclose(reduced.entries, np.diag([2 / 3, 1 / 3]), atol=1e-12)
         spec = hermitian_spectrum(reduced)
-        np.testing.assert_allclose(spec.eigenvalues, [2 / 3, 1 / 3], atol=1e-12)
+        np.testing.assert_allclose(spec, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_empty_keep_rejected(self):
         rho = pure_to_density(bell_state())
@@ -112,26 +112,26 @@ class TestPartialTrace:
         for seed in range(5):
             psi = haar_random_state(4, seed=100 + seed)
             rho = pure_to_density(psi)
-            left = hermitian_spectrum(partial_trace(rho, {"A", "B1"})).eigenvalues
-            right = hermitian_spectrum(partial_trace(rho, {"B2", "B3"})).eigenvalues
+            left = hermitian_spectrum(partial_trace(rho, {"A", "B1"}))
+            right = hermitian_spectrum(partial_trace(rho, {"B2", "B3"}))
             np.testing.assert_allclose(left, right, atol=1e-10)
 
 
 class TestHermitianSpectrum:
     def test_maximally_mixed(self):
         spec = hermitian_spectrum(DensityMatrix(np.eye(2) / 2))
-        np.testing.assert_allclose(spec.eigenvalues, [0.5, 0.5])
+        np.testing.assert_allclose(spec, [0.5, 0.5])
 
     def test_diagonal(self):
         spec = hermitian_spectrum(DensityMatrix(np.diag([2 / 3, 1 / 3])))
-        np.testing.assert_allclose(spec.eigenvalues, [2 / 3, 1 / 3])
+        np.testing.assert_allclose(spec, [2 / 3, 1 / 3])
 
     def test_reference_state_marginal(self):
         # cut concurrence squared is 1/2, so the marginal spectrum is (1 +/- sqrt(1/2))/2
         rho = pure_to_density(reference_schmidt_state())
         spec = hermitian_spectrum(partial_trace(rho, {"A"}))
         np.testing.assert_allclose(
-            spec.eigenvalues,
+            spec,
             [0.8535533905932737, 0.14644660940672624],
             atol=1e-12,
         )
@@ -139,7 +139,7 @@ class TestHermitianSpectrum:
     def test_sum_matches_trace(self):
         rho = random_mixed_state(2, rank=3, seed=5)
         spec = hermitian_spectrum(rho)
-        assert abs(np.sum(spec.eigenvalues) - 1.0) < 1e-10
+        assert abs(np.sum(spec) - 1.0) < 1e-10
 
     def test_non_hermitian_rejected(self):
         mat = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
@@ -210,7 +210,7 @@ class TestRandomMixedState:
 
     def test_rank_controls_spectrum(self):
         rho = random_mixed_state(2, rank=2, seed=2)
-        spec = hermitian_spectrum(rho).eigenvalues
+        spec = hermitian_spectrum(rho)
         assert np.sum(spec > 1e-10) == 2
 
 

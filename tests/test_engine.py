@@ -1,0 +1,149 @@
+"""Campaign margins from the amplitude-stack engine against the dense route.
+
+Campaigns read every state's features (pair marginals, Wootters lambdas and
+the focus-vs-rest Schmidt spectrum) from a stack of amplitudes.  Here each
+margin is recomputed the dense way: the 2^n x 2^n projector |psi><psi|,
+partial traces of it by einsum, eigenvalues of the reduced state for the cut,
+and Wootters concurrence or assistance of each 4x4 marginal.  The ordering
+hypothesis is decided again from those values, with W-class tails in closed
+form.  Margins must agree within 1e-12, relative to the weighted right side
+when that exceeds 1 (ladder weights (2^mu - 1)^k grow large).
+"""
+
+import string
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from monoq import (
+    FULL,
+    CampaignConfig,
+    DensityMatrix,
+    coa_two_qubit,
+    f_alpha,
+    haar_random_state,
+    random_wclass,
+    renyi_entropy,
+    run_campaign,
+    wclass_from_state,
+    weight_ladder,
+    wootters_concurrence,
+)
+from monoq.harness import derive_seed
+
+ALPHAS = (0.8229, 1.3027)
+ATOL = 1e-12
+
+
+def _reduced(psi, keep) -> np.ndarray:
+    """Marginal of the projector on the qubit axes ``keep`` (in that order)."""
+    n = psi.n_qubits
+    rho = np.outer(psi.amplitudes, psi.amplitudes.conj()).reshape((2,) * (2 * n))
+    rows = string.ascii_lowercase[:n]
+    cols = [rows[q].upper() if q in keep else rows[q] for q in range(n)]
+    out = "".join(rows[q] for q in keep) + "".join(cols[q] for q in keep)
+    d = 2 ** len(keep)
+    return np.einsum(f"{rows}{''.join(cols)}->{out}", rho).reshape(d, d)
+
+
+def _dense(psi):
+    """(cut spectrum, pair concurrences, pair CoAs) around qubit 0, partners in order."""
+    cut = np.clip(np.linalg.eigvalsh(_reduced(psi, (0,))), 0.0, None)
+    pairs = [DensityMatrix(_reduced(psi, (0, q))) for q in range(1, psi.n_qubits)]
+    return cut, [wootters_concurrence(r) for r in pairs], [coa_two_qubit(r) for r in pairs]
+
+
+def _ladder(psi, pairs):
+    """(party order, split) of the ordering hypothesis, or None when it fails."""
+    n = psi.n_qubits
+    order = sorted(range(n - 1), key=lambda k: -pairs[k])
+    if n == 3:
+        tails = [pairs[order[1]]]
+    else:
+        w = wclass_from_state(psi)
+        b2 = [abs(w.b[k]) ** 2 for k in order]
+        tails = [2 * abs(w.a) * np.sqrt(sum(b2[i + 1:])) for i in range(n - 2)]
+    ge = [pairs[order[i]] >= tails[i] - 1e-12 for i in range(n - 2)]
+    le = [pairs[order[i]] <= tails[i] + 1e-12 for i in range(n - 2)]
+    if all(ge):
+        return order, FULL
+    for m in range(n - 3, 0, -1):
+        if all(ge[:m]) and all(le[m:]):
+            return order, m
+    return None
+
+
+def _dense_margins(mode, psi, cells):
+    """[(margin, scale)] per cell of ``psi``, or None when its hypothesis fails."""
+    cut, pairs, coas = _dense(psi)
+    c2_cut = 2.0 * (1.0 - np.sum(cut**2))
+    if mode == "ckw":
+        rhs = sum(c * c for c in pairs)
+        return [(c2_cut - rhs, rhs)]
+    if mode == "lemma1":
+        c1, c2 = sorted(pairs, reverse=True)
+        out = []
+        for _, x in cells:
+            rhs = c1**x + (2 ** (x / 2) - 1) * c2**x
+            out.append((c2_cut ** (x / 2) - rhs, rhs))
+        return out
+    ladder = _ladder(psi, pairs)
+    if ladder is None:
+        return None
+    order, split = ladder
+    terms = coas if mode == "polygamy" else pairs
+    out = []
+    for alpha, mu in cells:
+        weights = weight_ladder(psi.n_qubits, split, mu)
+        rhs = sum(w * f_alpha(terms[k] ** 2, alpha) ** mu for w, k in zip(weights, order))
+        lhs = renyi_entropy(cut, alpha) ** mu
+        out.append((rhs - lhs if mode == "polygamy" else lhs - rhs, rhs))
+    return out
+
+
+CASES = (
+    [("ckw", "haar", n, 4 if n < 8 else 2, (2.0,)) for n in range(3, 11)]
+    + [
+        ("lemma1", "haar", 3, 20, (2.0, 3.0, 4.0)),
+        ("monogamy", "haar", 3, 20, (2.0, 3.0, 5.0)),
+    ]
+    + [("monogamy", "wclass", n, 40, (2.0, 5.0)) for n in range(4, 8)]
+    + [("polygamy", "wclass", n, 40, (0.25, 1.0)) for n in range(3, 7)]
+)
+
+
+@pytest.mark.parametrize(
+    "mode, state_class, n_qubits, n_states, mu_grid",
+    CASES,
+    ids=[f"{c[0]}-{c[1]}-q{c[2]}" for c in CASES],
+)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_campaign_margins_match_dense_route(mode, state_class, n_qubits, n_states, mu_grid, seed):
+    config = CampaignConfig(
+        mode=mode, n_states=n_states, n_qubits=n_qubits, seed=seed, state_class=state_class,
+        alpha_grid=ALPHAS, mu_grid=mu_grid,
+    )
+    result = run_campaign(config)
+    by_index: dict = {}
+    for record in result.records:
+        by_index.setdefault(record.index, []).append(record)
+    cells = {index: [(r.alpha, r.mu) for r in records] for index, records in by_index.items()}
+    n_satisfied = 0
+    for index in range(n_states):
+        state_seed = derive_seed(seed, index)
+        if state_class == "haar":
+            psi = haar_random_state(n_qubits, state_seed)
+        else:
+            psi = random_wclass(n_qubits, state_seed).to_state_vector()
+        expected = _dense_margins(mode, psi, cells.get(index, [(a, m) for a in ALPHAS for m in mu_grid]))
+        if expected is None:
+            assert index not in by_index
+            continue
+        assert index in by_index
+        n_satisfied += 1
+        for record, (margin, scale) in zip(by_index[index], expected, strict=True):
+            assert abs(record.margin - margin) <= ATOL * max(1.0, abs(scale)), (record, margin)
+    assert result.n_satisfied == n_satisfied

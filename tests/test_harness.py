@@ -34,7 +34,7 @@ from monoq.harness import (
     fmt12,
     parse_config_file,
 )
-from monoq.measures import f_alpha
+from monoq.measures import MU_MAX, f_alpha
 
 
 class TestReferenceStates:
@@ -111,6 +111,23 @@ class TestConfig:
     def test_mode_specific_defaults(self):
         assert build_config({"mode": "polygamy"}).state_class == "wclass"
         assert build_config({"mode": "lemma1"}).mu_grid == (2.0, 3.0, 4.0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_mode_defaults_live_in_campaign_config(self, mode):
+        assert CampaignConfig(mode=mode) == build_config({"mode": mode})
+
+    def test_default_polygamy_config_runs(self):
+        config = CampaignConfig(mode="polygamy", n_states=20, n_qubits=4, seed=5)
+        assert config.state_class == "wclass"
+        assert config.mu_grid == (0.25, 0.5, 0.75, 1.0)
+        result = run_campaign(config)
+        assert result.n_sampled == 20 and result.n_violations == 0
+
+    def test_power_cap(self):
+        CampaignConfig(mode="monogamy", mu_grid=(2.0, MU_MAX))
+        for mode in ("monogamy", "lemma1", "scalar"):
+            with pytest.raises(ConfigError, match="at most"):
+                CampaignConfig(mode=mode, mu_grid=(2.0, MU_MAX + 1.0))
 
     def test_grid_parsing(self):
         config = build_config({"mode": "monogamy", "alpha": "0.8229,1.3027", "mu": "2,3,5"})
@@ -335,6 +352,30 @@ class TestReplay:
         assert result.records
         for record in result.records:
             assert replay_record(record, state) == record.margin
+
+    @pytest.mark.parametrize(
+        "config, budget",
+        [
+            (CampaignConfig(mode="ckw", n_states=70, n_qubits=10, seed=36), None),
+            (CampaignConfig(mode="ckw", n_states=30, n_qubits=5, seed=37), 2**7),
+            (CampaignConfig(mode="lemma1", n_states=30, n_qubits=3, seed=38), 2**5),
+            (CampaignConfig(mode="monogamy", n_states=30, n_qubits=3, seed=39), 2**5),
+            (CampaignConfig(mode="monogamy", n_states=60, n_qubits=4, seed=40,
+                            state_class="wclass"), 2**7),
+            (CampaignConfig(mode="polygamy", n_states=60, n_qubits=5, seed=41), 2**8),
+        ],
+        ids=["ckw-q10", "ckw-q5", "lemma1", "monogamy", "monogamy-wclass", "polygamy"],
+    )
+    def test_records_of_a_multi_chunk_campaign_replay_exactly(self, config, budget, monkeypatch):
+        # each record's features came from a stack of several states; its
+        # replay computes them from that state alone
+        if budget is not None:
+            monkeypatch.setattr(harness, "CHUNK_AMPLITUDES", budget)
+        assert config.n_states * 2**config.n_qubits > harness.CHUNK_AMPLITUDES  # two chunks or more
+        result = run_campaign(config)
+        assert result.records
+        for record in result.records:
+            assert replay_record(record) == record.margin
 
 
 class TestHelpers:

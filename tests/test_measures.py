@@ -27,6 +27,7 @@ from monoq import (
     wootters_concurrence,
 )
 from monoq.errors import InvalidSubsystemError
+from monoq.measures import MU_MAX
 from monoq.harness import REFERENCE_ALPHA, reference_schmidt_state
 
 ALPHA_LO, ALPHA_HI = ALPHA_WINDOW
@@ -63,6 +64,13 @@ class TestRenyiEntropy:
         # quoted at order 0.823; the exact window endpoint shifts it to 0.9321174...
         assert abs(renyi_entropy([2 / 3, 1 / 3], 0.823) - 0.932108) < 1e-6
         assert abs(renyi_entropy([2 / 3, 1 / 3], ALPHA_LO) - S_W_EXACT) < 1e-12
+
+    def test_stack_matches_rows_exactly(self):
+        spectra = np.array([[1.0, 0.0], [0.5, 0.5], [2 / 3, 1 / 3], [0.9, 0.1], [0.7, 0.3]])
+        for alpha in (0.823, 1.0, 1.3027):
+            stacked = renyi_entropy(spectra, alpha)
+            assert stacked.shape == (5,)
+            assert stacked.tolist() == [renyi_entropy(row, alpha) for row in spectra]
 
     def test_continuity_at_one(self):
         spec = [0.6, 0.3, 0.1]
@@ -282,9 +290,10 @@ class TestAlphaMu:
         with pytest.raises(ParameterError):
             AlphaMu(0.9, -1.0)
         for alpha, mu in ((float("nan"), 2.0), (float("inf"), 2.0), (0.9, float("nan")),
-                          (0.9, float("inf"))):
+                          (0.9, float("inf")), (0.9, MU_MAX + 1.0), (0.9, 2000.0)):
             with pytest.raises(ParameterError):
                 AlphaMu(alpha, mu)
+        assert AlphaMu(0.9, MU_MAX).mu == MU_MAX
 
     @given(st.floats(), st.floats())
     def test_any_float_constructs_or_raises_parameter_error(self, alpha, mu):
@@ -293,7 +302,7 @@ class TestAlphaMu:
         except ParameterError:
             return
         assert np.isfinite(params.alpha) and params.alpha > 0
-        assert np.isfinite(params.mu) and params.mu >= 0
+        assert np.isfinite(params.mu) and 0 <= params.mu <= MU_MAX
 
     def test_monogamy_mode(self):
         AlphaMu(0.9, 2.0).require_monogamy()

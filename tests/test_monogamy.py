@@ -25,7 +25,8 @@ from monoq import (
     weight_ladder,
 )
 from monoq.harness import reference_schmidt_state
-from monoq.measures import ALPHA_WINDOW, f_alpha
+from monoq.core import MAX_QUBITS
+from monoq.measures import ALPHA_WINDOW, MU_MAX, f_alpha
 
 ALPHA_LO, ALPHA_HI = ALPHA_WINDOW
 SQRT6_OVER_6 = np.sqrt(6.0) / 6.0
@@ -57,6 +58,16 @@ class TestWeightLadder:
             weight_ladder(3, 1, 2.0)  # split ladders need N >= 4
         with pytest.raises(ParameterError):
             weight_ladder(4, 0, 2.0)
+
+    def test_power_cap_keeps_every_ladder_finite(self):
+        # the largest weight is (2^mu - 1)^(N-2); past the cap, 2.0**mu overflowed
+        for split in (FULL, *range(1, MAX_QUBITS - 2)):
+            assert np.all(np.isfinite(weight_ladder(MAX_QUBITS, split, MU_MAX)))
+        for mu in (MU_MAX + 1.0, 2000.0, float("nan")):
+            with pytest.raises(ParameterError):
+                weight_ladder(3, FULL, mu)
+            with pytest.raises(ParameterError):
+                scalar_weight_inequality(0.5, mu)
 
     def test_monogamy_weights_at_least_one(self):
         for n in (3, 4, 5, 6):
