@@ -32,7 +32,6 @@ from .harness import (
 from .measures import AlphaMu
 from .monogamy import detect_ordering, theorem_bound
 from .polygamy import theorem3_bound
-from .wclass import wclass_from_state
 
 
 def _env_seed() -> int | None:
@@ -77,7 +76,7 @@ def cmd_eval(args) -> int:
                 f"mu={args.mu} selects no bound (monogamy needs mu >= 2, polygamy mu <= 1); "
                 "pass --mode explicitly"
             )
-    profile = detect_ordering(psi, focus=args.focus)
+    profile = detect_ordering(psi)
     out = {
         "state_file": args.state,
         "mode": mode,
@@ -90,7 +89,7 @@ def cmd_eval(args) -> int:
         if mode == "monogamy":
             out["report"] = theorem_bound(psi, profile, params).to_dict()
         else:
-            out["report"] = theorem3_bound(wclass_from_state(psi), profile, params).to_dict()
+            out["report"] = theorem3_bound(psi, profile, params).to_dict()
     except PreconditionError as exc:
         out["report"] = None
         out["skipped"] = str(exc)

@@ -152,12 +152,12 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(tensor.reshape(d, d), kept_labels)
 
 
-def pair_marginal_stack(amplitudes: np.ndarray, focus: int = 0) -> np.ndarray:
+def pair_marginal_stack(amplitudes: np.ndarray) -> np.ndarray:
     """Two-qubit marginals of a stack of pure states, shape (B, n-1, 4, 4).
 
     ``amplitudes`` is (B, 2**n).  Entry [b, k] is the marginal of state b on
-    qubit ``focus`` (first factor) and the k-th other qubit in tensor order
-    (second factor), contracted straight from the amplitudes: the pair's axes
+    the first qubit (first factor) and qubit k + 1 (second factor),
+    contracted straight from the amplitudes: the pair's axes
     go to the front, the rest is reshaped to (4, K), and rho = M M^H is summed
     over K pairwise, last traced qubit first.  That is the order
     ``partial_trace`` sums the projector in, so the entries equal the dense
@@ -165,14 +165,13 @@ def pair_marginal_stack(amplitudes: np.ndarray, focus: int = 0) -> np.ndarray:
     """
     b, n = amplitudes.shape[0], int(amplitudes.shape[1]).bit_length() - 1
     tensor = amplitudes.reshape((b,) + (2,) * n)
-    partners = [q for q in range(n) if q != focus]
-    out = np.empty((b, len(partners), 4, 4), dtype=complex)
-    for k, q in enumerate(partners):
-        m = np.moveaxis(tensor, (1 + focus, 1 + q), (1, 2)).reshape(b, 4, 1, -1)
+    out = np.empty((b, n - 1, 4, 4), dtype=complex)
+    for q in range(1, n):
+        m = np.moveaxis(tensor, (1, 1 + q), (1, 2)).reshape(b, 4, 1, -1)
         terms = m * m.conj().transpose(0, 2, 1, 3)
         while terms.shape[-1] > 1:
             terms = terms[..., 0::2] + terms[..., 1::2]
-        out[:, k] = terms[..., 0]
+        out[:, q - 1] = terms[..., 0]
     return out
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import StateVector, load_state
-from .errors import ConfigError, IoError, PreconditionError, UnsupportedStateClassError
-from .measures import ALPHA_WINDOW, MU_MAX, AlphaMu, PureFeatures, cut_axes, renyi_entanglement_pure
+from .errors import ConfigError, IoError, PreconditionError
+from .measures import ALPHA_WINDOW, MU_MAX, AlphaMu, PureFeatures, renyi_entanglement_pure
 from .monogamy import (
     ckw_reports,
     lemma1_reports,
@@ -25,7 +25,7 @@ from .monogamy import (
     theorem_reports,
 )
 from .polygamy import reoa_cut, theorem3_reports, wclass_pair_coa
-from .wclass import build_wclass, random_wclass, wclass_from_state
+from .wclass import WClassState, build_wclass, random_wclass, wclass_from_state
 from . import core, measures
 
 # Order at which the six-decimal reference values of the worked examples are
@@ -160,6 +160,8 @@ class CampaignConfig:
             object.__setattr__(self, "mu_grid", _MODE_MU_DEFAULTS[self.mode])
         if self.state_class not in STATE_CLASSES:
             raise ConfigError(f"class must be one of {STATE_CLASSES}, got {self.state_class!r}")
+        if self.mode == "polygamy" and self.state_class == "haar":
+            raise ConfigError("polygamy campaigns need W-class states; use class wclass or file")
         if self.n_states < 1:
             raise ConfigError(f"n_states must be at least 1, got {self.n_states}")
         if self.seed < 0:
@@ -290,13 +292,24 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
-def _sample_state(state_class: str, n_qubits: int, seed: int) -> StateVector:
-    """The seeded state of a campaign index, or of the record that replays it."""
+def _sample_state(state_class: str, n_qubits: int, seed: int):
+    """(state, its sampled W-class form or None) of a campaign index, or of its replay."""
     if state_class == "haar":
-        return core.haar_random_state(n_qubits, seed)
+        return core.haar_random_state(n_qubits, seed), None
     if state_class == "wclass":
-        return random_wclass(n_qubits, seed).to_state_vector()
+        w = random_wclass(n_qubits, seed)
+        return w.to_state_vector(), w
     raise ConfigError(f"{state_class!r} states have no seed; pass the state in")
+
+
+def _entering(mode: str, psi: StateVector, wclass: WClassState | None = None):
+    """``(psi, W-class form)`` for ``mode``; a form it needs and was not given is recognized here.
+
+    polygamy reads the form, and so do the ordering tails beyond three qubits.
+    """
+    if wclass is None and (mode == "polygamy" or (mode == "monogamy" and psi.n_qubits > 3)):
+        wclass = wclass_from_state(psi)
+    return psi, wclass
 
 
 @dataclass(frozen=True)
@@ -398,44 +411,35 @@ _EVALUATORS = {
     ),
 }
 
-# Qubit every campaign bound is evaluated around.
-FOCUS = "A"
-
 # A feature batch holds at most this many amplitudes (1 MiB of complex
 # numbers): 8192 three-qubit states, 64 ten-qubit states.
 CHUNK_AMPLITUDES = 2**16
 
 
-def _prepare(mode: str, psis, feats: PureFeatures) -> list:
-    """Per state: (W-class target or None, ordering profile), or None when its hypothesis fails.
+def _prepare(mode: str, labels, forms, feats: PureFeatures) -> list:
+    """Per state: (W-class form, ordering profile), or None when its hypothesis fails.
 
     ckw and lemma1 have no hypothesis, so every state passes as (None, None).
     """
     if mode in ("ckw", "lemma1"):
-        return [(None, None)] * len(psis)
+        return [(None, None)] * len(forms)
     prepared = []
-    for psi, pairs, cut in zip(psis, feats.pair_concurrences.tolist(), feats.cut_concurrence.tolist()):
-        target = None
-        if mode == "polygamy":
-            try:
-                target = wclass_from_state(psi)
-            except UnsupportedStateClassError as exc:
-                raise ConfigError(f"polygamy campaigns need W-class states: {exc}") from exc
-        profile = ordering_profile(psi, FOCUS, pairs, cut)
-        prepared.append((target, profile) if profile.satisfied else None)
+    for w, pairs, cut in zip(forms, feats.pair_concurrences.tolist(), feats.cut_concurrence.tolist()):
+        profile = ordering_profile(labels, pairs, cut, w)
+        prepared.append((w, profile) if profile.satisfied else None)
     return prepared
 
 
-def _evaluate(mode: str, psis, cells) -> list:
-    """Per state of ``psis``: None when its hypothesis fails, else one report per cell.
+def _evaluate(mode: str, states, cells) -> list:
+    """Per (psi, W-class form) of ``states``: None if its hypothesis fails, else a report per cell.
 
     The states' features are computed once, from their stacked amplitudes,
     and every cell is evaluated on the states that pass, from those features.
     """
-    feats = PureFeatures.of(np.stack([psi.amplitudes for psi in psis]), *cut_axes(psis[0], {FOCUS}))
-    prepared = _prepare(mode, psis, feats)
+    feats = PureFeatures.of(np.stack([psi.amplitudes for psi, _ in states]))
+    prepared = _prepare(mode, states[0][0].labels, [w for _, w in states], feats)
     keep = [i for i, p in enumerate(prepared) if p is not None]
-    out = [None] * len(psis)
+    out = [None] * len(states)
     if keep:
         feats, passed = feats.take(keep), [prepared[i] for i in keep]
         per_cell = [_EVALUATORS[mode](feats, passed, alpha, mu) for alpha, mu in cells]
@@ -454,16 +458,16 @@ def _cells(config: CampaignConfig) -> list[tuple[float | None, float | None]]:
 
 
 def _sampled_chunks(config: CampaignConfig):
-    """Lists of (index, seed, state), each of at most CHUNK_AMPLITUDES amplitudes (or one state)."""
+    """Lists of (index, seed, (state, W-class form)) of at most CHUNK_AMPLITUDES amplitudes."""
     if config.state_class == "file":
-        yield [(0, 0, load_state(config.state_file))]
+        yield [(0, 0, _entering(config.mode, load_state(config.state_file)))]
         return
     chunk = []
     for index in range(config.n_states):
         seed = derive_seed(config.seed, index)
-        psi = _sample_state(config.state_class, config.n_qubits, seed)
-        chunk.append((index, seed, psi))
-        if (len(chunk) + 1) * psi.amplitudes.size > CHUNK_AMPLITUDES:
+        state = _sample_state(config.state_class, config.n_qubits, seed)
+        chunk.append((index, seed, state))
+        if (len(chunk) + 1) * state[0].amplitudes.size > CHUNK_AMPLITUDES:
             yield chunk
             chunk = []
     if chunk:
@@ -488,7 +492,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     n_sampled = n_satisfied = 0
     for chunk in _sampled_chunks(config):
         n_sampled += len(chunk)
-        for (index, seed, psi), reports in zip(chunk, _evaluate(config.mode, [c[2] for c in chunk], cells)):
+        evaluated = _evaluate(config.mode, [state for _, _, state in chunk], cells)
+        for (index, seed, (psi, _)), reports in zip(chunk, evaluated):
             if reports is None:
                 continue
             n_satisfied += 1
@@ -521,9 +526,11 @@ def replay_record(record: WitnessRecord, state: StateVector | None = None) -> fl
         return _scalar_margin(record.t, record.mu)
     if record.mode not in _EVALUATORS:
         raise ConfigError(f"cannot replay mode {record.mode!r}")
+    psi, wclass = state, None
     if state is None:
-        state = _sample_state(record.state_class, record.n_qubits, record.state_seed)
-    (reports,) = _evaluate(record.mode, [state], [(record.alpha, record.mu)])
+        psi, wclass = _sample_state(record.state_class, record.n_qubits, record.state_seed)
+    cell = (record.alpha, record.mu)
+    (reports,) = _evaluate(record.mode, [_entering(record.mode, psi, wclass)], [cell])
     if reports is None:
         raise PreconditionError("recorded state no longer satisfies the hypothesis")
     return reports[0].margin

@@ -115,7 +115,9 @@ def f_alpha(x, alpha: float):
     Accepts scalars or arrays.
     """
     _require_alpha(alpha)
-    arr = np.asarray(x, dtype=float)
+    # a scalar runs as an array: numpy's scalar pow/log2 round differently
+    # from its array loops, and one pair must equal that pair in a stack
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(arr < -DOMAIN_ATOL) or np.any(arr > 1.0 + DOMAIN_ATOL):
         raise DomainError(f"argument outside [0, 1]: {x!r}")
     arr = np.clip(arr, 0.0, 1.0)
@@ -132,7 +134,7 @@ def f_alpha(x, alpha: float):
         out = np.log2(powsum) / (1.0 - alpha)
     out = np.where((out < 0.0) & (out > -1e-12), 0.0, out) + 0.0  # also clears -0.0
     if np.ndim(x) == 0:
-        return float(out)
+        return float(out[0])
     return out
 
 
@@ -231,31 +233,34 @@ def renyi_entanglement_pure(psi: StateVector, partition, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class PureFeatures:
-    """What every bound reads from a stack of pure states around one focus qubit.
+    """What every bound reads from a stack of pure states around their first qubit.
 
-    ``cut_probs`` (B, 2) holds the Schmidt probabilities of focus | rest and
-    ``pair_lambdas`` (B, n-1, 4) the spin-flip lambdas of the marginal on the
-    focus and each other qubit, in tensor order.  Both come straight from
-    the amplitudes, once per state; every (alpha, mu) cell is evaluated from
-    them.  Row b of a stack equals the features of state b alone.
+    The first qubit is the focus of every bound; another focus is a
+    permutation of the state.  ``cut_probs`` (B, 2) holds the Schmidt
+    probabilities of focus | rest and ``pair_lambdas`` (B, n-1, 4) the
+    spin-flip lambdas of the marginal on the focus and each other qubit, in
+    tensor order.  Both come straight from the amplitudes, once per state;
+    every (alpha, mu) cell is evaluated from them.  Row b of a stack equals
+    the features of state b alone.
     """
 
     cut_probs: np.ndarray
     pair_lambdas: np.ndarray
 
     @classmethod
-    def of(cls, amplitudes: np.ndarray, focus: int = 0) -> "PureFeatures":
-        """Features of a (B, 2**n) amplitude stack around qubit axis ``focus``."""
+    def of(cls, amplitudes: np.ndarray) -> "PureFeatures":
+        """Features of a (B, 2**n) amplitude stack, n >= 2."""
+        if amplitudes.shape[1] < 4:
+            raise InvalidSubsystemError("the first qubit has no partner in a one-qubit state")
         return cls(
-            schmidt_probabilities(amplitudes, (focus,)),
-            _spin_flip_lambdas(pair_marginal_stack(amplitudes, focus)),
+            schmidt_probabilities(amplitudes, (0,)),
+            _spin_flip_lambdas(pair_marginal_stack(amplitudes)),
         )
 
     @classmethod
-    def of_state(cls, psi: StateVector, focus: str = "A") -> "PureFeatures":
-        """Features of one state, a batch of one; ``focus`` must leave a proper cut."""
-        (axis,) = cut_axes(psi, {focus})
-        return cls.of(psi.amplitudes[None], axis)
+    def of_state(cls, psi: StateVector) -> "PureFeatures":
+        """Features of one state, a batch of one."""
+        return cls.of(psi.amplitudes[None])
 
     def take(self, rows) -> "PureFeatures":
         return PureFeatures(self.cut_probs[rows], self.pair_lambdas[rows])

@@ -15,15 +15,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import StateVector, schmidt_probabilities
-from .errors import (
-    DomainError,
-    InvalidSubsystemError,
-    ParameterError,
-    PreconditionError,
-    UnsupportedStateClassError,
-)
-from .measures import AlphaMu, PureFeatures, cut_axes, f_alpha, renyi_entropy, require_power
-from .wclass import wclass_from_state
+from .errors import DomainError, ParameterError, PreconditionError, UnsupportedStateClassError
+from .measures import AlphaMu, PureFeatures, f_alpha, renyi_entropy, require_power
+from .wclass import WClassState, wclass_from_state
 
 #: Sentinel split index for the fully ordered ladder.
 FULL = "full"
@@ -93,10 +87,11 @@ class BoundReport:
 class OrderingProfile:
     """Concurrence ordering data deciding which weight ladder applies.
 
-    ``pair_concurrences[i]`` is the two-qubit concurrence with partner i + 1;
-    ``tail_concurrences[i]`` is the one-vs-rest concurrence of the marginal
-    that keeps the focus and partners i + 2, ..., N - 1.  Condition i holds
-    in the ">=" sense when pair >= tail within 1e-12, dually for "<=".
+    ``focus`` is the first qubit's label; ``pair_concurrences[i]`` is the
+    two-qubit concurrence with partner i + 1; ``tail_concurrences[i]`` is the
+    one-vs-rest concurrence of the marginal that keeps the focus and
+    partners i + 2, ..., N - 1.  Condition i holds in the ">=" sense when
+    pair >= tail within 1e-12, dually for "<=".
     ``split_index`` is the largest admissible split, FULL when every ">="
     condition holds, or None when no ladder applies.
     """
@@ -150,8 +145,8 @@ def weight_ladder(n_parties: int, split, mu: float) -> np.ndarray:
     return np.array(head + middle + [base**m])
 
 
-def detect_ordering(psi: StateVector, focus: str = "A", relabel: bool = True) -> OrderingProfile:
-    """Measure the concurrence ordering of a pure state around a focus qubit.
+def detect_ordering(psi: StateVector, relabel: bool = True) -> OrderingProfile:
+    """Measure the concurrence ordering of a pure state around its first qubit.
 
     Pair concurrences come from the two-qubit marginals.  Tail concurrences
     exist analytically only for three-qubit states (where each tail is itself
@@ -160,26 +155,26 @@ def detect_ordering(psi: StateVector, focus: str = "A", relabel: bool = True) ->
     order of decreasing pair concurrence, the labeling under which the
     hypotheses are most likely to hold.
     """
-    if focus not in psi.labels:
-        raise InvalidSubsystemError(f"focus {focus!r} not among labels {psi.labels!r}")
-    feats = PureFeatures.of_state(psi, focus)
-    return ordering_profile(
-        psi, focus, feats.pair_concurrences[0].tolist(), float(feats.cut_concurrence[0]), relabel
-    )
+    feats = PureFeatures.of_state(psi)
+    pairs, full_cut = feats.pair_concurrences[0].tolist(), float(feats.cut_concurrence[0])
+    wclass = wclass_from_state(psi) if psi.n_qubits > 3 else None
+    return ordering_profile(psi.labels, pairs, full_cut, wclass, relabel)
 
 
 def ordering_profile(
-    psi: StateVector, focus: str, pairs, full_cut: float, relabel: bool = True
+    labels, pairs, full_cut: float, wclass: WClassState | None, relabel: bool = True
 ) -> OrderingProfile:
-    """The profile of ``psi`` from its measured concurrences (see ``detect_ordering``).
+    """The profile of a state from its measured concurrences (see ``detect_ordering``).
 
-    ``pairs`` are the pair concurrences with every other qubit in label
-    order and ``full_cut`` the focus-vs-rest concurrence.
+    ``labels`` are the state's qubit labels, focus first; ``pairs`` are the
+    pair concurrences with every other qubit in label order and ``full_cut``
+    the focus-vs-rest concurrence.  ``wclass`` is the state's W-class form,
+    which gives the tails beyond three qubits (unused at three).
     """
-    n = psi.n_qubits
+    n = len(labels)
     if n < 3:
         raise ParameterError(f"ordering profiles need at least 3 qubits, got {n}")
-    partners = [lab for lab in psi.labels if lab != focus]
+    partners = labels[1:]
     pair_of = dict(zip(partners, pairs))
     order = list(partners)
     if relabel:
@@ -190,16 +185,7 @@ def ordering_profile(
         # the only tail keeps a single partner, so it is a pair concurrence
         tails = (pair_vals[1],)
     else:
-        try:
-            w = wclass_from_state(psi)
-        except UnsupportedStateClassError as exc:
-            raise UnsupportedStateClassError(
-                f"tail concurrences of a {n}-qubit state are only available for "
-                f"W-class states: {exc}"
-            ) from exc
-        if w.labels[0] != focus:
-            w = wclass_from_state(psi.permuted((focus,) + tuple(order)))
-        w = w.permuted(tuple(order))
+        w = wclass.permuted(order)
         tails = tuple(w.tail_concurrence(i) for i in range(1, n - 1))
 
     ge = tuple(pair_vals[i] >= tails[i] - ORDERING_ATOL for i in range(n - 2))
@@ -215,7 +201,7 @@ def ordering_profile(
                 break
 
     return OrderingProfile(
-        focus=focus,
+        focus=labels[0],
         party_order=tuple(order),
         pair_concurrences=pair_vals,
         tail_concurrences=tails,
@@ -234,9 +220,9 @@ def ckw_reports(feats: PureFeatures) -> list[BoundReport]:
     ]
 
 
-def ckw_check(psi: StateVector, focus: str = "A") -> BoundReport:
-    """Squared-concurrence monogamy: C^2 one-vs-rest >= sum of pair C^2."""
-    return ckw_reports(PureFeatures.of_state(psi, focus))[0]
+def ckw_check(psi: StateVector) -> BoundReport:
+    """Squared-concurrence monogamy: C^2 first qubit vs rest >= sum of pair C^2."""
+    return ckw_reports(PureFeatures.of_state(psi))[0]
 
 
 def lemma1_reports(feats: PureFeatures, x: float) -> list[BoundReport]:
@@ -259,13 +245,13 @@ def lemma1_reports(feats: PureFeatures, x: float) -> list[BoundReport]:
     ]
 
 
-def lemma1_check(psi: StateVector, x: float, focus: str = "A") -> BoundReport:
+def lemma1_check(psi: StateVector, x: float) -> BoundReport:
     """Weighted concurrence-power inequality on a pure three-qubit state.
 
     Checks C_cut^x >= C_1^x + (2^(x/2) - 1) C_2^x with the partners ordered
     so that C_1 >= C_2, for powers x >= 2.
     """
-    return lemma1_reports(PureFeatures.of_state(psi, focus), x)[0]
+    return lemma1_reports(PureFeatures.of_state(psi), x)[0]
 
 
 def ladder_reports(
@@ -315,7 +301,7 @@ def theorem_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) -
     that ``profile`` measured on ``psi``.
     """
     params.require_monogamy()
-    probs = schmidt_probabilities(psi.amplitudes[None], cut_axes(psi, {profile.focus}))
+    probs = schmidt_probabilities(psi.amplitudes[None], (0,))
     return theorem_reports(probs, [profile], params)[0]
 
 

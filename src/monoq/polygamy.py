@@ -62,19 +62,15 @@ def reoa_cut(state, alpha: float) -> float:
 def theorem3_reports(cut_probs: np.ndarray, targets, profiles, params: AlphaMu) -> list[BoundReport]:
     """Weighted polygamy reports, one per (cut probabilities, W-class state, profile).
 
-    ``cut_probs`` are the focus | rest Schmidt probabilities of each state.
+    ``cut_probs`` are the focus | rest Schmidt probabilities of each state,
+    and each profile's focus is its W-class state's excitation qubit.
     """
     params.require_polygamy()
-    coas = []
-    for w, profile in zip(targets, profiles):
-        if w.labels[0] != profile.focus:
-            raise UnsupportedStateClassError(
-                f"profile focus {profile.focus!r} must be the excitation qubit {w.labels[0]!r}"
-            )
-        b_of = dict(zip(w.labels[1:], w.b))
-        coas.append([2.0 * abs(w.a) * abs(b_of[lab]) for lab in profile.party_order])
+    pair_c = np.array([
+        [w.pair_concurrence(w.labels.index(lab)) for lab in profile.party_order]
+        for w, profile in zip(targets, profiles)
+    ])
     alpha = params.alpha
-    pair_c = np.array(coas)
     pair_e = f_alpha(pair_c * pair_c, alpha).tolist()
     lhs = [e**params.mu for e in renyi_entropy(cut_probs, alpha).tolist()]
     return ladder_reports("assist", lhs, pair_e, profiles, params, upper=True)
@@ -91,18 +87,22 @@ def theorem3_bound(w, profile: OrderingProfile, params: AlphaMu) -> BoundReport:
     """
     params.require_polygamy()
     w = _as_wclass(w)
+    if w.labels[0] != profile.focus:
+        raise UnsupportedStateClassError(
+            f"profile focus {profile.focus!r} must be the excitation qubit {w.labels[0]!r}"
+        )
     probs = schmidt_probabilities(w.to_state_vector().amplitudes[None], (0,))
     return theorem3_reports(probs, [w], [profile], params)[0]
 
 
-def coa_polygamy_check(psi: StateVector, focus: str = "A") -> BoundReport:
-    """Squared-concurrence polygamy: C^2 one-vs-rest <= sum of pair CoA^2.
+def coa_polygamy_check(psi: StateVector) -> BoundReport:
+    """Squared-concurrence polygamy: C^2 first qubit vs rest <= sum of pair CoA^2.
 
     Holds for every pure multi-qubit state; the margin is rhs - lhs.
     """
     if psi.n_qubits > 6:
         raise SizeError(f"capped at 6 qubits, got {psi.n_qubits}")
-    feats = PureFeatures.of_state(psi, focus)
+    feats = PureFeatures.of_state(psi)
     lhs = float(feats.cut_concurrence[0]) ** 2
     terms = tuple((1.0, c**2) for c in feats.pair_coas[0].tolist())
     return BoundReport.from_terms("coa-polygamy", lhs, terms, upper=True)

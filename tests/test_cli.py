@@ -4,8 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from monoq import save_state, w_state
+from monoq import haar_random_state, save_state, w_state
 from monoq.cli import main
 from monoq.harness import reference_schmidt_state
 from monoq.core import StateVector
@@ -22,6 +24,13 @@ def ex1_file(tmp_path):
 def w_file(tmp_path):
     path = tmp_path / "w.json"
     save_state(w_state(), path)
+    return str(path)
+
+
+@pytest.fixture
+def xyz_file(tmp_path):
+    path = tmp_path / "xyz.json"
+    save_state(StateVector(haar_random_state(3, seed=4).amplitudes, ("X", "Y", "Z")), path)
     return str(path)
 
 
@@ -77,6 +86,16 @@ class TestEval:
         assert main(["eval", w_file, "--mu", "2", "--focus", "B1"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["profile"]["focus"] == "B1"
+
+    def test_focus_must_be_a_label(self, w_file, capsys):
+        assert main(["eval", w_file, "--mu", "2", "--focus", "Z"]) == 2
+        assert "focus 'Z' not among labels" in capsys.readouterr().err
+
+    def test_focus_on_other_labels(self, xyz_file, capsys):
+        assert main(["eval", xyz_file, "--mu", "2", "--focus", "Y"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["profile"]["focus"] == "Y"
+        assert sorted(out["profile"]["party_order"]) == ["X", "Z"]
 
 
 class TestReproduce:
@@ -163,6 +182,12 @@ class TestFuzz:
         assert code in (0, 1)
         assert json.loads(capsys.readouterr().out)["n_records"] == 5 * 2
 
+    @pytest.mark.parametrize("mode", ["ckw", "lemma1", "monogamy"])
+    def test_file_class_with_other_labels(self, mode, xyz_file, capsys):
+        # bounds are evaluated around the file's first qubit, whatever its label
+        code = main(["fuzz", "--mode", mode, "--class", "file", "--state", xyz_file])
+        assert code == (1 if json.loads(capsys.readouterr().out)["n_violations"] else 0)
+
     def test_config_file_with_cli_override(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("mode=ckw\nstates=40\nqubits=3\nseed=9\n")
@@ -205,6 +230,37 @@ class TestFalpha:
     def test_bad_order_exits_2(self, capsys):
         assert main(["falpha", "--alpha", "0.9,abc"]) == 2
         assert "bad numeric grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fuzz", "eval", "reproduce", "falpha"])
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_numeric_flags_never_crash(command, data, tmp_path, capsys):
+    # any number on a numeric flag is a result (0, 1) or bad input (2), never a crash (3)
+    def flag(name, values):
+        return f"--{name}={data.draw(values)}"  # "=" also passes values such as -1e+300
+
+    def number(usual):  # half the draws from the usual range, half from all floats
+        return st.one_of(usual, st.floats()).map(repr)  # nan and +-inf included
+
+    alpha, mu = number(st.floats(0.82, 1.31)), number(st.floats(0.0, 5.0))
+    if command == "fuzz":
+        mode = data.draw(st.sampled_from(["ckw", "lemma1", "monogamy", "polygamy", "scalar"]))
+        seed = st.one_of(st.integers(0, 2**64), st.integers())
+        argv = ["fuzz", f"--mode={mode}", flag("states", st.integers(-1, 4)),
+                flag("qubits", st.integers(-1, 6)), flag("seed", seed), flag("alpha", alpha),
+                flag("mu", mu), flag("tolerance", number(st.floats(0.0, 1.0)))]
+    elif command == "eval":
+        path = tmp_path / "w.json"
+        save_state(w_state(), path)
+        argv = ["eval", str(path), flag("alpha", alpha), flag("mu", mu)]
+    elif command == "reproduce":
+        argv = ["reproduce", data.draw(st.sampled_from(["fig1", "fig2"])), flag("alpha", alpha)]
+    else:
+        argv = ["falpha", flag("alpha", alpha), flag("points", st.integers(-2, 40))]
+    assert main(argv) in (0, 1, 2), capsys.readouterr().err
 
 
 def test_console_script_installed():

@@ -12,12 +12,14 @@ from monoq import (
     CampaignConfig,
     CampaignResult,
     ConfigError,
+    StateVector,
     WitnessRecord,
     build_config,
     build_wclass,
     detect_ordering,
     figure_csv,
     figure_rows,
+    haar_random_state,
     load_state,
     reference_schmidt_state,
     replay_record,
@@ -191,6 +193,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_file(bad)
 
+    def test_polygamy_needs_wclass_states(self):
+        # rejected when configured, not on the first sampled state
+        with pytest.raises(ConfigError, match="W-class"):
+            CampaignConfig(mode="polygamy", state_class="haar")
+
     def test_haar_monogamy_beyond_three_qubits_rejected(self):
         config = CampaignConfig(mode="monogamy", n_states=2, n_qubits=4, state_class="haar")
         with pytest.raises(ConfigError):
@@ -349,6 +356,25 @@ class TestReplay:
             state = load_state(config.state_file)
             assert detect_ordering(state).split_index == 1
         result = run_campaign(config)
+        assert result.records
+        for record in result.records:
+            assert replay_record(record, state) == record.margin
+
+    @pytest.mark.parametrize(
+        "mode, n_qubits",
+        [("ckw", 3), ("lemma1", 3), ("monogamy", 3), ("monogamy", 4), ("polygamy", 4)],
+        ids=["ckw", "lemma1", "monogamy", "monogamy-wclass-q4", "polygamy-q4"],
+    )
+    def test_file_states_with_other_labels_replay_exactly(self, mode, n_qubits, tmp_path):
+        # the focus is the file's first qubit, whatever its label
+        if n_qubits == 3:
+            psi = haar_random_state(3, seed=4)
+        else:  # a W-class state that satisfies the full ordering hypothesis
+            psi = build_wclass(np.sqrt(0.3), (np.sqrt(0.4), np.sqrt(0.2), np.sqrt(0.1)))[1]
+        path = tmp_path / "state.json"
+        save_state(StateVector(psi.amplitudes, ("W", "X", "Y", "Z")[-psi.n_qubits:]), path)
+        state = load_state(path)
+        result = run_campaign(CampaignConfig(mode=mode, state_class="file", state_file=str(path)))
         assert result.records
         for record in result.records:
             assert replay_record(record, state) == record.margin

@@ -126,6 +126,12 @@ class TestFAlpha:
             rhs = f_alpha(x2, alpha) + f_alpha(y2, alpha)
             assert np.max(lhs - rhs) <= 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.8229, 0.823, 1.0, 1.3027])
+    def test_scalar_matches_array_exactly(self, alpha):
+        # one pair evaluated alone must equal the same pair inside a stack
+        xs = np.random.default_rng(0).uniform(0.0, 1.0, 4000)
+        assert [f_alpha(float(x), alpha) for x in xs] == f_alpha(xs, alpha).tolist()
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             f_alpha(-0.01, 0.9)

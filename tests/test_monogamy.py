@@ -149,12 +149,6 @@ class TestDetectOrdering:
         search = np.min(subnorm_c(first) + subnorm_c(second))
         assert abs(search - profile.tail_concurrences[0]) < 1e-6
 
-    def test_focus_must_exist(self):
-        from monoq.errors import InvalidSubsystemError
-
-        with pytest.raises(InvalidSubsystemError):
-            detect_ordering(w_state(), focus="Z")
-
 
 class TestCkwCheck:
     def test_w_state_equality(self):
@@ -171,6 +165,12 @@ class TestCkwCheck:
     def test_haar_batch_nonnegative(self):
         for seed in range(300):
             assert ckw_check(haar_random_state(3, seed=seed)).margin >= -1e-10
+
+    def test_one_qubit_has_no_partner(self):
+        from monoq.errors import InvalidSubsystemError
+
+        with pytest.raises(InvalidSubsystemError):
+            ckw_check(haar_random_state(1, seed=0))
 
 
 class TestLemma1:
