@@ -465,9 +465,9 @@ def _sampled_chunks(config: CampaignConfig):
     chunk = []
     for index in range(config.n_states):
         seed = derive_seed(config.seed, index)
-        state = _sample_state(config.state_class, config.n_qubits, seed)
-        chunk.append((index, seed, state))
-        if (len(chunk) + 1) * state[0].amplitudes.size > CHUNK_AMPLITUDES:
+        psi, wclass = _sample_state(config.state_class, config.n_qubits, seed)
+        chunk.append((index, seed, (psi, wclass)))
+        if (len(chunk) + 1) * psi.amplitudes.size > CHUNK_AMPLITUDES:
             yield chunk
             chunk = []
     if chunk:
