@@ -61,10 +61,11 @@ def _output(path):
 
 def cmd_eval(args) -> int:
     psi = load_state(args.state)
-    if args.focus not in psi.labels:
-        raise ParameterError(f"focus {args.focus!r} not among labels {psi.labels!r}")
-    if args.focus != psi.labels[0]:
-        psi = psi.permuted((args.focus,) + tuple(l for l in psi.labels if l != args.focus))
+    focus = psi.labels[0] if args.focus is None else args.focus
+    if focus not in psi.labels:
+        raise ParameterError(f"focus {focus!r} not among labels {psi.labels!r}")
+    if focus != psi.labels[0]:
+        psi = psi.permuted((focus,) + tuple(l for l in psi.labels if l != focus))
     mode = args.mode
     if mode == "auto":
         if args.mu >= 2:
@@ -138,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("state", help="state JSON file")
     p_eval.add_argument("--alpha", type=float, default=REFERENCE_ALPHA)
     p_eval.add_argument("--mu", type=float, default=2.0)
-    p_eval.add_argument("--focus", default="A")
+    p_eval.add_argument("--focus", default=None, help="focus qubit label (default: the file's first)")
     p_eval.add_argument("--mode", choices=("auto", "monogamy", "polygamy"), default="auto")
     p_eval.add_argument("--out", default=None, help="output path (default stdout)")
     p_eval.set_defaults(func=cmd_eval)

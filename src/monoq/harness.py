@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import StateVector, load_state
 from .errors import ConfigError, IoError, PreconditionError
-from .measures import ALPHA_WINDOW, MU_MAX, AlphaMu, PureFeatures, renyi_entanglement_pure
+from .measures import ALPHA_MAX, ALPHA_WINDOW, MU_MAX, AlphaMu, PureFeatures, renyi_entanglement_pure
 from .monogamy import (
     ckw_reports,
     lemma1_reports,
@@ -181,6 +181,8 @@ class CampaignConfig:
             )
         if max(self.mu_grid) > MU_MAX:
             raise ConfigError(f"mu values must be at most {MU_MAX:g}, got {self.mu_grid}")
+        if not all(0.0 < a <= ALPHA_MAX for a in self.alpha_grid):
+            raise ConfigError(f"alpha values must be in (0, {ALPHA_MAX:g}], got {self.alpha_grid}")
 
 
 def parse_config_file(path) -> dict:

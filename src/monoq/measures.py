@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import DensityMatrix, StateVector, pair_marginal_stack, schmidt_probabilities
 from .errors import DomainError, InvalidSubsystemError, ParameterError, SizeError
@@ -32,6 +31,10 @@ DOMAIN_ATOL = 1e-12
 # stay finite up to here, so a larger power is rejected as bad input.
 MU_MAX = 100.0
 
+# Largest accepted Renyi order: p_max**alpha >= 2**-1000 for every spectrum
+# of up to 2**10 entries, so no power sum underflows to 0 (and log2 to -inf).
+ALPHA_MAX = 100.0
+
 
 def require_power(mu: float, name: str = "mu") -> None:
     """Reject a power that is not a finite number in [0, MU_MAX]."""
@@ -44,11 +47,13 @@ def require_power(mu: float, name: str = "mu") -> None:
 
 
 def _require_alpha(alpha: float) -> None:
-    """Reject a Renyi order that is not a positive finite number."""
+    """Reject a Renyi order that is not a finite number in (0, ALPHA_MAX]."""
     if not math.isfinite(alpha):
         raise ParameterError(f"alpha must be finite, got {alpha}")
     if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
+    if alpha > ALPHA_MAX:
+        raise ParameterError(f"alpha must be at most {ALPHA_MAX:g}, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -311,6 +316,17 @@ def _two_term_states(basis: np.ndarray, u: np.ndarray, phase: np.ndarray) -> np.
     return np.stack([first, second], axis=1)
 
 
+def _two_term_lattice(count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified (u, phase) points of the two-term family.
+
+    u = cos^2 theta is uniform and the phases follow the golden angle, both
+    jittered so the seed matters.
+    """
+    u = (np.arange(count) + rng.uniform(0.0, 1.0, count)) / count
+    phase = (_GOLDEN_ANGLE * np.arange(count) + rng.uniform(0.0, 2.0 * np.pi, count)) % (2.0 * np.pi)
+    return u, phase
+
+
 def _decomposition_average(phi: np.ndarray, alpha: float) -> np.ndarray:
     """sum_j q_j f_alpha(C_j^2) for a batch of subnormalized decompositions."""
     q = np.einsum("tnd,tnd->tn", phi, phi.conj()).real
@@ -321,16 +337,57 @@ def _decomposition_average(phi: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _random_isometry_batch(count: int, size: int, rank: int, rng) -> np.ndarray:
+    """(count, size, rank) Haar isometries from complex-normal (count, size, size) draws.
+
+    Gram-Schmidt on the first ``rank`` columns of each draw: the Q factor of
+    its QR decomposition with R's diagonal made positive, up to rounding.
+    """
     z = rng.normal(size=(count, size, size)) + 1j * rng.normal(size=(count, size, size))
-    q, r = np.linalg.qr(z)
-    d = np.einsum("tii->ti", r)
-    q = q * (d / np.abs(d))[:, None, :]
-    return q[:, :, :rank]
+    cols: list[np.ndarray] = []
+    for j in range(rank):
+        v = z[:, :, j]
+        for _ in range(2):  # the second pass restores orthogonality lost to rounding
+            for q in cols:
+                v = v - q * np.einsum("ti,ti->t", q.conj(), v)[:, None]
+        cols.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+    return np.stack(cols, axis=2)
 
 
-def _two_term_average(basis: np.ndarray, u: float, phase: float, alpha: float) -> float:
-    phi = _two_term_states(basis, np.array([u]), np.array([phase]))
-    return float(_decomposition_average(phi, alpha)[0])
+# compass and diagonal moves on (u, phase); a step below POLISH_XTOL ends a
+# candidate's search
+_COMPASS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                     [1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+POLISH_XTOL = 1e-10
+
+
+def _two_term_polish(basis: np.ndarray, u: np.ndarray, phase: np.ndarray, values: np.ndarray,
+                     step: float, alpha: float) -> float:
+    """Least two-term average reached by a compass search from every (u, phase) start at once.
+
+    Each round polls the eight compass points of every candidate whose step
+    is still at least POLISH_XTOL, as one stack.  A candidate moves to its
+    best poll point if that improves on it and doubles its step, or else
+    halves it; every move strictly lowers a value, so the search ends.  u is
+    clipped to [0, 1], so every value is the average of a real decomposition.
+    """
+    x = np.stack([u, phase], axis=1)
+    val = values.copy()
+    h = np.full(len(x), step)
+    while True:
+        live = np.flatnonzero(h >= POLISH_XTOL)
+        if live.size == 0:
+            return float(np.min(val))
+        poll = x[live, None, :] + h[live, None, None] * _COMPASS
+        poll[..., 0] = np.clip(poll[..., 0], 0.0, 1.0)
+        flat = poll.reshape(-1, 2)
+        trial = _decomposition_average(_two_term_states(basis, flat[:, 0], flat[:, 1]), alpha)
+        trial = trial.reshape(poll.shape[:2])
+        pick = np.argmin(trial, axis=1)
+        least = trial[np.arange(live.size), pick]
+        won = least < val[live]
+        x[live[won]] = poll[won, pick[won]]
+        val[live[won]] = least[won]
+        h[live] *= np.where(won, 2.0, 0.5)
 
 
 def convex_roof_oracle(rho: DensityMatrix, alpha: float, n_trials: int, seed: int) -> float:
@@ -339,11 +396,11 @@ def convex_roof_oracle(rho: DensityMatrix, alpha: float, n_trials: int, seed: in
     Minimizes sum_j p_j E(|psi_j>) over random pure-state decompositions of
     ``rho``, built by unitary mixing of a purification with 2 to 4 terms.
     For rank-2 input the two-term family is additionally swept with a
-    stratified lattice and the best candidates are polished locally, because
-    plain independent sampling converges only linearly when the optimal
-    decomposition contains a separable member.  The result is always an upper
-    bound on the true convex roof and is expected to approach the analytic
-    two-qubit value from above.
+    stratified lattice and its 6 best points are polished by one batched
+    compass search on (u, phase), because plain independent sampling
+    converges only linearly when the optimal decomposition contains a
+    separable member.  The result is always an upper bound on the true convex
+    roof and is expected to approach the analytic two-qubit value from above.
     """
     basis = _search_basis(rho, n_trials)
     _require_alpha(alpha)
@@ -356,24 +413,12 @@ def convex_roof_oracle(rho: DensityMatrix, alpha: float, n_trials: int, seed: in
     best = np.inf
     budget = n_trials
     if rank == 2:
-        # stratified sweep of the canonical two-term family (u = cos^2 theta
-        # uniform, golden-angle phases), jittered so the seed matters
         count = max(1, 2 * n_trials // 3)
-        u = (np.arange(count) + rng.uniform(0.0, 1.0, count)) / count
-        phase = (_GOLDEN_ANGLE * np.arange(count) + rng.uniform(0.0, 2.0 * np.pi, count)) % (
-            2.0 * np.pi
-        )
+        u, phase = _two_term_lattice(count, rng)
         values = _decomposition_average(_two_term_states(basis, u, phase), alpha)
-        order = np.argsort(values)
-        best = float(values[order[0]])
-        for idx in order[:6]:
-            res = minimize(
-                lambda z: _two_term_average(basis, float(np.clip(z[0], 0.0, 1.0)), z[1], alpha),
-                x0=[u[idx], phase[idx]],
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 400},
-            )
-            best = min(best, float(res.fun))
+        # polish the 6 best from a step of about the lattice spacing
+        top = np.argsort(values)[:6]
+        best = _two_term_polish(basis, u[top], phase[top], values[top], 1.0 / np.sqrt(count), alpha)
         budget = n_trials - count
 
     sizes = [s for s in (2, 3, 4) if s >= rank]

@@ -97,6 +97,12 @@ class TestEval:
         assert out["profile"]["focus"] == "Y"
         assert sorted(out["profile"]["party_order"]) == ["X", "Z"]
 
+    def test_focus_defaults_to_first_label(self, xyz_file, capsys):
+        assert main(["eval", xyz_file, "--mu", "2"]) == 0
+        default = capsys.readouterr().out
+        assert main(["eval", xyz_file, "--mu", "2", "--focus", "X"]) == 0
+        assert default == capsys.readouterr().out
+
 
 class TestReproduce:
     def test_fig1_stdout(self, capsys):
@@ -177,6 +183,13 @@ class TestFuzz:
         assert main(["fuzz", "--mode", mode, "--states", "2", "--mu", mu]) == 2
         assert "must be at most 100" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["ckw", "scalar", "monogamy"])
+    @pytest.mark.parametrize("alpha", ["1000", "0", "-1"])
+    def test_order_outside_range_exits_2(self, mode, alpha, capsys):
+        # ckw and scalar campaigns read no order, and used to run on any
+        assert main(["fuzz", "--mode", mode, "--states", "2", f"--alpha={alpha}"]) == 2
+        assert "alpha values must be in (0, 100]" in capsys.readouterr().err
+
     def test_power_at_cap_runs(self, capsys):
         code = main(["fuzz", "--mode", "monogamy", "--states", "5", "--mu", "100"])
         assert code in (0, 1)
@@ -231,6 +244,17 @@ class TestFalpha:
         assert main(["falpha", "--alpha", "0.9,abc"]) == 2
         assert "bad numeric grid" in capsys.readouterr().err
 
+    def test_order_above_cap_exits_2(self, capsys):
+        # every p**alpha used to underflow, printing inf with exit 0
+        assert main(["falpha", "--alpha", "100000", "--points", "5"]) == 2
+        assert "alpha must be at most 100" in capsys.readouterr().err
+
+    def test_order_at_cap_is_finite(self, capsys):
+        assert main(["falpha", "--alpha", "100", "--points", "5"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[-1] == "1,1"
+        assert all(np.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
+
 
 @pytest.mark.parametrize("command", ["fuzz", "eval", "reproduce", "falpha"])
 @settings(
@@ -260,7 +284,20 @@ def test_numeric_flags_never_crash(command, data, tmp_path, capsys):
         argv = ["reproduce", data.draw(st.sampled_from(["fig1", "fig2"])), flag("alpha", alpha)]
     else:
         argv = ["falpha", flag("alpha", alpha), flag("points", st.integers(-2, 40))]
-    assert main(argv) in (0, 1, 2), capsys.readouterr().err
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), captured.err
+    if command == "falpha" and code == 0:  # every printed value is a number
+        rows = [line.split(",") for line in captured.out.strip().splitlines()[1:]]
+        assert all(np.isfinite(float(v)) for row in rows for v in row), captured.out
+
+
+def test_cli_imports_no_scipy():
+    # the command line starts on numpy alone
+    code = "import sys, monoq.cli; monoq.cli.build_parser(); print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_installed():

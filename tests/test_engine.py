@@ -7,7 +7,9 @@ partial traces of it by einsum, eigenvalues of the reduced state for the cut,
 and Wootters concurrence or assistance of each 4x4 marginal.  The ordering
 hypothesis is decided again from those values, with W-class tails in closed
 form.  Margins must agree within 1e-12, relative to the weighted right side
-when that exceeds 1 (ladder weights (2^mu - 1)^k grow large).
+when that exceeds 1 (ladder weights (2^mu - 1)^k grow large).  The engine's
+pair values f_alpha(C^2) are also checked against the decomposition-search
+oracle, which never reads the analytic formula.
 """
 
 import string
@@ -22,6 +24,7 @@ from monoq import (
     CampaignConfig,
     DensityMatrix,
     coa_two_qubit,
+    convex_roof_oracle,
     f_alpha,
     haar_random_state,
     random_wclass,
@@ -32,6 +35,7 @@ from monoq import (
     wootters_concurrence,
 )
 from monoq.harness import derive_seed
+from monoq.measures import PureFeatures
 
 ALPHAS = (0.8229, 1.3027)
 ATOL = 1e-12
@@ -147,3 +151,16 @@ def test_campaign_margins_match_dense_route(mode, state_class, n_qubits, n_state
         for record, (margin, scale) in zip(by_index[index], expected, strict=True):
             assert abs(record.margin - margin) <= ATOL * max(1.0, abs(scale)), (record, margin)
     assert result.n_satisfied == n_satisfied
+
+
+def test_pair_values_match_decomposition_search():
+    # pair marginals of 3-qubit pure states have rank <= 2; the oracle bounds
+    # the convex roof from above and should close in on f_alpha(C^2)
+    for k in range(20):
+        psi = haar_random_state(3, seed=7000 + k)
+        alpha = ALPHAS[k % 2]
+        pairs = PureFeatures.of_state(psi).pair_concurrences[0]
+        for partner, c in enumerate(pairs, start=1):
+            marginal = DensityMatrix(_reduced(psi, (0, partner)))
+            excess = convex_roof_oracle(marginal, alpha, n_trials=3000, seed=k) - f_alpha(c * c, alpha)
+            assert -1e-9 <= excess <= 1e-3, (k, partner, excess)

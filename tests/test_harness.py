@@ -36,7 +36,7 @@ from monoq.harness import (
     fmt12,
     parse_config_file,
 )
-from monoq.measures import MU_MAX, f_alpha
+from monoq.measures import ALPHA_MAX, MU_MAX, f_alpha
 
 
 class TestReferenceStates:
@@ -173,6 +173,7 @@ class TestConfig:
         except ConfigError:
             return
         assert all(map(math.isfinite, (config.tolerance, *config.alpha_grid, *config.mu_grid)))
+        assert all(0 < a <= ALPHA_MAX for a in config.alpha_grid)
         assert config.seed >= 0 and config.tolerance > 0
 
     def test_config_file_parsing(self, tmp_path):

@@ -27,7 +27,15 @@ from monoq import (
     wootters_concurrence,
 )
 from monoq.errors import InvalidSubsystemError
-from monoq.measures import MU_MAX
+from monoq.measures import (
+    ALPHA_MAX,
+    MU_MAX,
+    _decomposition_average,
+    _random_isometry_batch,
+    _search_basis,
+    _two_term_lattice,
+    _two_term_states,
+)
 from monoq.harness import REFERENCE_ALPHA, reference_schmidt_state
 
 ALPHA_LO, ALPHA_HI = ALPHA_WINDOW
@@ -98,6 +106,16 @@ class TestFAlpha:
         assert abs(f_alpha(4 / 9, 0.823) - F_FOUR_NINTHS_823) < 1e-14
         assert abs(f_alpha(1 / 6, 0.823) - F_SIXTH_823) < 1e-14
         assert abs(f_alpha(0.5, ALPHA_LO) - F_HALF_EXACT) < 1e-14
+
+    def test_order_cap(self):
+        # at the cap no power sum underflows; above it the order is bad input
+        assert f_alpha(1.0, ALPHA_MAX) == 1.0
+        assert np.all(np.isfinite(f_alpha(np.linspace(0.0, 1.0, 1001), ALPHA_MAX)))
+        assert abs(renyi_entropy(np.full(1024, 1 / 1024), ALPHA_MAX) - 10.0) < 1e-12
+        for call in (lambda a: f_alpha(0.5, a), lambda a: renyi_entropy([0.5, 0.5], a),
+                     lambda a: AlphaMu(a, 2.0)):
+            with pytest.raises(ParameterError, match="at most 100"):
+                call(ALPHA_MAX * (1 + 1e-15))
 
     def test_alpha_one_limit_branch(self):
         assert abs(f_alpha(0.5, 1.0) - F1_HALF_LIMIT) < 1e-12
@@ -282,11 +300,51 @@ class TestConvexRoofOracle:
             est = convex_roof_oracle(rho, ALPHA_LO, n_trials=2000, seed=rank)
             assert est >= analytic - 1e-9
 
+    def test_polish_never_exceeds_lattice_minimum(self):
+        for k in range(5):
+            rho = random_mixed_state(2, rank=2, seed=3000 + k)
+            for n_trials in (3, 300, 3000):
+                rng = np.random.default_rng(k)
+                u, phase = _two_term_lattice(max(1, 2 * n_trials // 3), rng)
+                phi = _two_term_states(_search_basis(rho, n_trials), u, phase)
+                lattice_min = float(np.min(_decomposition_average(phi, ALPHA_LO)))
+                assert convex_roof_oracle(rho, ALPHA_LO, n_trials, seed=k) <= lattice_min
+
+    def test_repeatable_for_a_seed(self):
+        for rank in (2, 3, 4):
+            rho = random_mixed_state(2, rank=rank, seed=50 + rank)
+            first = convex_roof_oracle(rho, ALPHA_HI, n_trials=1000, seed=7)
+            assert convex_roof_oracle(rho, ALPHA_HI, n_trials=1000, seed=7) == first
+            first = coa_search(rho, n_trials=1000, seed=7)
+            assert coa_search(rho, n_trials=1000, seed=7) == first
+
     def test_bad_trial_count(self):
         with pytest.raises(ParameterError):
             convex_roof_oracle(bell_projector(), ALPHA_LO, n_trials=0, seed=0)
         with pytest.raises(ParameterError):
             convex_roof_oracle(bell_projector(), float("inf"), n_trials=10, seed=0)
+
+
+class TestRandomIsometries:
+    SHAPES = [(size, rank) for size in (2, 3, 4) for rank in range(1, size + 1)]
+
+    @pytest.mark.parametrize("size, rank", SHAPES)
+    def test_isometry(self, size, rank):
+        v = _random_isometry_batch(500, size, rank, np.random.default_rng(size * 10 + rank))
+        assert v.shape == (500, size, rank)
+        gram = np.swapaxes(v.conj(), -1, -2) @ v
+        assert np.max(np.abs(gram - np.eye(rank))) <= 1e-12
+
+    @pytest.mark.parametrize("size, rank", SHAPES)
+    def test_matches_qr_of_the_same_draws(self, size, rank):
+        # the Q factor with R's diagonal made positive, on the same generator stream
+        rng = np.random.default_rng(rank)
+        z = rng.normal(size=(500, size, size)) + 1j * rng.normal(size=(500, size, size))
+        q, r = np.linalg.qr(z)
+        d = np.einsum("tii->ti", r)
+        expected = (q * (d / np.abs(d))[:, None, :])[:, :, :rank]
+        v = _random_isometry_batch(500, size, rank, np.random.default_rng(rank))
+        assert np.max(np.abs(v - expected)) <= 1e-12
 
 
 class TestAlphaMu:
