@@ -249,12 +249,6 @@ class TestFalpha:
         assert main(["falpha", "--alpha", "100000", "--points", "5"]) == 2
         assert "alpha must be at most 100" in capsys.readouterr().err
 
-    def test_order_at_cap_is_finite(self, capsys):
-        assert main(["falpha", "--alpha", "100", "--points", "5"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[-1] == "1,1"
-        assert all(np.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
-
 
 @pytest.mark.parametrize("command", ["fuzz", "eval", "reproduce", "falpha"])
 @settings(
@@ -294,7 +288,8 @@ def test_numeric_flags_never_crash(command, data, tmp_path, capsys):
 
 def test_cli_imports_no_scipy():
     # the command line starts on numpy alone
-    code = "import sys, monoq.cli; monoq.cli.build_parser(); print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, monoq.cli; monoq.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
