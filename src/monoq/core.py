@@ -59,7 +59,7 @@ class StateVector:
             raise SizeError(f"need between 1 and {MAX_QUBITS} qubits, got {n}")
         labels = resolve_labels(self.labels, n)
         norm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > NORM_ATOL:
+        if not abs(norm2 - 1.0) <= NORM_ATOL:  # a NaN norm fails too
             raise NormalizationError(f"squared norm {norm2!r} differs from 1 beyond {NORM_ATOL}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "labels", labels)
@@ -79,6 +79,14 @@ class StateVector:
         return StateVector(amps.copy(), new_labels)
 
 
+def _require_hermitian(mat: np.ndarray) -> None:
+    """Reject a matrix with a non-finite entry or that is not Hermitian within 1e-12."""
+    if not np.all(np.isfinite(mat)):
+        raise HermiticityError("matrix has non-finite entries")
+    if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_ATOL:
+        raise HermiticityError("matrix is not Hermitian within 1e-12")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, trace-one, positive-semidefinite operator on named qubits."""
@@ -95,8 +103,7 @@ class DensityMatrix:
         if 2**n != dim:
             raise SizeError(f"dimension {dim} is not a power of 2")
         labels = resolve_labels(self.labels, n)
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_ATOL:
-            raise HermiticityError("matrix is not Hermitian within 1e-12")
+        _require_hermitian(mat)
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise NormalizationError(f"trace {tr!r} differs from 1 beyond {TRACE_ATOL}")
@@ -193,8 +200,7 @@ def schmidt_probabilities(amplitudes: np.ndarray, part) -> np.ndarray:
 def hermitian_spectrum(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     """Descending eigenvalues with sub-1e-10 negative noise clipped to zero."""
     mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_ATOL:
-        raise HermiticityError("matrix is not Hermitian within 1e-12")
+    _require_hermitian(mat)
     vals = np.linalg.eigvalsh(mat)
     if np.min(vals) < EIGENVALUE_FLOOR:
         raise PositivityError(f"eigenvalue {np.min(vals)!r} below {EIGENVALUE_FLOOR}")
@@ -247,19 +253,24 @@ def state_from_dict(data: dict) -> StateVector:
     """Build a StateVector from the JSON wire format.
 
     Expected keys: ``n_qubits``, ``labels`` and ``amplitudes`` as
-    ``[[re, im], ...]`` in tensor order.  Wrong-length arrays and norms
+    ``[[re, im], ...]`` in tensor order.  Qubit counts outside
+    [1, MAX_QUBITS], wrong-length arrays, non-finite amplitudes and norms
     outside 1 +/- 1e-9 are rejected.
     """
     try:
         n = int(data["n_qubits"])
         labels = tuple(str(x) for x in data["labels"])
         pairs = np.asarray(data["amplitudes"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IoError(f"malformed state record: {exc}") from exc
+    if not 1 <= n <= MAX_QUBITS:
+        raise IoError(f"n_qubits must lie in [1, {MAX_QUBITS}], got {n}")
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] != 2**n:
         raise IoError(f"expected {2**n} [re, im] amplitude pairs, got shape {pairs.shape}")
     if len(labels) != n:
         raise IoError(f"expected {n} labels, got {len(labels)}")
+    if not np.all(np.isfinite(pairs)):
+        raise IoError("amplitudes must be finite numbers")
     amps = pairs[:, 0] + 1j * pairs[:, 1]
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > JSON_NORM_ATOL:
@@ -282,7 +293,7 @@ def load_state(path) -> StateVector:
             data = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read state file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, an oversized integer
         raise IoError(f"state file {path} is not valid JSON: {exc}") from exc
     return state_from_dict(data)
 

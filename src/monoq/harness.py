@@ -19,13 +19,13 @@ from .errors import ConfigError, IoError, PreconditionError
 from .measures import ALPHA_MAX, ALPHA_WINDOW, MU_MAX, AlphaMu, PureFeatures, renyi_entanglement_pure
 from .monogamy import (
     ckw_reports,
+    ladder_reports,
     lemma1_reports,
     ordering_profile,
     scalar_weight_inequality,
-    theorem_reports,
 )
-from .polygamy import reoa_cut, theorem3_reports, wclass_pair_coa
-from .wclass import WClassState, build_wclass, random_wclass, wclass_from_state
+from .polygamy import reoa_cut
+from .wclass import build_wclass, random_wclass, wclass_from_state
 from . import core, measures
 
 # Order at which the six-decimal reference values of the worked examples are
@@ -92,10 +92,10 @@ def figure_rows(figure: str, alpha: float = REFERENCE_ALPHA):
         e_pairs = measures.f_alpha(pairs * pairs, alpha).tolist()
         mus = [2.0 + k / 20.0 for k in range(161)]
     elif figure == "fig2":
-        w = wclass_from_state(w_state(3))
-        e_cut = reoa_cut(w, alpha)
-        coas = [wclass_pair_coa(w, i) for i in (1, 2)]
-        e_pairs = [measures.f_alpha(c * c, alpha) for c in coas]
+        psi = w_state(3)
+        e_cut = reoa_cut(psi, alpha)
+        coas = PureFeatures.of_state(psi).pair_coas[0]
+        e_pairs = measures.f_alpha(coas * coas, alpha).tolist()
         mus = [k / 100.0 for k in range(101)]
     else:
         raise ConfigError(f"unknown figure {figure!r}; expected fig1 or fig2")
@@ -294,24 +294,25 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
-def _sample_state(state_class: str, n_qubits: int, seed: int):
-    """(state, its sampled W-class form or None) of a campaign index, or of its replay."""
+def _sample_state(state_class: str, n_qubits: int, seed: int) -> StateVector:
+    """The state of a campaign index, or of its replay."""
     if state_class == "haar":
-        return core.haar_random_state(n_qubits, seed), None
+        return core.haar_random_state(n_qubits, seed)
     if state_class == "wclass":
-        w = random_wclass(n_qubits, seed)
-        return w.to_state_vector(), w
+        return random_wclass(n_qubits, seed).to_state_vector()
     raise ConfigError(f"{state_class!r} states have no seed; pass the state in")
 
 
-def _entering(mode: str, psi: StateVector, wclass: WClassState | None = None):
-    """``(psi, W-class form)`` for ``mode``; a form it needs and was not given is recognized here.
+def _entering(mode: str, psi: StateVector) -> StateVector:
+    """``psi``, checked to be W-class where ``mode`` reads it as one.
 
-    polygamy reads the form, and so do the ordering tails beyond three qubits.
+    The polygamy pair terms are assisted values, and the ordering tails
+    beyond three qubits root sums of squared pair concurrences, only on
+    W-class states; ``wclass_from_state`` raises on any other state.
     """
-    if wclass is None and (mode == "polygamy" or (mode == "monogamy" and psi.n_qubits > 3)):
-        wclass = wclass_from_state(psi)
-    return psi, wclass
+    if mode == "polygamy" or (mode == "monogamy" and psi.n_qubits > 3):
+        wclass_from_state(psi)
+    return psi
 
 
 @dataclass(frozen=True)
@@ -399,17 +400,18 @@ def _scalar_campaign(config: CampaignConfig) -> CampaignResult:
     return CampaignResult(config, tuple(records), len(records), len(records), 0)
 
 
-# Per-mode evaluators (features, prepared states, alpha, mu) -> one BoundReport
-# per state, shared by campaigns and replay so that a record and its replay
-# cannot drift apart.  ``prepared`` holds what ``_prepare`` returned per state.
+# Per-mode evaluators (features, ordering profiles, alpha, mu) -> one
+# BoundReport per state, shared by campaigns and replay so that a record and
+# its replay cannot drift apart.  ``profiles`` holds what ``_prepare``
+# returned per state.
 _EVALUATORS = {
-    "ckw": lambda feats, prepared, alpha, mu: ckw_reports(feats),
-    "lemma1": lambda feats, prepared, alpha, mu: lemma1_reports(feats, mu),
-    "monogamy": lambda feats, prepared, alpha, mu: theorem_reports(
-        feats.cut_probs, [p for _, p in prepared], AlphaMu(alpha, mu)
+    "ckw": lambda feats, profiles, alpha, mu: ckw_reports(feats),
+    "lemma1": lambda feats, profiles, alpha, mu: lemma1_reports(feats, mu),
+    "monogamy": lambda feats, profiles, alpha, mu: ladder_reports(
+        feats.cut_probs, profiles, AlphaMu(alpha, mu), upper=False
     ),
-    "polygamy": lambda feats, prepared, alpha, mu: theorem3_reports(
-        feats.cut_probs, [w for w, _ in prepared], [p for _, p in prepared], AlphaMu(alpha, mu)
+    "polygamy": lambda feats, profiles, alpha, mu: ladder_reports(
+        feats.cut_probs, profiles, AlphaMu(alpha, mu), upper=True
     ),
 }
 
@@ -418,32 +420,28 @@ _EVALUATORS = {
 CHUNK_AMPLITUDES = 2**16
 
 
-def _prepare(mode: str, labels, forms, feats: PureFeatures) -> list:
-    """Per state: (W-class form, ordering profile), or None when its hypothesis fails.
-
-    ckw and lemma1 have no hypothesis, so every state passes as (None, None).
-    """
+def _prepare(mode: str, labels, feats: PureFeatures) -> list:
+    """Per state: its ordering profile, or None for ckw and lemma1, which have no hypothesis."""
     if mode in ("ckw", "lemma1"):
-        return [(None, None)] * len(forms)
-    prepared = []
-    for w, pairs, cut in zip(forms, feats.pair_concurrences.tolist(), feats.cut_concurrence.tolist()):
-        profile = ordering_profile(labels, pairs, cut, w)
-        prepared.append((w, profile) if profile.satisfied else None)
-    return prepared
+        return [None] * len(feats.cut_probs)
+    return [
+        ordering_profile(labels, pairs, cut)
+        for pairs, cut in zip(feats.pair_concurrences.tolist(), feats.cut_concurrence.tolist())
+    ]
 
 
 def _evaluate(mode: str, states, cells) -> list:
-    """Per (psi, W-class form) of ``states``: None if its hypothesis fails, else a report per cell.
+    """Per state of ``states``: None if its hypothesis fails, else a report per cell.
 
     The states' features are computed once, from their stacked amplitudes,
     and every cell is evaluated on the states that pass, from those features.
     """
-    feats = PureFeatures.of(np.stack([psi.amplitudes for psi, _ in states]))
-    prepared = _prepare(mode, states[0][0].labels, [w for _, w in states], feats)
-    keep = [i for i, p in enumerate(prepared) if p is not None]
+    feats = PureFeatures.of(np.stack([psi.amplitudes for psi in states]))
+    profiles = _prepare(mode, states[0].labels, feats)
+    keep = [i for i, p in enumerate(profiles) if p is None or p.satisfied]
     out = [None] * len(states)
     if keep:
-        feats, passed = feats.take(keep), [prepared[i] for i in keep]
+        feats, passed = feats.take(keep), [profiles[i] for i in keep]
         per_cell = [_EVALUATORS[mode](feats, passed, alpha, mu) for alpha, mu in cells]
         for j, i in enumerate(keep):
             out[i] = [reports[j] for reports in per_cell]
@@ -460,15 +458,15 @@ def _cells(config: CampaignConfig) -> list[tuple[float | None, float | None]]:
 
 
 def _sampled_chunks(config: CampaignConfig):
-    """Lists of (index, seed, (state, W-class form)) of at most CHUNK_AMPLITUDES amplitudes."""
+    """Lists of (index, seed, state) of at most CHUNK_AMPLITUDES amplitudes."""
     if config.state_class == "file":
         yield [(0, 0, _entering(config.mode, load_state(config.state_file)))]
         return
     chunk = []
     for index in range(config.n_states):
         seed = derive_seed(config.seed, index)
-        psi, wclass = _sample_state(config.state_class, config.n_qubits, seed)
-        chunk.append((index, seed, (psi, wclass)))
+        psi = _sample_state(config.state_class, config.n_qubits, seed)
+        chunk.append((index, seed, psi))
         if (len(chunk) + 1) * psi.amplitudes.size > CHUNK_AMPLITUDES:
             yield chunk
             chunk = []
@@ -494,8 +492,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     n_sampled = n_satisfied = 0
     for chunk in _sampled_chunks(config):
         n_sampled += len(chunk)
-        evaluated = _evaluate(config.mode, [state for _, _, state in chunk], cells)
-        for (index, seed, (psi, _)), reports in zip(chunk, evaluated):
+        evaluated = _evaluate(config.mode, [psi for _, _, psi in chunk], cells)
+        for (index, seed, psi), reports in zip(chunk, evaluated):
             if reports is None:
                 continue
             n_satisfied += 1
@@ -528,11 +526,10 @@ def replay_record(record: WitnessRecord, state: StateVector | None = None) -> fl
         return _scalar_margin(record.t, record.mu)
     if record.mode not in _EVALUATORS:
         raise ConfigError(f"cannot replay mode {record.mode!r}")
-    psi, wclass = state, None
     if state is None:
-        psi, wclass = _sample_state(record.state_class, record.n_qubits, record.state_seed)
+        state = _sample_state(record.state_class, record.n_qubits, record.state_seed)
     cell = (record.alpha, record.mu)
-    (reports,) = _evaluate(record.mode, [_entering(record.mode, psi, wclass)], [cell])
+    (reports,) = _evaluate(record.mode, [_entering(record.mode, state)], [cell])
     if reports is None:
         raise PreconditionError("recorded state no longer satisfies the hypothesis")
     return reports[0].margin

@@ -10,6 +10,7 @@ margin and the gain over the unweighted baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .core import StateVector, schmidt_probabilities
 from .errors import DomainError, ParameterError, PreconditionError, UnsupportedStateClassError
 from .measures import AlphaMu, PureFeatures, f_alpha, renyi_entropy, require_power
-from .wclass import WClassState, wclass_from_state
+from .wclass import wclass_from_state
 
 #: Sentinel split index for the fully ordered ladder.
 FULL = "full"
@@ -149,27 +150,27 @@ def detect_ordering(psi: StateVector, relabel: bool = True) -> OrderingProfile:
     """Measure the concurrence ordering of a pure state around its first qubit.
 
     Pair concurrences come from the two-qubit marginals.  Tail concurrences
-    exist analytically only for three-qubit states (where each tail is itself
-    a pair) and for W-class states of any size; anything else raises
+    follow from them on three-qubit states (where each tail is itself a
+    pair) and on W-class states of any size; any other state raises
     UnsupportedStateClassError.  With ``relabel`` the partners are assessed in
     order of decreasing pair concurrence, the labeling under which the
     hypotheses are most likely to hold.
     """
+    if psi.n_qubits > 3:
+        wclass_from_state(psi)
     feats = PureFeatures.of_state(psi)
     pairs, full_cut = feats.pair_concurrences[0].tolist(), float(feats.cut_concurrence[0])
-    wclass = wclass_from_state(psi) if psi.n_qubits > 3 else None
-    return ordering_profile(psi.labels, pairs, full_cut, wclass, relabel)
+    return ordering_profile(psi.labels, pairs, full_cut, relabel)
 
 
-def ordering_profile(
-    labels, pairs, full_cut: float, wclass: WClassState | None, relabel: bool = True
-) -> OrderingProfile:
+def ordering_profile(labels, pairs, full_cut: float, relabel: bool = True) -> OrderingProfile:
     """The profile of a state from its measured concurrences (see ``detect_ordering``).
 
     ``labels`` are the state's qubit labels, focus first; ``pairs`` are the
     pair concurrences with every other qubit in label order and ``full_cut``
-    the focus-vs-rest concurrence.  ``wclass`` is the state's W-class form,
-    which gives the tails beyond three qubits (unused at three).
+    the focus-vs-rest concurrence.  Tail i is sqrt(sum_{j>i} C_j^2) over the
+    party-ordered pairs: W-class states meet the N-qubit CKW inequality with
+    equality, and at three qubits the one tail is the last pair itself.
     """
     n = len(labels)
     if n < 3:
@@ -181,12 +182,11 @@ def ordering_profile(
         order.sort(key=lambda lab: -pair_of[lab])
     pair_vals = tuple(pair_of[lab] for lab in order)
 
-    if n == 3:
-        # the only tail keeps a single partner, so it is a pair concurrence
-        tails = (pair_vals[1],)
-    else:
-        w = wclass.permuted(order)
-        tails = tuple(w.tail_concurrence(i) for i in range(1, n - 1))
+    tails, rest = [], 0.0
+    for c in reversed(pair_vals[1:]):
+        rest += c * c
+        tails.append(math.sqrt(rest))
+    tails = tuple(reversed(tails))
 
     ge = tuple(pair_vals[i] >= tails[i] - ORDERING_ATOL for i in range(n - 2))
     le = tuple(pair_vals[i] <= tails[i] + ORDERING_ATOL for i in range(n - 2))
@@ -255,41 +255,37 @@ def lemma1_check(psi: StateVector, x: float) -> BoundReport:
 
 
 def ladder_reports(
-    prefix: str, lhs, pair_e, profiles, params: AlphaMu, upper: bool
+    cut_probs: np.ndarray, profiles, params: AlphaMu, upper: bool
 ) -> list[BoundReport]:
-    """Ladder-weighted bounds on ``lhs[b]`` from pairwise entanglements ``pair_e[b]``, per state b.
+    """Ladder-weighted bounds, one per (focus | rest Schmidt probabilities, profile).
 
-    ``pair_e[b]`` is in the party order of ``profiles[b]``.  The right side
-    is the ladder-weighted sum of the pair entanglements raised to mu, and
-    the unweighted sum is the baseline.  ``upper`` selects an upper bound
-    (polygamy) instead of a lower bound (monogamy).  Raises
-    PreconditionError when a profile satisfies no ladder hypothesis: the
-    bound claims nothing there.
+    The left side is the cut entanglement raised to mu.  The right side is
+    the ladder-weighted sum of ``f_alpha`` at each squared pair concurrence
+    of the profile, raised to mu, in its party order; the unweighted sum is
+    the baseline.  ``upper`` selects the polygamy upper bound on assisted
+    entanglement (each pair concurrence equals the pair's concurrence of
+    assistance on W-class states) instead of the monogamy lower bound.
+    Raises PreconditionError when a profile satisfies no ladder hypothesis:
+    the bound claims nothing there.
     """
-    mu = params.mu
+    (params.require_polygamy if upper else params.require_monogamy)()
+    alpha, mu = params.alpha, params.mu
+    prefix, which = ("assist", "weighted upper bound") if upper else ("ladder", "weighted bound")
+    lhs = [e**mu for e in renyi_entropy(cut_probs, alpha).tolist()]
+    pair_c = np.array([p.pair_concurrences for p in profiles])
+    pair_e = f_alpha(pair_c * pair_c, alpha).tolist()
     ladders: dict = {}
     reports = []
     for l, row, profile in zip(lhs, pair_e, profiles):
         if not profile.satisfied:
-            which = "weighted upper bound" if upper else "weighted bound"
             raise PreconditionError(f"ordering hypothesis unsatisfied; the {which} is not claimed")
         split = profile.split_index
         if split not in ladders:
             ladders[split] = weight_ladder(profile.n_parties, split, mu).tolist()
         terms = tuple((w, e**mu) for w, e in zip(ladders[split], row))
         kind = f"{prefix}-full" if profile.is_full else f"{prefix}-split-{split}"
-        reports.append(BoundReport.from_terms(kind, l, terms, upper, params.alpha, mu))
+        reports.append(BoundReport.from_terms(kind, l, terms, upper, alpha, mu))
     return reports
-
-
-def theorem_reports(cut_probs: np.ndarray, profiles, params: AlphaMu) -> list[BoundReport]:
-    """Weighted monogamy reports, one per (focus | rest Schmidt probabilities, profile)."""
-    params.require_monogamy()
-    alpha = params.alpha
-    lhs = [e**params.mu for e in renyi_entropy(cut_probs, alpha).tolist()]
-    pair_c = np.array([p.pair_concurrences for p in profiles])
-    pair_e = f_alpha(pair_c * pair_c, alpha).tolist()
-    return ladder_reports("ladder", lhs, pair_e, profiles, params, upper=False)
 
 
 def theorem_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) -> BoundReport:
@@ -302,7 +298,7 @@ def theorem_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) -
     """
     params.require_monogamy()
     probs = schmidt_probabilities(psi.amplitudes[None], (0,))
-    return theorem_reports(probs, [profile], params)[0]
+    return ladder_reports(probs, [profile], params, upper=False)[0]
 
 
 @dataclass(frozen=True)

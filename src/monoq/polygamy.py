@@ -9,11 +9,9 @@ analytic and the hypotheses are decidable.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .core import DensityMatrix, StateVector, schmidt_probabilities
 from .errors import SizeError, UnsupportedStateClassError
-from .measures import AlphaMu, PureFeatures, f_alpha, renyi_entanglement_pure, renyi_entropy
+from .measures import AlphaMu, PureFeatures, renyi_entanglement_pure
 from .monogamy import BoundReport, OrderingProfile, ladder_reports
 from .wclass import WClassState, wclass_from_state
 
@@ -59,31 +57,14 @@ def reoa_cut(state, alpha: float) -> float:
     return renyi_entanglement_pure(state, {state.labels[0]}, alpha)
 
 
-def theorem3_reports(cut_probs: np.ndarray, targets, profiles, params: AlphaMu) -> list[BoundReport]:
-    """Weighted polygamy reports, one per (cut probabilities, W-class state, profile).
-
-    ``cut_probs`` are the focus | rest Schmidt probabilities of each state,
-    and each profile's focus is its W-class state's excitation qubit.
-    """
-    params.require_polygamy()
-    pair_c = np.array([
-        [w.pair_concurrence(w.labels.index(lab)) for lab in profile.party_order]
-        for w, profile in zip(targets, profiles)
-    ])
-    alpha = params.alpha
-    pair_e = f_alpha(pair_c * pair_c, alpha).tolist()
-    lhs = [e**params.mu for e in renyi_entropy(cut_probs, alpha).tolist()]
-    return ladder_reports("assist", lhs, pair_e, profiles, params, upper=True)
-
-
 def theorem3_bound(w, profile: OrderingProfile, params: AlphaMu) -> BoundReport:
     """Weighted upper bound on the mu-th power of assisted entanglement.
 
     The pairwise assisted terms are evaluated through ``f_alpha`` at the
-    squared pair concurrence of assistance 2|a||b_i|, exact on W-class
-    marginals, and weighted by the ladder of the profile's split (see
-    ``ladder_reports``).  The left side is the focus-vs-rest entanglement of
-    ``w`` raised to mu.
+    squared pair concurrences that ``profile`` measured, which equal the
+    concurrences of assistance 2|a||b_i| on W-class marginals, and weighted
+    by the ladder of the profile's split (see ``ladder_reports``).  The left
+    side is the focus-vs-rest entanglement of ``w`` raised to mu.
     """
     params.require_polygamy()
     w = _as_wclass(w)
@@ -92,7 +73,7 @@ def theorem3_bound(w, profile: OrderingProfile, params: AlphaMu) -> BoundReport:
             f"profile focus {profile.focus!r} must be the excitation qubit {w.labels[0]!r}"
         )
     probs = schmidt_probabilities(w.to_state_vector().amplitudes[None], (0,))
-    return theorem3_reports(probs, [w], [profile], params)[0]
+    return ladder_reports(probs, [profile], params, upper=True)[0]
 
 
 def coa_polygamy_check(psi: StateVector) -> BoundReport:

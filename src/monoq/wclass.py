@@ -3,7 +3,8 @@
 A W-class state on N qubits is a |10...0> + sum_i b_i |0...1_i...0> with
 |a|^2 + sum |b_i|^2 = 1.  Its two-qubit marginals have equal concurrence and
 concurrence of assistance 2|a||b_i|, and the one-vs-rest concurrence after
-discarding the first i partner qubits stays analytic, which is what makes the
+discarding the first i partner qubits, 2|a| sqrt(sum_{j>i} |b_j|^2), is the
+root sum of the remaining squared pair concurrences.  That is what makes the
 ordering hypotheses of the weighted bounds checkable beyond three qubits.
 """
 
@@ -41,7 +42,7 @@ class WClassState:
             raise SizeError(f"at most {MAX_QUBITS} parties supported, got {n}")
         labels = resolve_labels(self.labels, n)
         norm2 = abs(self.a) ** 2 + sum(abs(x) ** 2 for x in b)
-        if abs(norm2 - 1.0) > 1e-12:
+        if not abs(norm2 - 1.0) <= 1e-12:  # a NaN amplitude fails too
             raise NormalizationError(f"|a|^2 + sum |b_i|^2 = {norm2!r} differs from 1")
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", b)
@@ -65,27 +66,6 @@ class WClassState:
         if not 1 <= i <= len(self.b):
             raise InvalidSubsystemError(f"partner index {i} outside 1..{len(self.b)}")
         return 2.0 * abs(self.a) * abs(self.b[i - 1])
-
-    def tail_concurrence(self, i: int) -> float:
-        """One-vs-rest concurrence after discarding the first i partners.
-
-        ``i = 0`` is the full pure cut; the value is 2|a| sqrt(sum_{j>i} |b_j|^2).
-        """
-        if not 0 <= i <= len(self.b) - 1:
-            raise InvalidSubsystemError(f"tail index {i} outside 0..{len(self.b) - 1}")
-        rest = sum(abs(x) ** 2 for x in self.b[i:])
-        return 2.0 * abs(self.a) * float(np.sqrt(rest))
-
-    def permuted(self, partner_labels) -> "WClassState":
-        """Reorder the partner qubits; the focus qubit stays first."""
-        partner_labels = tuple(partner_labels)
-        current = self.labels[1:]
-        if sorted(partner_labels) != sorted(current):
-            raise InvalidSubsystemError(
-                f"{partner_labels!r} is not a permutation of {current!r}"
-            )
-        b = tuple(self.b[current.index(lab)] for lab in partner_labels)
-        return WClassState(self.a, b, (self.labels[0],) + partner_labels)
 
 
 def build_wclass(a, b_list, labels=()) -> tuple[WClassState, StateVector]:

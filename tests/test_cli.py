@@ -220,6 +220,38 @@ class TestFuzz:
             monkeypatch.setenv("MONOQ_SEED", value)
             assert main(["fuzz", "--mode", "ckw", "--states", "5"]) == 2
 
+    @pytest.mark.parametrize(
+        "mode, psi",
+        [("polygamy", reference_schmidt_state()), ("monogamy", haar_random_state(4, seed=8))],
+    )
+    def test_file_state_entry_check(self, mode, psi, tmp_path, capsys):
+        # the pair terms and the tails beyond three qubits hold for W-class states only
+        path = tmp_path / "state.json"
+        save_state(psi, path)
+        assert main(["fuzz", "--mode", mode, "--class", "file", "--state", str(path)]) == 2
+        assert "single-excitation" in capsys.readouterr().err
+
+
+BAD_RECORDS = {
+    "huge-qubit-count": {"n_qubits": 20000, "labels": [], "amplitudes": [[1.0, 0.0]]},
+    "nan-amplitude": {
+        "n_qubits": 3, "labels": ["A", "B1", "B2"],
+        "amplitudes": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 7,
+    },
+}
+
+
+@pytest.mark.parametrize("record", sorted(BAD_RECORDS))
+@pytest.mark.parametrize(
+    "command", [["eval"], ["fuzz", "--mode=monogamy", "--class=file", "--state"]]
+)
+def test_bad_state_record_exits_2(command, record, tmp_path, capsys):
+    # both used to crash (exit 3): 2**20000 formatted into the error text, NaN into an SVD
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_RECORDS[record]))
+    assert main(command + [str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
 
 def test_crash_exits_3_with_traceback(capsys, monkeypatch):
     # a crash must not read as "violations found" (1) or bad input (2)
@@ -284,6 +316,44 @@ def test_numeric_flags_never_crash(command, data, tmp_path, capsys):
     if command == "falpha" and code == 0:  # every printed value is a number
         rows = [line.split(",") for line in captured.out.strip().splitlines()[1:]]
         assert all(np.isfinite(float(v)) for row in rows for v in row), captured.out
+
+
+@pytest.mark.parametrize("command", ["eval", "fuzz"])
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_state_files_never_crash(command, data, tmp_path, capsys):
+    # any state record is a result (0, 1) or bad input (2), never a crash (3)
+    kind = data.draw(st.sampled_from(["state", "wrong length", "any count"]), label="record")
+    if kind == "any count":  # half or more with over 4300 decimal digits in 2**n
+        n = data.draw(
+            st.one_of(st.integers(-2, 20000), st.integers(14300, 20000)), label="n_qubits"
+        )
+    else:  # sampled_from leans to its first entries: the ones that reach the bounds
+        n = data.draw(st.sampled_from([3, 2, 4, 1]), label="n_qubits")
+    size = 2**n if kind == "state" else data.draw(st.integers(0, 20), label="length")
+    values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * size, max_size=2 * size))
+    if kind == "state" and data.draw(st.booleans(), label="single excitation"):
+        onehot = [1 << k for k in range(n)]
+        values = [v if i // 2 in onehot else 0.0 for i, v in enumerate(values)]
+    norm = float(np.sqrt(sum(v * v for v in values)))
+    values = [v / norm for v in values] if norm > 0 else values
+    for _ in range(data.draw(st.sampled_from([1, 0, 2]), label="entries replaced") if size else 0):
+        i = data.draw(st.integers(0, 2 * size - 1))
+        values[i] = data.draw(st.one_of(st.just(float("nan")), st.floats()), label="any float")
+    k = max(0, min(n, 12))
+    labels = data.draw(st.sampled_from([[f"Q{i}" for i in range(k)], ["Q"] * k]), label="labels")
+    pairs = [values[i:i + 2] for i in range(0, 2 * size, 2)]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"n_qubits": n, "labels": labels, "amplitudes": pairs}))
+    if command == "eval":
+        argv = ["eval", str(path), f"--mu={data.draw(st.sampled_from([0.5, 2.0]))}"]
+    else:
+        mode = data.draw(st.sampled_from(["ckw", "lemma1", "monogamy", "polygamy"]))
+        argv = ["fuzz", f"--mode={mode}", "--class=file", f"--state={path}"]
+    code = main(argv)
+    assert code in (0, 1, 2), capsys.readouterr().err
 
 
 def test_cli_imports_no_scipy():

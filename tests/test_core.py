@@ -43,6 +43,13 @@ class TestStateVector:
         with pytest.raises(SizeError):
             StateVector(np.ones(3) / np.sqrt(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf])
+    def test_rejects_non_finite_amplitude(self, bad):
+        with pytest.raises(NormalizationError):
+            StateVector(np.array([bad, 0.0, 0.0, 0.0]))
+        with pytest.raises(NormalizationError):
+            StateVector(np.array([1.0, 0.0, 0.0, bad]))
+
     def test_permuted_roundtrip(self):
         psi = haar_random_state(3, seed=11)
         swapped = psi.permuted(("B1", "A", "B2"))
@@ -151,6 +158,13 @@ class TestHermitianSpectrum:
         with pytest.raises(PositivityError):
             hermitian_spectrum(mat)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN used to pass the Hermiticity check and fail inside eigvalsh
+        mat = np.diag([bad, 0.5]).astype(complex)
+        with pytest.raises(HermiticityError):
+            hermitian_spectrum(mat)
+
 
 class TestHaarSampling:
     def test_shape_and_norm(self):
@@ -252,6 +266,26 @@ class TestStateFiles:
         with pytest.raises(IoError):
             load_state(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_amplitude(self, bad):
+        data = state_to_dict(w_state())
+        data["amplitudes"][7] = [bad, 0.0]
+        with pytest.raises(IoError):
+            state_from_dict(data)
+
+    @pytest.mark.parametrize("n", [-1, 0, 11, 20000, float("inf"), "x"])
+    def test_rejects_qubit_count_out_of_range(self, n):
+        # 2**20000 used to be formatted into the error text: a ValueError, not an IoError
+        data = {"n_qubits": n, "labels": [], "amplitudes": [[1.0, 0.0]]}
+        with pytest.raises(IoError):
+            state_from_dict(data)
+
+    def test_rejects_oversized_integer_in_file(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"n_qubits": ' + "9" * 5000 + "}")
+        with pytest.raises(IoError):
+            load_state(path)
+
     def test_small_norm_drift_renormalized(self):
         data = state_to_dict(w_state())
         data["amplitudes"][1][0] *= 1 + 4e-10  # inside the 1e-9 gate
@@ -267,3 +301,8 @@ def test_density_matrix_validation():
     bad = np.diag([1.2, -0.2]).astype(complex)
     with pytest.raises(PositivityError):
         DensityMatrix(bad)
+    for value in (np.nan, np.inf):  # NaN used to raise a bare LinAlgError
+        with pytest.raises(HermiticityError):
+            DensityMatrix(np.diag([value, 0.5]).astype(complex))
+        with pytest.raises(HermiticityError):
+            DensityMatrix(np.array([[0.5, value], [value, 0.5]], dtype=complex))

@@ -13,6 +13,7 @@ from monoq import (
     PreconditionError,
     StateVector,
     UnsupportedStateClassError,
+    WClassState,
     build_wclass,
     ckw_check,
     detect_ordering,
@@ -27,6 +28,7 @@ from monoq import (
 from monoq.harness import reference_schmidt_state
 from monoq.core import MAX_QUBITS
 from monoq.measures import ALPHA_WINDOW, MU_MAX, f_alpha
+from monoq.monogamy import ORDERING_ATOL
 
 ALPHA_LO, ALPHA_HI = ALPHA_WINDOW
 SQRT6_OVER_6 = np.sqrt(6.0) / 6.0
@@ -113,12 +115,28 @@ class TestDetectOrdering:
         with pytest.raises(UnsupportedStateClassError):
             detect_ordering(haar_random_state(4, seed=8))
 
-    def test_wclass_five_party_tails(self):
-        w = random_wclass(5, seed=21)
-        profile = detect_ordering(w.to_state_vector())
-        b2 = np.abs(np.asarray(w.b)) ** 2
-        expected = [2 * abs(w.a) * np.sqrt(np.sum(b2[i:])) for i in range(1, 4)]
-        np.testing.assert_allclose(profile.tail_concurrences, expected, atol=1e-10)
+    @pytest.mark.parametrize("relabel", [True, False])
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_wclass_five_party_tails(self, n, relabel):
+        # measured tails and split against the closed form 2|a| sqrt(sum_{j>i} |b_j|^2),
+        # with the decision rule of perfbench/reference.py::wclass_satisfied
+        forms = [random_wclass(n, seed=seed) for seed in range(6)]
+        # partners in increasing modulus, so that relabel matters
+        forms += [WClassState(w.a, w.b[::-1]) for w in forms[1::2]]
+        # |b_k|^2 ~ 3^-k with the last two swapped: split n-3 in label order
+        b2 = 3.0 ** -np.array([*range(1, n - 2), n - 1, n - 2])
+        forms.append(WClassState(np.sqrt(0.5), tuple(np.sqrt(0.5 * b2 / b2.sum()))))
+        for w in forms:
+            profile = detect_ordering(w.to_state_vector(), relabel=relabel)
+            b = np.abs([w.b[w.labels.index(lab) - 1] for lab in profile.party_order])
+            pairs = 2 * abs(w.a) * b
+            tails = [2 * abs(w.a) * np.sqrt(np.sum(b[i:] ** 2)) for i in range(1, n - 1)]
+            np.testing.assert_allclose(profile.tail_concurrences, tails, rtol=0, atol=1e-12)
+            ge = [pairs[i] >= tails[i] - ORDERING_ATOL for i in range(n - 2)]
+            le = [pairs[i] <= tails[i] + ORDERING_ATOL for i in range(n - 2)]
+            splits = [m for m in range(n - 3, 0, -1) if all(ge[:m]) and all(le[m:])]
+            expected = FULL if all(ge) else (splits[0] if splits else None)
+            assert profile.split_index == expected
 
     def test_wclass_tail_matches_decomposition_search(self):
         # two-term sweep over all rank-2 decompositions of the traced marginal

@@ -216,6 +216,11 @@ def test_wclass_state_validation():
         WClassState(1.0, ())
     with pytest.raises(NormalizationError):
         WClassState(1.0, (0.1, 0.0))
+    for bad in (float("nan"), complex(0.0, float("nan"))):  # NaN used to pass
+        with pytest.raises(NormalizationError):
+            WClassState(bad, (0.6, 0.8))
+        with pytest.raises(NormalizationError):
+            WClassState(0.6, (0.8, bad))
 
 
 def test_theorem3_rejects_non_wclass_input():
@@ -236,9 +241,8 @@ def test_assisted_terms_match_f_alpha_route():
     profile = detect_ordering(w.to_state_vector())
     if profile.satisfied:
         report = theorem3_bound(w, profile, AlphaMu(ALPHA_LO, 0.5))
-        aligned = w.permuted(profile.party_order)
         expected = [
-            f_alpha(aligned.pair_concurrence(i) ** 2, ALPHA_LO) ** 0.5
-            for i in range(1, aligned.n_parties)
+            f_alpha(w.pair_concurrence(w.labels.index(lab)) ** 2, ALPHA_LO) ** 0.5
+            for lab in profile.party_order
         ]
         np.testing.assert_allclose([t for _, t in report.rhs_terms], expected, atol=1e-12)
