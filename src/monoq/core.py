@@ -207,6 +207,18 @@ def hermitian_spectrum(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     return np.sort(np.clip(vals, 0.0, None))[::-1]
 
 
+def haar_amplitudes(n_qubits: int, seed: int) -> np.ndarray:
+    """The 2**n amplitudes of ``haar_random_state(n_qubits, seed)``, unchecked.
+
+    The one definition of the Haar draw: normalized independent complex
+    Gaussians from ``default_rng(seed)``.  Campaigns write it straight into
+    their amplitude stacks; ``n_qubits`` must already lie in [1, MAX_QUBITS].
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
+    return v / np.linalg.norm(v)
+
+
 def haar_random_state(n_qubits: int, seed: int) -> StateVector:
     """Haar-random pure state via normalized independent complex Gaussians.
 
@@ -214,9 +226,7 @@ def haar_random_state(n_qubits: int, seed: int) -> StateVector:
     """
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise SizeError(f"n_qubits must lie in [1, {MAX_QUBITS}], got {n_qubits}")
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
-    return StateVector(v / np.linalg.norm(v))
+    return StateVector(haar_amplitudes(n_qubits, seed))
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -254,8 +264,9 @@ def state_from_dict(data: dict) -> StateVector:
 
     Expected keys: ``n_qubits``, ``labels`` and ``amplitudes`` as
     ``[[re, im], ...]`` in tensor order.  Qubit counts outside
-    [1, MAX_QUBITS], wrong-length arrays, non-finite amplitudes and norms
-    outside 1 +/- 1e-9 are rejected.
+    [1, MAX_QUBITS], wrong-length arrays, non-finite amplitudes, real or
+    imaginary parts above 1 + 1e-9 in modulus and norms outside 1 +/- 1e-9
+    are rejected.
     """
     try:
         n = int(data["n_qubits"])
@@ -271,6 +282,11 @@ def state_from_dict(data: dict) -> StateVector:
         raise IoError(f"expected {n} labels, got {len(labels)}")
     if not np.all(np.isfinite(pairs)):
         raise IoError("amplitudes must be finite numbers")
+    # no real or imaginary part of a unit vector exceeds 1; checked before
+    # the norm, whose squares overflow on huge amplitudes
+    largest = float(np.max(np.abs(pairs)))
+    if largest > 1.0 + JSON_NORM_ATOL:
+        raise IoError(f"amplitude component of modulus {largest!r} exceeds 1 + {JSON_NORM_ATOL}")
     amps = pairs[:, 0] + 1j * pairs[:, 1]
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > JSON_NORM_ATOL:

@@ -11,21 +11,29 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import StateVector, load_state
+from .core import MAX_QUBITS, StateVector, load_state
 from .errors import ConfigError, IoError, PreconditionError
 from .measures import ALPHA_MAX, ALPHA_WINDOW, MU_MAX, AlphaMu, PureFeatures, renyi_entanglement_pure
 from .monogamy import (
-    ckw_reports,
-    ladder_reports,
-    lemma1_reports,
+    bound_values,
+    ckw_terms,
+    ladder_terms,
+    lemma1_terms,
     ordering_profile,
     scalar_weight_inequality,
 )
 from .polygamy import reoa_cut
-from .wclass import build_wclass, random_wclass, wclass_from_state
+from .wclass import (
+    build_wclass,
+    onehot_indices,
+    random_wclass,
+    wclass_coefficients,
+    wclass_from_state,
+)
 from . import core, measures
 
 # Order at which the six-decimal reference values of the worked examples are
@@ -172,6 +180,14 @@ class CampaignConfig:
             raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
         if self.state_class == "file" and not self.state_file:
             raise ConfigError("state class 'file' needs a state file path")
+        # checked here, before any 2**n-sized stack: campaigns trust it after
+        low = 3 if self.state_class == "wclass" else 1
+        sampled = self.mode != "scalar" and self.state_class != "file"
+        if sampled and not low <= self.n_qubits <= MAX_QUBITS:
+            raise ConfigError(
+                f"{self.state_class} states need n_qubits in [{low}, {MAX_QUBITS}], "
+                f"got {self.n_qubits}"
+            )
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         object.__setattr__(self, "mu_grid", tuple(float(m) for m in self.mu_grid))
         if not all(map(math.isfinite, (self.tolerance, *self.alpha_grid, *self.mu_grid))):
@@ -181,6 +197,8 @@ class CampaignConfig:
             )
         if max(self.mu_grid) > MU_MAX:
             raise ConfigError(f"mu values must be at most {MU_MAX:g}, got {self.mu_grid}")
+        if min(self.mu_grid) < 0.0:
+            raise ConfigError(f"mu values must be nonnegative, got {self.mu_grid}")
         if not all(0.0 < a <= ALPHA_MAX for a in self.alpha_grid):
             raise ConfigError(f"alpha values must be in (0, {ALPHA_MAX:g}], got {self.alpha_grid}")
 
@@ -251,8 +269,7 @@ def build_config(settings: dict) -> CampaignConfig:
 # witnesses and campaigns
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WitnessRecord:
+class WitnessRecord(NamedTuple):
     """One evaluated inequality instance, replayable from its own fields."""
 
     index: int
@@ -286,16 +303,42 @@ class WitnessRecord:
 
     def to_csv_row(self) -> tuple:
         """CSV fields: integers and names as written, floats via ``fmt12``."""
-        values = (getattr(self, field) for field in self.CSV_COLUMNS.values())
-        return tuple(str(v) if isinstance(v, (int, str)) else fmt12(v) for v in values)
+        return tuple(_csv_field(getattr(self, field)) for field in self.CSV_COLUMNS.values())
+
+
+def _csv_field(value) -> str:
+    return str(value) if isinstance(value, (int, str)) else fmt12(value)
+
+
+# Positions in a witness row, which holds a WitnessRecord's fields as a plain tuple.
+_RHS, _MARGIN, _BASELINE = map(WitnessRecord._fields.index, ("rhs", "margin", "baseline_rhs"))
+
+# Rows per write of ``CampaignResult.write_records_csv``.
+CSV_CHUNK_ROWS = 1024
 
 
 def derive_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
+def _haar_stack(n_qubits: int, seeds) -> np.ndarray:
+    return np.array([core.haar_amplitudes(n_qubits, seed) for seed in seeds])
+
+
+def _wclass_stack(n_qubits: int, seeds) -> np.ndarray:
+    stack = np.zeros((len(seeds), 2**n_qubits), dtype=complex)
+    stack[:, onehot_indices(n_qubits)] = [wclass_coefficients(n_qubits, seed) for seed in seeds]
+    return stack
+
+
+# The (B, 2**n) amplitude stack of a seeded state class, one row per seed,
+# written straight from the class's draw helper: no state object is built per
+# sampled state, and the qubit count is the one CampaignConfig checked.
+_DRAWS = {"haar": _haar_stack, "wclass": _wclass_stack}
+
+
 def _sample_state(state_class: str, n_qubits: int, seed: int) -> StateVector:
-    """The state of a campaign index, or of its replay."""
+    """The state of a seeded record, through the checked public constructors."""
     if state_class == "haar":
         return core.haar_random_state(n_qubits, seed)
     if state_class == "wclass":
@@ -315,36 +358,54 @@ def _entering(mode: str, psi: StateVector) -> StateVector:
     return psi
 
 
+def _csv_template(mode, state_class, n_qubits, alpha, mu, t) -> str:
+    """CSV line format of rows with these fields: index and seed by ``%s``, floats by ``%.12g``."""
+    fixed = [_csv_field(v).replace("%", "%%") for v in (mode, state_class, n_qubits, alpha, mu, t)]
+    return ",".join(["%s", *fixed[:3], "%s", *fixed[3:], "%.12g", "%.12g", "%.12g", "%.12g"]) + "\n"
+
+
 @dataclass(frozen=True)
 class CampaignResult:
-    """Aggregate of a fuzzing run plus every evaluated witness."""
+    """Aggregate of a fuzzing run plus every evaluated witness.
+
+    ``rows`` holds the witnesses as plain tuples of a WitnessRecord's fields,
+    in field order, with ints at index and seed and floats at lhs, rhs,
+    margin and baseline; ``records`` and ``worst`` build records on demand.
+    """
 
     config: CampaignConfig
-    records: tuple[WitnessRecord, ...]
+    rows: tuple[tuple, ...]
     n_sampled: int
     n_satisfied: int
     n_skipped: int
 
     @property
+    def records(self) -> tuple[WitnessRecord, ...]:
+        return tuple(map(WitnessRecord._make, self.rows))
+
+    @property
     def n_violations(self) -> int:
         tol = self.config.tolerance
-        return sum(1 for r in self.records if not r.margin >= -tol)  # NaN counts
+        return sum(1 for r in self.rows if not r[_MARGIN] >= -tol)  # NaN counts
 
     @property
     def min_margin(self) -> float:
-        return float("nan") if self.worst is None else self.worst.margin
+        worst = self.worst
+        return float("nan") if worst is None else worst.margin
 
     @property
     def mean_tightness_gain(self) -> float:
-        gains = [abs(r.rhs - r.baseline_rhs) for r in self.records]
+        gains = [abs(r[_RHS] - r[_BASELINE]) for r in self.rows]
         return float(np.mean(gains)) if gains else float("nan")
 
     @property
     def worst(self) -> WitnessRecord | None:
         """First record of smallest margin; a NaN margin is smaller than any number."""
-        return min(self.records, key=lambda r: (not math.isnan(r.margin), r.margin), default=None)
+        row = min(self.rows, key=lambda r: (not math.isnan(r[_MARGIN]), r[_MARGIN]), default=None)
+        return None if row is None else WitnessRecord._make(row)
 
     def summary(self) -> dict:
+        worst = self.worst
         return {
             "mode": self.config.mode,
             "state_class": self.config.state_class,
@@ -354,17 +415,35 @@ class CampaignResult:
             "n_sampled": self.n_sampled,
             "n_hypothesis_satisfied": self.n_satisfied,
             "n_skipped": self.n_skipped,
-            "n_records": len(self.records),
+            "n_records": len(self.rows),
             "n_violations": self.n_violations,
-            "min_margin": None if not self.records else self.min_margin,
-            "mean_tightness_gain": None if not self.records else self.mean_tightness_gain,
-            "worst": None if self.worst is None else vars(self.worst).copy(),
+            "min_margin": None if worst is None else worst.margin,
+            "mean_tightness_gain": None if worst is None else self.mean_tightness_gain,
+            "worst": None if worst is None else worst._asdict(),
         }
 
     def write_records_csv(self, stream) -> None:
+        """Header, then the rows as ``to_csv_row`` prints them, CSV_CHUNK_ROWS lines per write.
+
+        Each line fills its cell's template (see ``_csv_template``), made once
+        per distinct (mode, class, qubits, alpha, mu, t).
+        """
         stream.write(",".join(WitnessRecord.CSV_COLUMNS) + "\n")
-        for record in self.records:
-            stream.write(",".join(record.to_csv_row()) + "\n")
+        # alpha, mu and t are keyed by identity: 0.0 and -0.0 are equal but
+        # print apart, and the rows keep every keyed object alive
+        templates: dict = {}
+        rows = self.rows
+        for start in range(0, len(rows), CSV_CHUNK_ROWS):
+            lines = []
+            for index, mode, cls, n, seed, alpha, mu, lhs, rhs, margin, base, t in rows[
+                start:start + CSV_CHUNK_ROWS
+            ]:
+                key = (mode, cls, n, id(alpha), id(mu), id(t))
+                template = templates.get(key)
+                if template is None:
+                    template = templates[key] = _csv_template(mode, cls, n, alpha, mu, t)
+                lines.append(template % (index, seed, lhs, rhs, margin, base))
+            stream.write("".join(lines))
 
 
 def _scalar_margin(t: float, x: float) -> float:
@@ -374,44 +453,37 @@ def _scalar_margin(t: float, x: float) -> float:
 
 
 def _scalar_campaign(config: CampaignConfig) -> CampaignResult:
-    records = []
+    rows = []
     ts = np.linspace(0.0, 1.0, 200)
-    index = 0
     for x in config.mu_grid:
         for t in ts:
             rhs = 1.0 + (2.0**x - 1.0) * t**x
-            records.append(
-                WitnessRecord(
-                    index=index,
-                    mode="scalar",
-                    state_class="grid",
-                    n_qubits=0,
-                    state_seed=0,
-                    alpha=None,
-                    mu=float(x),
-                    t=float(t),
-                    lhs=(1.0 + t) ** x,
-                    rhs=rhs,
-                    margin=_scalar_margin(float(t), float(x)),
-                    baseline_rhs=rhs,
-                )
+            margin = _scalar_margin(float(t), float(x))
+            rows.append(
+                (len(rows), "scalar", "grid", 0, 0, None, float(x), (1.0 + t) ** x, rhs, margin,
+                 rhs, float(t))
             )
-            index += 1
-    return CampaignResult(config, tuple(records), len(records), len(records), 0)
+    return CampaignResult(config, tuple(rows), len(rows), len(rows), 0)
+
+
+def _values(terms, upper: bool = False) -> list[tuple]:
+    """(lhs, rhs, margin, baseline) per (kind, lhs, terms) of a ``*_terms`` function."""
+    return [bound_values(lhs, t, upper) for _, lhs, t in terms]
 
 
 # Per-mode evaluators (features, ordering profiles, alpha, mu) -> one
-# BoundReport per state, shared by campaigns and replay so that a record and
-# its replay cannot drift apart.  ``profiles`` holds what ``_prepare``
-# returned per state.
+# (lhs, rhs, margin, baseline) per state, shared by campaigns and replay so
+# that a record and its replay cannot drift apart.  ``profiles`` holds what
+# ``_prepare`` returned per state.  The public per-state functions build their
+# reports from the same ``*_terms`` functions and ``bound_values``.
 _EVALUATORS = {
-    "ckw": lambda feats, profiles, alpha, mu: ckw_reports(feats),
-    "lemma1": lambda feats, profiles, alpha, mu: lemma1_reports(feats, mu),
-    "monogamy": lambda feats, profiles, alpha, mu: ladder_reports(
-        feats.cut_probs, profiles, AlphaMu(alpha, mu), upper=False
+    "ckw": lambda feats, profiles, alpha, mu: _values(ckw_terms(feats)),
+    "lemma1": lambda feats, profiles, alpha, mu: _values(lemma1_terms(feats, mu)),
+    "monogamy": lambda feats, profiles, alpha, mu: _values(
+        ladder_terms(feats.cut_probs, profiles, AlphaMu(alpha, mu), upper=False)
     ),
-    "polygamy": lambda feats, profiles, alpha, mu: ladder_reports(
-        feats.cut_probs, profiles, AlphaMu(alpha, mu), upper=True
+    "polygamy": lambda feats, profiles, alpha, mu: _values(
+        ladder_terms(feats.cut_probs, profiles, AlphaMu(alpha, mu), upper=True), upper=True
     ),
 }
 
@@ -430,22 +502,20 @@ def _prepare(mode: str, labels, feats: PureFeatures) -> list:
     ]
 
 
-def _evaluate(mode: str, states, cells) -> list:
-    """Per state of ``states``: None if its hypothesis fails, else a report per cell.
+def _evaluate(mode: str, amplitudes: np.ndarray, labels, cells) -> tuple[list, list]:
+    """The states of a (B, 2**n) stack whose hypothesis holds, and their values per cell.
 
-    The states' features are computed once, from their stacked amplitudes,
-    and every cell is evaluated on the states that pass, from those features.
+    Returns the stack rows that pass and, per cell, one (lhs, rhs, margin,
+    baseline) per passing state.  The features are computed once, from the
+    stacked amplitudes, and every cell is evaluated from them.
     """
-    feats = PureFeatures.of(np.stack([psi.amplitudes for psi in states]))
-    profiles = _prepare(mode, states[0].labels, feats)
+    feats = PureFeatures.of(amplitudes)
+    profiles = _prepare(mode, labels, feats)
     keep = [i for i, p in enumerate(profiles) if p is None or p.satisfied]
-    out = [None] * len(states)
-    if keep:
-        feats, passed = feats.take(keep), [profiles[i] for i in keep]
-        per_cell = [_EVALUATORS[mode](feats, passed, alpha, mu) for alpha, mu in cells]
-        for j, i in enumerate(keep):
-            out[i] = [reports[j] for reports in per_cell]
-    return out
+    if not keep:
+        return keep, []
+    feats, passed = feats.take(keep), [profiles[i] for i in keep]
+    return keep, [_EVALUATORS[mode](feats, passed, alpha, mu) for alpha, mu in cells]
 
 
 def _cells(config: CampaignConfig) -> list[tuple[float | None, float | None]]:
@@ -458,20 +528,22 @@ def _cells(config: CampaignConfig) -> list[tuple[float | None, float | None]]:
 
 
 def _sampled_chunks(config: CampaignConfig):
-    """Lists of (index, seed, state) of at most CHUNK_AMPLITUDES amplitudes."""
+    """(first index, seeds, (B, 2**n) amplitudes, labels) per chunk of the campaign's states.
+
+    A chunk holds at most CHUNK_AMPLITUDES amplitudes, or one state.
+    """
     if config.state_class == "file":
-        yield [(0, 0, _entering(config.mode, load_state(config.state_file)))]
+        psi = _entering(config.mode, load_state(config.state_file))
+        yield 0, [0], psi.amplitudes[None], psi.labels
         return
-    chunk = []
-    for index in range(config.n_states):
-        seed = derive_seed(config.seed, index)
-        psi = _sample_state(config.state_class, config.n_qubits, seed)
-        chunk.append((index, seed, psi))
-        if (len(chunk) + 1) * psi.amplitudes.size > CHUNK_AMPLITUDES:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+    n = config.n_qubits
+    labels = core.default_labels(n)
+    size = max(1, CHUNK_AMPLITUDES // 2**n)
+    draw = _DRAWS[config.state_class]
+    for start in range(0, config.n_states, size):
+        stop = min(start + size, config.n_states)
+        seeds = [derive_seed(config.seed, index) for index in range(start, stop)]
+        yield start, seeds, draw(n, seeds), labels
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
@@ -487,33 +559,20 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             "haar states beyond 3 qubits have no computable ordering tails; use class=wclass"
         )
 
-    cells = _cells(config)
-    records: list[WitnessRecord] = []
+    mode, state_class, cells = config.mode, config.state_class, _cells(config)
+    rows: list[tuple] = []
     n_sampled = n_satisfied = 0
-    for chunk in _sampled_chunks(config):
-        n_sampled += len(chunk)
-        evaluated = _evaluate(config.mode, [psi for _, _, psi in chunk], cells)
-        for (index, seed, psi), reports in zip(chunk, evaluated):
-            if reports is None:
-                continue
-            n_satisfied += 1
-            for (alpha, mu), report in zip(cells, reports):
-                records.append(
-                    WitnessRecord(
-                        index=index,
-                        mode=config.mode,
-                        state_class=config.state_class,
-                        n_qubits=psi.n_qubits,
-                        state_seed=seed,
-                        alpha=alpha,
-                        mu=mu,
-                        lhs=report.lhs,
-                        rhs=report.rhs,
-                        margin=report.margin,
-                        baseline_rhs=report.baseline_rhs,
-                    )
-                )
-    return CampaignResult(config, tuple(records), n_sampled, n_satisfied, n_sampled - n_satisfied)
+    for start, seeds, amplitudes, labels in _sampled_chunks(config):
+        n_sampled += len(seeds)
+        keep, per_cell = _evaluate(mode, amplitudes, labels, cells)
+        n_satisfied += len(keep)
+        n = len(labels)
+        rows += [
+            (start + i, mode, state_class, n, seeds[i], alpha, mu, *values[j], None)
+            for j, i in enumerate(keep)
+            for (alpha, mu), values in zip(cells, per_cell)
+        ]
+    return CampaignResult(config, tuple(rows), n_sampled, n_satisfied, n_sampled - n_satisfied)
 
 
 def replay_record(record: WitnessRecord, state: StateVector | None = None) -> float:
@@ -528,11 +587,13 @@ def replay_record(record: WitnessRecord, state: StateVector | None = None) -> fl
         raise ConfigError(f"cannot replay mode {record.mode!r}")
     if state is None:
         state = _sample_state(record.state_class, record.n_qubits, record.state_seed)
+    psi = _entering(record.mode, state)
     cell = (record.alpha, record.mu)
-    (reports,) = _evaluate(record.mode, [_entering(record.mode, state)], [cell])
-    if reports is None:
+    keep, per_cell = _evaluate(record.mode, psi.amplitudes[None], psi.labels, [cell])
+    if not keep:
         raise PreconditionError("recorded state no longer satisfies the hypothesis")
-    return reports[0].margin
+    _, _, margin, _ = per_cell[0][0]
+    return margin
 
 
 def falpha_table(alphas, points: int = 101):

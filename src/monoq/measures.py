@@ -27,6 +27,9 @@ VON_NEUMANN_SWITCH = 1e-6
 
 DOMAIN_ATOL = 1e-12
 
+# Largest accepted distance of a spectrum's sum from 1.
+SPECTRUM_SUM_ATOL = 1e-9
+
 # Largest accepted power mu (or x): the ladder weights (2^mu - 1)^k, k <= 8,
 # stay finite up to here, so a larger power is rejected as bad input.
 MU_MAX = 100.0
@@ -93,13 +96,18 @@ def renyi_entropy(spectrum, alpha: float):
     """Renyi entropy log2(sum p_i^alpha) / (1 - alpha) of a spectrum, in bits.
 
     ``spectrum`` is an array of probabilities over its last axis: a 1-D
-    array gives a float, a stack (..., d) an array of shape (...).  Entries
-    <= 0 contribute nothing, within 1e-6 of alpha = 1 the von Neumann entropy
-    -sum p log2 p is returned as the continuity limit, and results in
-    (-1e-12, 0) are clipped to 0.
+    array gives a float, a stack (..., d) an array of shape (...).  A
+    non-finite entry, or a spectrum whose sum is not 1 within 1e-9, raises
+    DomainError.  Entries <= 0 contribute nothing, within 1e-6 of alpha = 1
+    the von Neumann entropy -sum p log2 p is returned as the continuity
+    limit, and results in (-1e-12, 0) are clipped to 0.
     """
     _require_alpha(alpha)
     vals = np.asarray(spectrum, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"spectrum has non-finite entries: {spectrum!r}")
+    if not np.all(np.abs(np.sum(vals, axis=-1) - 1.0) <= SPECTRUM_SUM_ATOL):
+        raise DomainError(f"spectrum does not sum to 1 within {SPECTRUM_SUM_ATOL}: {spectrum!r}")
     pos = vals > 0.0
     probs = np.where(pos, vals, 0.0)
     # keepdims: every step runs on arrays, so a row of a stack and the same
@@ -123,7 +131,7 @@ def f_alpha(x, alpha: float):
     # a scalar runs as an array: numpy's scalar pow/log2 round differently
     # from its array loops, and one pair must equal that pair in a stack
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(arr < -DOMAIN_ATOL) or np.any(arr > 1.0 + DOMAIN_ATOL):
+    if not (np.all(arr >= -DOMAIN_ATOL) and np.all(arr <= 1.0 + DOMAIN_ATOL)):  # NaN fails too
         raise DomainError(f"argument outside [0, 1]: {x!r}")
     arr = np.clip(arr, 0.0, 1.0)
     root = np.sqrt(1.0 - arr)

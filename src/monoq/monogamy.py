@@ -26,6 +26,19 @@ FULL = "full"
 ORDERING_ATOL = 1e-12
 
 
+def bound_values(lhs: float, terms, upper: bool) -> tuple[float, float, float, float]:
+    """(lhs, rhs, margin, baseline) of ``lhs`` against weighted terms (weight, term).
+
+    rhs is the weighted sum of the terms and baseline their unweighted sum,
+    each added left to right.  ``margin`` is ``rhs - lhs`` for an upper bound
+    on ``lhs`` and ``lhs - rhs`` for a lower bound, so that a nonnegative
+    value means the inequality holds.
+    """
+    rhs = float(sum([w * t for w, t in terms]))
+    baseline = float(sum([t for _, t in terms]))
+    return lhs, rhs, rhs - lhs if upper else lhs - rhs, baseline
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Evaluated inequality: left side, weighted terms, and margins.
@@ -55,14 +68,13 @@ class BoundReport:
         ``upper`` marks an upper bound on ``lhs``, otherwise a lower bound; the
         unweighted sum of the same terms is the baseline.
         """
-        rhs = float(sum(w * t for w, t in terms))
-        baseline = float(sum(t for _, t in terms))
+        lhs, rhs, margin, baseline = bound_values(lhs, terms, upper)
         return cls(
             kind=kind,
             lhs=lhs,
             rhs_terms=terms,
             rhs=rhs,
-            margin=rhs - lhs if upper else lhs - rhs,
+            margin=margin,
             baseline_rhs=baseline,
             tightness_gain=baseline - rhs if upper else rhs - baseline,
             alpha=alpha,
@@ -212,21 +224,22 @@ def ordering_profile(labels, pairs, full_cut: float, relabel: bool = True) -> Or
     )
 
 
-def ckw_reports(feats: PureFeatures) -> list[BoundReport]:
-    """Squared-concurrence monogamy reports, one per state of ``feats``."""
+def ckw_terms(feats: PureFeatures) -> list[tuple]:
+    """Squared-concurrence monogamy (kind, lhs, terms), one per state of ``feats``."""
     return [
-        BoundReport.from_terms("ckw", cut**2, tuple((1.0, c**2) for c in pairs), upper=False)
+        ("ckw", cut**2, tuple((1.0, c**2) for c in pairs))
         for cut, pairs in zip(feats.cut_concurrence.tolist(), feats.pair_concurrences.tolist())
     ]
 
 
 def ckw_check(psi: StateVector) -> BoundReport:
     """Squared-concurrence monogamy: C^2 first qubit vs rest >= sum of pair C^2."""
-    return ckw_reports(PureFeatures.of_state(psi))[0]
+    ((kind, lhs, terms),) = ckw_terms(PureFeatures.of_state(psi))
+    return BoundReport.from_terms(kind, lhs, terms, upper=False)
 
 
-def lemma1_reports(feats: PureFeatures, x: float) -> list[BoundReport]:
-    """Weighted concurrence-power reports at power ``x``, one per state of ``feats``."""
+def lemma1_terms(feats: PureFeatures, x: float) -> list[tuple]:
+    """Weighted concurrence-power (kind, lhs, terms) at power ``x``, one per state of ``feats``."""
     if x < 2:
         raise ParameterError(f"the weighted concurrence inequality needs x >= 2, got {x}")
     require_power(x, "x")
@@ -236,9 +249,7 @@ def lemma1_reports(feats: PureFeatures, x: float) -> list[BoundReport]:
         )
     weight = 2.0 ** (x / 2.0) - 1.0
     return [
-        BoundReport.from_terms(
-            "lemma1", cut**x, ((1.0, c1**x), (weight, c2**x)), upper=False, mu=x
-        )
+        ("lemma1", cut**x, ((1.0, c1**x), (weight, c2**x)))
         for cut, (c2, c1) in zip(
             feats.cut_concurrence.tolist(), np.sort(feats.pair_concurrences, axis=-1).tolist()
         )
@@ -251,22 +262,20 @@ def lemma1_check(psi: StateVector, x: float) -> BoundReport:
     Checks C_cut^x >= C_1^x + (2^(x/2) - 1) C_2^x with the partners ordered
     so that C_1 >= C_2, for powers x >= 2.
     """
-    return lemma1_reports(PureFeatures.of_state(psi), x)[0]
+    ((kind, lhs, terms),) = lemma1_terms(PureFeatures.of_state(psi), x)
+    return BoundReport.from_terms(kind, lhs, terms, upper=False, mu=x)
 
 
-def ladder_reports(
-    cut_probs: np.ndarray, profiles, params: AlphaMu, upper: bool
-) -> list[BoundReport]:
-    """Ladder-weighted bounds, one per (focus | rest Schmidt probabilities, profile).
+def ladder_terms(cut_probs: np.ndarray, profiles, params: AlphaMu, upper: bool) -> list[tuple]:
+    """Ladder-weighted (kind, lhs, terms), one per (focus | rest Schmidt probabilities, profile).
 
-    The left side is the cut entanglement raised to mu.  The right side is
-    the ladder-weighted sum of ``f_alpha`` at each squared pair concurrence
-    of the profile, raised to mu, in its party order; the unweighted sum is
-    the baseline.  ``upper`` selects the polygamy upper bound on assisted
-    entanglement (each pair concurrence equals the pair's concurrence of
-    assistance on W-class states) instead of the monogamy lower bound.
-    Raises PreconditionError when a profile satisfies no ladder hypothesis:
-    the bound claims nothing there.
+    The left side is the cut entanglement raised to mu.  The terms are
+    ``f_alpha`` at each squared pair concurrence of the profile, raised to
+    mu, in its party order, each with its ladder weight.  ``upper`` selects
+    the polygamy upper bound on assisted entanglement (each pair concurrence
+    equals the pair's concurrence of assistance on W-class states) instead of
+    the monogamy lower bound.  Raises PreconditionError when a profile
+    satisfies no ladder hypothesis: the bound claims nothing there.
     """
     (params.require_polygamy if upper else params.require_monogamy)()
     alpha, mu = params.alpha, params.mu
@@ -274,18 +283,18 @@ def ladder_reports(
     lhs = [e**mu for e in renyi_entropy(cut_probs, alpha).tolist()]
     pair_c = np.array([p.pair_concurrences for p in profiles])
     pair_e = f_alpha(pair_c * pair_c, alpha).tolist()
-    ladders: dict = {}
-    reports = []
+    ladders: dict = {}  # split -> (kind, weights)
+    out = []
     for l, row, profile in zip(lhs, pair_e, profiles):
         if not profile.satisfied:
             raise PreconditionError(f"ordering hypothesis unsatisfied; the {which} is not claimed")
         split = profile.split_index
         if split not in ladders:
-            ladders[split] = weight_ladder(profile.n_parties, split, mu).tolist()
-        terms = tuple((w, e**mu) for w, e in zip(ladders[split], row))
-        kind = f"{prefix}-full" if profile.is_full else f"{prefix}-split-{split}"
-        reports.append(BoundReport.from_terms(kind, l, terms, upper, alpha, mu))
-    return reports
+            kind = f"{prefix}-full" if profile.is_full else f"{prefix}-split-{split}"
+            ladders[split] = kind, weight_ladder(profile.n_parties, split, mu).tolist()
+        kind, weights = ladders[split]
+        out.append((kind, l, tuple([(w, e**mu) for w, e in zip(weights, row)])))
+    return out
 
 
 def theorem_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) -> BoundReport:
@@ -293,12 +302,13 @@ def theorem_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) -
 
     The left side is the pure-cut entanglement raised to mu; the right side
     is the ladder-weighted sum of pairwise two-qubit entanglement powers
-    (see ``ladder_reports``), each ``f_alpha`` at the squared pair concurrence
+    (see ``ladder_terms``), each ``f_alpha`` at the squared pair concurrence
     that ``profile`` measured on ``psi``.
     """
     params.require_monogamy()
     probs = schmidt_probabilities(psi.amplitudes[None], (0,))
-    return ladder_reports(probs, [profile], params, upper=False)[0]
+    ((kind, lhs, terms),) = ladder_terms(probs, [profile], params, upper=False)
+    return BoundReport.from_terms(kind, lhs, terms, False, params.alpha, params.mu)
 
 
 @dataclass(frozen=True)

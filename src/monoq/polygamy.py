@@ -12,7 +12,7 @@ from __future__ import annotations
 from .core import DensityMatrix, StateVector, schmidt_probabilities
 from .errors import SizeError, UnsupportedStateClassError
 from .measures import AlphaMu, PureFeatures, renyi_entanglement_pure
-from .monogamy import BoundReport, OrderingProfile, ladder_reports
+from .monogamy import BoundReport, OrderingProfile, ladder_terms
 from .wclass import WClassState, wclass_from_state
 
 __all__ = [
@@ -63,7 +63,7 @@ def theorem3_bound(w, profile: OrderingProfile, params: AlphaMu) -> BoundReport:
     The pairwise assisted terms are evaluated through ``f_alpha`` at the
     squared pair concurrences that ``profile`` measured, which equal the
     concurrences of assistance 2|a||b_i| on W-class marginals, and weighted
-    by the ladder of the profile's split (see ``ladder_reports``).  The left
+    by the ladder of the profile's split (see ``ladder_terms``).  The left
     side is the focus-vs-rest entanglement of ``w`` raised to mu.
     """
     params.require_polygamy()
@@ -73,7 +73,8 @@ def theorem3_bound(w, profile: OrderingProfile, params: AlphaMu) -> BoundReport:
             f"profile focus {profile.focus!r} must be the excitation qubit {w.labels[0]!r}"
         )
     probs = schmidt_probabilities(w.to_state_vector().amplitudes[None], (0,))
-    return ladder_reports(probs, [profile], params, upper=True)[0]
+    ((kind, lhs, terms),) = ladder_terms(probs, [profile], params, upper=True)
+    return BoundReport.from_terms(kind, lhs, terms, True, params.alpha, params.mu)
 
 
 def coa_polygamy_check(psi: StateVector) -> BoundReport:

@@ -54,11 +54,8 @@ class WClassState:
 
     def to_state_vector(self) -> StateVector:
         """Expand onto the computational basis (exactly single-excitation support)."""
-        n = self.n_parties
-        amps = np.zeros(2**n, dtype=complex)
-        amps[1 << (n - 1)] = self.a
-        for i, coeff in enumerate(self.b, start=1):
-            amps[1 << (n - 1 - i)] = coeff
+        amps = np.zeros(2**self.n_parties, dtype=complex)
+        amps[onehot_indices(self.n_parties)] = (self.a,) + self.b
         return StateVector(amps, self.labels)
 
     def pair_concurrence(self, i: int) -> float:
@@ -66,6 +63,11 @@ class WClassState:
         if not 1 <= i <= len(self.b):
             raise InvalidSubsystemError(f"partner index {i} outside 1..{len(self.b)}")
         return 2.0 * abs(self.a) * abs(self.b[i - 1])
+
+
+def onehot_indices(n_parties: int) -> list[int]:
+    """Basis indices of the excitation on party 0, 1, ..., N-1 (party 0 the leftmost factor)."""
+    return [1 << (n_parties - 1 - i) for i in range(n_parties)]
 
 
 def build_wclass(a, b_list, labels=()) -> tuple[WClassState, StateVector]:
@@ -80,9 +82,8 @@ def wclass_from_state(psi: StateVector) -> WClassState:
     Raises UnsupportedStateClassError when any amplitude outside the one-hot
     basis states exceeds WCLASS_SUPPORT_ATOL.
     """
-    n = psi.n_qubits
     amps = psi.amplitudes
-    onehot = [1 << (n - 1 - i) for i in range(n)]
+    onehot = onehot_indices(psi.n_qubits)
     mask = np.ones(amps.size, dtype=bool)
     mask[onehot] = False
     worst = float(np.max(np.abs(amps[mask]))) if np.any(mask) else 0.0
@@ -96,6 +97,22 @@ def wclass_from_state(psi: StateVector) -> WClassState:
     return WClassState(coeffs[0], tuple(coeffs[1:]), psi.labels)
 
 
+def wclass_coefficients(n_parties: int, seed: int) -> np.ndarray:
+    """The amplitudes (a, b_1..b_{N-1}) of ``random_wclass(n_parties, seed)``, unchecked.
+
+    The one definition of the W-class draw: normalized complex Gaussians
+    from ``default_rng(seed)``, partners ordered by decreasing modulus.
+    Campaigns write it straight into their amplitude stacks at
+    ``onehot_indices``; ``n_parties`` must already lie in [3, MAX_QUBITS].
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=n_parties) + 1j * rng.normal(size=n_parties)
+    z = z / np.linalg.norm(z)
+    b = z[1:]
+    z[1:] = b[np.argsort(-np.abs(b), kind="stable")]
+    return z
+
+
 def random_wclass(n_parties: int, seed: int) -> WClassState:
     """Seeded random W-class state from normalized complex Gaussian amplitudes.
 
@@ -104,9 +121,5 @@ def random_wclass(n_parties: int, seed: int) -> WClassState:
     """
     if n_parties < 3:
         raise SizeError(f"need at least 3 parties, got {n_parties}")
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=n_parties) + 1j * rng.normal(size=n_parties)
-    z = z / np.linalg.norm(z)
-    b = z[1:]
-    b = b[np.argsort(-np.abs(b), kind="stable")]
-    return WClassState(z[0], tuple(b))
+    z = wclass_coefficients(n_parties, seed)
+    return WClassState(z[0], tuple(z[1:]))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -183,12 +184,34 @@ class TestFuzz:
         assert main(["fuzz", "--mode", mode, "--states", "2", "--mu", mu]) == 2
         assert "must be at most 100" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["scalar", "lemma1", "monogamy"])
+    def test_negative_power_exits_2(self, mode, capsys):
+        # the scalar grid took 0.0**mu before rejecting mu: a divide-by-zero warning
+        assert main(["fuzz", "--mode", mode, "--states", "2", "--mu", "1,-0.5"]) == 2
+        assert "mu values must be nonnegative" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["ckw", "scalar", "monogamy"])
     @pytest.mark.parametrize("alpha", ["1000", "0", "-1"])
     def test_order_outside_range_exits_2(self, mode, alpha, capsys):
         # ckw and scalar campaigns read no order, and used to run on any
         assert main(["fuzz", "--mode", mode, "--states", "2", f"--alpha={alpha}"]) == 2
         assert "alpha values must be in (0, 100]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--qubits", "0"], ["--qubits", "11"], ["--qubits", "1000000"],
+         ["--mode", "monogamy", "--class", "wclass", "--qubits", "2"],
+         ["--mode", "polygamy", "--class", "wclass", "--qubits", "11"]],
+        ids=["haar-0", "haar-11", "haar-1000000", "wclass-2", "wclass-11"],
+    )
+    def test_qubit_count_out_of_range_exits_2(self, extra, capsys, monkeypatch):
+        # the count is checked with the settings, before a seed or a 2**n stack is made
+        def no_sampling(*args):
+            raise AssertionError("a state was sampled")
+
+        monkeypatch.setattr("monoq.harness.derive_seed", no_sampling)
+        assert main(["fuzz", "--mode", "ckw", "--states", "3", *extra]) == 2
+        assert "n_qubits" in capsys.readouterr().err
 
     def test_power_at_cap_runs(self, capsys):
         code = main(["fuzz", "--mode", "monogamy", "--states", "5", "--mu", "100"])
@@ -238,6 +261,10 @@ BAD_RECORDS = {
         "n_qubits": 3, "labels": ["A", "B1", "B2"],
         "amplitudes": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 7,
     },
+    "huge-amplitude": {
+        "n_qubits": 3, "labels": ["A", "B1", "B2"],
+        "amplitudes": [[1e300, 0.0]] + [[0.0, 0.0]] * 7,
+    },
 }
 
 
@@ -246,10 +273,13 @@ BAD_RECORDS = {
     "command", [["eval"], ["fuzz", "--mode=monogamy", "--class=file", "--state"]]
 )
 def test_bad_state_record_exits_2(command, record, tmp_path, capsys):
-    # both used to crash (exit 3): 2**20000 formatted into the error text, NaN into an SVD
+    # these used to crash (exit 3): 2**20000 formatted into the error text, NaN
+    # into an SVD; a huge amplitude printed an overflow warning from the norm
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(BAD_RECORDS[record]))
-    assert main(command + [str(path)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(command + [str(path)]) == 2
     assert "error:" in capsys.readouterr().err
 
 

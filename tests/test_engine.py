@@ -10,8 +10,14 @@ form.  Margins must agree within 1e-12, relative to the weighted right side
 when that exceeds 1 (ladder weights (2^mu - 1)^k grow large).  The engine's
 pair values f_alpha(C^2) are also checked against the decomposition-search
 oracle, which never reads the analytic formula.
+
+The campaign's fast path is also held bit for bit to the public per-state
+route: its sampled amplitude stacks to ``haar_random_state`` and
+``random_wclass``, and its witness CSV rows to the reports of ``ckw_check``,
+``lemma1_check``, ``theorem_bound`` and ``theorem3_bound``.
 """
 
+import io
 import string
 
 import numpy as np
@@ -21,19 +27,27 @@ from hypothesis import strategies as st
 
 from monoq import (
     FULL,
+    AlphaMu,
     CampaignConfig,
     DensityMatrix,
+    WitnessRecord,
+    ckw_check,
     coa_two_qubit,
     convex_roof_oracle,
+    detect_ordering,
     f_alpha,
     haar_random_state,
+    lemma1_check,
     random_wclass,
     renyi_entropy,
     run_campaign,
+    theorem3_bound,
+    theorem_bound,
     wclass_from_state,
     weight_ladder,
     wootters_concurrence,
 )
+from monoq import harness
 from monoq.harness import derive_seed
 from monoq.measures import PureFeatures
 
@@ -164,3 +178,76 @@ def test_pair_values_match_decomposition_search():
             marginal = DensityMatrix(_reduced(psi, (0, partner)))
             excess = convex_roof_oracle(marginal, alpha, n_trials=3000, seed=k) - f_alpha(c * c, alpha)
             assert -1e-9 <= excess <= 1e-3, (k, partner, excess)
+
+
+@pytest.mark.parametrize(
+    "state_class, n_qubits",
+    [("haar", n) for n in range(1, 11)] + [("wclass", n) for n in range(3, 11)],
+)
+def test_sampled_stacks_match_public_constructors(state_class, n_qubits, monkeypatch):
+    # three states per chunk, so rows come from several stacks
+    monkeypatch.setattr(harness, "CHUNK_AMPLITUDES", 3 * 2**n_qubits)
+    config = CampaignConfig(mode="ckw" if state_class == "haar" else "monogamy", n_states=7,
+                            n_qubits=n_qubits, seed=50 + n_qubits, state_class=state_class)
+    indices = []
+    for start, seeds, amplitudes, _ in harness._sampled_chunks(config):
+        assert amplitudes.shape == (len(seeds), 2**n_qubits)
+        for k, (seed, row) in enumerate(zip(seeds, amplitudes)):
+            indices.append(start + k)
+            assert seed == derive_seed(config.seed, start + k)
+            if state_class == "haar":
+                expected = haar_random_state(n_qubits, seed).amplitudes
+            else:
+                expected = random_wclass(n_qubits, seed).to_state_vector().amplitudes
+            assert row.tobytes() == expected.tobytes()
+    assert indices == list(range(7))
+
+
+def _public_records(config):
+    """The witness records of ``config``, each from a public per-state bound function."""
+    for index in range(config.n_states):
+        seed = derive_seed(config.seed, index)
+        if config.state_class == "haar":
+            state = psi = haar_random_state(config.n_qubits, seed)
+        else:
+            state = random_wclass(config.n_qubits, seed)
+            psi = state.to_state_vector()
+        reports = []
+        if config.mode == "ckw":
+            reports = [ckw_check(psi)]
+        elif config.mode == "lemma1":
+            reports = [lemma1_check(psi, mu) for mu in config.mu_grid]
+        else:
+            profile = detect_ordering(psi)
+            if not profile.satisfied:
+                continue
+            # theorem3_bound takes the W-class form itself, not its expansion
+            bound, arg = (
+                (theorem3_bound, state) if config.mode == "polygamy" else (theorem_bound, psi)
+            )
+            reports = [bound(arg, profile, AlphaMu(alpha, mu))
+                       for alpha in config.alpha_grid for mu in config.mu_grid]
+        for report in reports:
+            yield WitnessRecord(
+                index=index, mode=config.mode, state_class=config.state_class,
+                n_qubits=config.n_qubits, state_seed=seed, alpha=report.alpha, mu=report.mu,
+                lhs=report.lhs, rhs=report.rhs, margin=report.margin,
+                baseline_rhs=report.baseline_rhs,
+            )
+
+
+@pytest.mark.parametrize(
+    "mode, state_class, n_qubits, n_states",
+    [("ckw", "haar", 3, 40), ("lemma1", "haar", 3, 40), ("monogamy", "haar", 3, 40)]
+    + [(mode, "wclass", n, 60) for mode in ("monogamy", "polygamy") for n in (4, 5, 6)],
+)
+def test_campaign_rows_match_public_route(mode, state_class, n_qubits, n_states):
+    config = CampaignConfig(mode=mode, n_states=n_states, n_qubits=n_qubits, seed=60 + n_qubits,
+                            state_class=state_class)
+    out = io.StringIO()
+    run_campaign(config).write_records_csv(out)
+    header, *lines = out.getvalue().splitlines()
+    assert header == ",".join(WitnessRecord.CSV_COLUMNS)
+    expected = [",".join(record.to_csv_row()) for record in _public_records(config)]
+    assert expected
+    assert lines == expected

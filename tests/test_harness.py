@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from monoq import (
     ALPHA_WINDOW,
+    BoundReport,
     CampaignConfig,
     CampaignResult,
     ConfigError,
     StateVector,
+    WClassState,
     WitnessRecord,
     build_config,
     build_wclass,
@@ -292,6 +294,28 @@ class TestCampaigns:
     def test_worst_is_the_first_smallest_margin(self):
         result = _ckw_result(0.5, -0.25, -0.25)
         assert result.worst.index == 1 and result.min_margin == -0.25
+
+    def test_no_state_or_record_objects_per_state(self, monkeypatch):
+        # states go straight into amplitude stacks and witnesses stay plain rows
+        def forbidden(*args, **kwargs):
+            raise AssertionError("object built inside a campaign")
+
+        for cls in (StateVector, WClassState):
+            monkeypatch.setattr(cls, "__post_init__", forbidden)
+        monkeypatch.setattr(BoundReport, "__init__", forbidden)
+        monkeypatch.setattr(WitnessRecord, "__new__", forbidden)
+        monkeypatch.setattr(WitnessRecord, "_make", forbidden)
+        for config in (
+            CampaignConfig(mode="ckw", n_states=20, n_qubits=4, seed=3),
+            CampaignConfig(mode="lemma1", n_states=20, n_qubits=3, seed=3),
+            CampaignConfig(mode="monogamy", n_states=20, n_qubits=3, seed=3),
+            CampaignConfig(mode="monogamy", n_states=20, n_qubits=4, seed=3, state_class="wclass"),
+            CampaignConfig(mode="polygamy", n_states=20, n_qubits=5, seed=3),
+            CampaignConfig(mode="scalar", n_states=1, mu_grid=(0.5, 2.0)),
+        ):
+            result = run_campaign(config)
+            assert result.rows
+            result.write_records_csv(io.StringIO())
 
     def test_summary_fields(self):
         config = CampaignConfig(mode="ckw", n_states=10, n_qubits=3, seed=2)

@@ -86,6 +86,18 @@ class TestRenyiEntropy:
         assert abs(renyi_entropy(spec, 1.0 + 1e-7) - vn) < 1e-5
         assert abs(renyi_entropy(spec, 1.0 - 1e-7) - vn) < 1e-5
 
+    @pytest.mark.parametrize(
+        "spectrum, alpha",
+        [([float("nan"), 0.5], 0.9), ([float("inf"), 0.5], 2.0), ([0.5, float("-inf")], 1.0),
+         ([0.3, 0.3], 0.9), ([0.6, 0.4 + 2e-9], 1.3), ([[0.5, 0.5], [0.3, 0.3]], 0.9),
+         ([[0.5, 0.5], [float("nan"), 0.5]], 1.0)],
+        ids=["nan", "inf", "-inf-von-neumann", "short", "long", "stack-short", "stack-nan"],
+    )
+    def test_rejects_non_finite_or_unnormalized_spectra(self, spectrum, alpha):
+        # these gave -9.0, -inf, -5.63 and other finite numbers instead of an error
+        with pytest.raises(DomainError):
+            renyi_entropy(spectrum, alpha)
+
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ParameterError):
             renyi_entropy([0.5, 0.5], 0.0)
@@ -155,6 +167,10 @@ class TestFAlpha:
             f_alpha(-0.01, 0.9)
         with pytest.raises(DomainError):
             f_alpha(1.01, 0.9)
+        with pytest.raises(DomainError):  # NaN used to come back as nan
+            f_alpha(float("nan"), 0.9)
+        with pytest.raises(DomainError):
+            f_alpha(np.array([0.2, float("nan")]), 0.9)
         with pytest.raises(ParameterError):
             f_alpha(0.5, 0.0)
         with pytest.raises(ParameterError):
