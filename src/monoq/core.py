@@ -207,26 +207,140 @@ def hermitian_spectrum(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     return np.sort(np.clip(vals, 0.0, None))[::-1]
 
 
-def haar_amplitudes(n_qubits: int, seed: int) -> np.ndarray:
-    """The 2**n amplitudes of ``haar_random_state(n_qubits, seed)``, unchecked.
+# numpy's SeedSequence (``numpy/random/bit_generator.pyx``): a pool of 4
+# uint32 words, hashed in uint64 arrays masked to 32 bits
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
+    """The first count + 1 values of a hash constant, (count + 1, 1): init, init * mult, ..."""
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint64)[:, None]
+
+
+def _hashmix(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of each row of ``values``, row k with chain[k], chain[k + 1]."""
+    values = (values ^ chain[:-1]) * chain[1:] & _MASK32
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def seed_sequence_state(entropy, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(n_words, np.uint64)`` for B sequences at once.
+
+    ``entropy`` lists the sequences' uint32 entropy words in order, each a
+    Python int or a (B,) uint64 array of values below 2**32, so all B
+    sequences have the same number of words.  Returns (n_words, B) uint64.
+    The steps are numpy's, with each step's independent ``hashmix`` calls
+    run as one array operation: the hash constant advances by a fixed chain.
+    """
+    n_entropy = len(entropy)
+    shape = np.broadcast_shapes(*map(np.shape, entropy))
+    words = np.zeros((max(n_entropy, _POOL_SIZE),) + shape, dtype=np.uint64)
+    for i, word in enumerate(entropy):
+        words[i] = word
+    n_hashes = _POOL_SIZE ** 2 + _POOL_SIZE * max(0, n_entropy - _POOL_SIZE)
+    chain = _hash_chain(_INIT_A, _MULT_A, n_hashes)
+    # the first words (zeros past the entropy) fill the pool
+    pool = _hashmix(words[:_POOL_SIZE], chain[: _POOL_SIZE + 1])
+    k = _POOL_SIZE
+    # every pool word is mixed into every other
+    for i_src in range(_POOL_SIZE):
+        others = [i for i in range(_POOL_SIZE) if i != i_src]
+        hashed = _hashmix(pool[i_src], chain[k:k + _POOL_SIZE])
+        pool[others] = _mix(pool[others], hashed)
+        k += _POOL_SIZE - 1
+    # entropy beyond the pool size is mixed into every pool word
+    for word in words[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, chain[k:k + _POOL_SIZE + 1]))
+        k += _POOL_SIZE
+    cycled = pool[[i % _POOL_SIZE for i in range(2 * n_words)]]
+    out = _hashmix(cycled, _hash_chain(_INIT_B, _MULT_B, 2 * n_words))
+    # uint32 pairs read as little-endian uint64
+    return out[0::2] | (out[1::2] << 32)
+
+
+def pcg64_states(seeds) -> tuple[list[int], list[int]]:
+    """The 128-bit (state, inc) of ``PCG64(seed)`` per uint64 seed, as Python ints.
+
+    ``SeedSequence(seed)`` gives four uint64 words, read as initstate =
+    (w0, w1) and initseq = (w2, w3), high word first.  PCG64 then sets inc =
+    2 initseq + 1 and state = (inc + initstate) * multiplier + inc, mod
+    2**128.  A seed below 2**32 is one entropy word and any other two, but
+    SeedSequence fills a short pool with hashed zero words, so every seed is
+    hashed as (low word, high word).
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if not seeds.size:
+        return [], []
+    w0, w1, w2, w3 = seed_sequence_state([seeds & _MASK32, seeds >> 32], 4).astype(object)
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULTIPLIER + inc) & _MASK128
+    return state.tolist(), inc.tolist()
+
+
+def unit_gaussian_rows(seeds, width: int) -> np.ndarray:
+    """One row per seed: v / |v| for v of ``width`` complex Gaussians, shape (B, width).
+
+    Row b is what ``default_rng(seeds[b])`` gives with two ``normal(size=width)``
+    calls, real parts first, then ``v / np.linalg.norm(v)``, bit for bit.  One
+    PCG64 local to the call, seeded with the first seed, draws each row in
+    one ``normal(size=2 * width)`` call; before every later row it is set to
+    that seed's start state from ``pcg64_states``.  So a batch of one costs
+    what ``default_rng`` does.  The norm stays per row: it is a BLAS dot
+    whose summation order a stacked sum would not keep.  ``seeds`` is a
+    nonempty sequence of ints in [0, 2**64); ``tests/test_seed_streams.py``
+    holds the rows to ``default_rng`` byte for byte.
+    """
+    draws = np.empty((len(seeds), 2 * width))
+    bitgen = np.random.PCG64(seeds[0])
+    gen = np.random.Generator(bitgen)
+    draws[0] = gen.normal(size=2 * width)
+    stream = {"state": 0, "inc": 0}
+    full_state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
+    states, incs = pcg64_states(seeds[1:])
+    for row, state, inc in zip(draws[1:], states, incs):
+        stream["state"], stream["inc"] = state, inc
+        bitgen.state = full_state
+        row[:] = gen.normal(size=2 * width)
+    v = draws[:, :width] + 1j * draws[:, width:]
+    norms = np.array([np.linalg.norm(row) for row in v])
+    return v / norms[:, None]
+
+
+def haar_amplitudes(n_qubits: int, seeds) -> np.ndarray:
+    """The (B, 2**n) amplitudes of ``haar_random_state(n_qubits, seed)`` per seed, unchecked.
 
     The one definition of the Haar draw: normalized independent complex
-    Gaussians from ``default_rng(seed)``.  Campaigns write it straight into
-    their amplitude stacks; ``n_qubits`` must already lie in [1, MAX_QUBITS].
+    Gaussians from ``default_rng(seed)``, computed for a whole batch of seeds
+    by ``unit_gaussian_rows`` with no Generator per seed.  Campaigns use the
+    stack as it is; ``n_qubits`` must already lie in [1, MAX_QUBITS].
     """
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
-    return v / np.linalg.norm(v)
+    return unit_gaussian_rows(seeds, 2**n_qubits)
 
 
 def haar_random_state(n_qubits: int, seed: int) -> StateVector:
     """Haar-random pure state via normalized independent complex Gaussians.
 
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed in [0, 2**64): the one-row case of
+    ``haar_amplitudes``.
     """
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise SizeError(f"n_qubits must lie in [1, {MAX_QUBITS}], got {n_qubits}")
-    return StateVector(haar_amplitudes(n_qubits, seed))
+    return StateVector(haar_amplitudes(n_qubits, [seed])[0])
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

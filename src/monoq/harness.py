@@ -1,9 +1,14 @@
 """Campaign runner: reference states, figure data, and stochastic bound fuzzing.
 
-Everything here is deterministic under a master seed.  Per-state seeds are
-derived through ``numpy.random.SeedSequence([master_seed, index])``, so any
-witness record can be replayed bit-for-bit from its own fields.  CSV output
-prints floats with 12 significant digits and no locale dependence.
+Everything here is deterministic under a master seed.  State ``index`` has
+the seed ``numpy.random.SeedSequence([master_seed, index])``'s first uint64
+and is drawn from ``default_rng(seed)``, so any witness record can be
+replayed bit-for-bit from its own fields.  Campaigns compute that contract a
+chunk at a time (``derive_seeds``, then ``core.haar_amplitudes`` or
+``wclass.wclass_coefficients`` on the chunk's seeds), with no SeedSequence
+or Generator per state; ``tests/test_seed_streams.py`` pins it against numpy.
+CSV output prints floats with 12 significant digits and no locale
+dependence.
 """
 
 from __future__ import annotations
@@ -317,24 +322,39 @@ _RHS, _MARGIN, _BASELINE = map(WitnessRecord._fields.index, ("rhs", "margin", "b
 CSV_CHUNK_ROWS = 1024
 
 
-def derive_seed(master_seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
+def derive_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """uint64 seeds of states start..stop-1: ``SeedSequence([master_seed, index])``'s first uint64.
 
-
-def _haar_stack(n_qubits: int, seeds) -> np.ndarray:
-    return np.array([core.haar_amplitudes(n_qubits, seed) for seed in seeds])
+    The whole index range is hashed at once by ``core.seed_sequence_state``.
+    The entropy is the little-endian uint32 words of the master seed, then of
+    the index: one word below 2**32 and two from there on, so a range
+    crossing 2**32 is hashed in two groups.
+    """
+    if master_seed < 0 or stop > 2**64:
+        raise ConfigError(f"need a nonnegative master seed and indices below 2**64, got "
+                          f"{master_seed} and [{start}, {stop})")
+    bits = range(0, max(32, master_seed.bit_length()), 32)
+    master = [master_seed >> shift & 0xFFFFFFFF for shift in bits]
+    groups = []
+    for low, high, n_words in ((0, 2**32, 1), (2**32, 2**64, 2)):
+        first, last = max(start, low), min(stop, high)
+        if first < last:
+            indices = np.arange(first, last, dtype=np.uint64)
+            entropy = master + [indices & 0xFFFFFFFF, indices >> 32][:n_words]
+            groups.append(core.seed_sequence_state(entropy, 1)[0])
+    return np.concatenate(groups) if groups else np.empty(0, dtype=np.uint64)
 
 
 def _wclass_stack(n_qubits: int, seeds) -> np.ndarray:
     stack = np.zeros((len(seeds), 2**n_qubits), dtype=complex)
-    stack[:, onehot_indices(n_qubits)] = [wclass_coefficients(n_qubits, seed) for seed in seeds]
+    stack[:, onehot_indices(n_qubits)] = wclass_coefficients(n_qubits, seeds)
     return stack
 
 
 # The (B, 2**n) amplitude stack of a seeded state class, one row per seed,
 # written straight from the class's draw helper: no state object is built per
 # sampled state, and the qubit count is the one CampaignConfig checked.
-_DRAWS = {"haar": _haar_stack, "wclass": _wclass_stack}
+_DRAWS = {"haar": core.haar_amplitudes, "wclass": _wclass_stack}
 
 
 def _sample_state(state_class: str, n_qubits: int, seed: int) -> StateVector:
@@ -542,8 +562,8 @@ def _sampled_chunks(config: CampaignConfig):
     draw = _DRAWS[config.state_class]
     for start in range(0, config.n_states, size):
         stop = min(start + size, config.n_states)
-        seeds = [derive_seed(config.seed, index) for index in range(start, stop)]
-        yield start, seeds, draw(n, seeds), labels
+        seeds = derive_seeds(config.seed, start, stop)
+        yield start, seeds.tolist(), draw(n, seeds), labels
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:

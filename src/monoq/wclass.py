@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_QUBITS, StateVector, resolve_labels
+from .core import MAX_QUBITS, StateVector, resolve_labels, unit_gaussian_rows
 from .errors import (
     InvalidSubsystemError,
     NormalizationError,
@@ -97,19 +97,20 @@ def wclass_from_state(psi: StateVector) -> WClassState:
     return WClassState(coeffs[0], tuple(coeffs[1:]), psi.labels)
 
 
-def wclass_coefficients(n_parties: int, seed: int) -> np.ndarray:
-    """The amplitudes (a, b_1..b_{N-1}) of ``random_wclass(n_parties, seed)``, unchecked.
+def wclass_coefficients(n_parties: int, seeds) -> np.ndarray:
+    """The amplitudes (a, b_1..b_{N-1}) of ``random_wclass(n_parties, seed)`` per seed, unchecked.
 
     The one definition of the W-class draw: normalized complex Gaussians
-    from ``default_rng(seed)``, partners ordered by decreasing modulus.
-    Campaigns write it straight into their amplitude stacks at
-    ``onehot_indices``; ``n_parties`` must already lie in [3, MAX_QUBITS].
+    from ``default_rng(seed)``, partners ordered by decreasing modulus,
+    computed for a whole batch of seeds by ``core.unit_gaussian_rows`` with
+    no Generator per seed.  Returns shape (B, N); campaigns write it straight
+    into their amplitude stacks at ``onehot_indices``.  ``n_parties`` must
+    already lie in [3, MAX_QUBITS].
     """
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=n_parties) + 1j * rng.normal(size=n_parties)
-    z = z / np.linalg.norm(z)
-    b = z[1:]
-    z[1:] = b[np.argsort(-np.abs(b), kind="stable")]
+    z = unit_gaussian_rows(seeds, n_parties)
+    b = z[:, 1:]
+    order = np.argsort(-np.abs(b), axis=1, kind="stable")
+    z[:, 1:] = b[np.arange(len(b))[:, None], order]
     return z
 
 
@@ -117,9 +118,10 @@ def random_wclass(n_parties: int, seed: int) -> WClassState:
     """Seeded random W-class state from normalized complex Gaussian amplitudes.
 
     The partner amplitudes are ordered by decreasing modulus, the labeling
-    under which the ordering hypotheses are most likely to hold.
+    under which the ordering hypotheses are most likely to hold.  The
+    one-row case of ``wclass_coefficients``.
     """
     if n_parties < 3:
         raise SizeError(f"need at least 3 parties, got {n_parties}")
-    z = wclass_coefficients(n_parties, seed)
+    z = wclass_coefficients(n_parties, [seed])[0]
     return WClassState(z[0], tuple(z[1:]))

@@ -209,7 +209,9 @@ class TestFuzz:
         def no_sampling(*args):
             raise AssertionError("a state was sampled")
 
-        monkeypatch.setattr("monoq.harness.derive_seed", no_sampling)
+        # every per-state seed comes from derive_seeds, every stack row from pcg64_states
+        monkeypatch.setattr("monoq.harness.derive_seeds", no_sampling)
+        monkeypatch.setattr("monoq.core.pcg64_states", no_sampling)
         assert main(["fuzz", "--mode", "ckw", "--states", "3", *extra]) == 2
         assert "n_qubits" in capsys.readouterr().err
 

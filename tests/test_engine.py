@@ -13,8 +13,9 @@ oracle, which never reads the analytic formula.
 
 The campaign's fast path is also held bit for bit to the public per-state
 route: its sampled amplitude stacks to ``haar_random_state`` and
-``random_wclass``, and its witness CSV rows to the reports of ``ckw_check``,
-``lemma1_check``, ``theorem_bound`` and ``theorem3_bound``.
+``random_wclass`` and to an inline ``default_rng(seed)`` draw, and its
+witness CSV rows to the reports of ``ckw_check``, ``lemma1_check``,
+``theorem_bound`` and ``theorem3_bound``.
 """
 
 import io
@@ -48,7 +49,8 @@ from monoq import (
     wootters_concurrence,
 )
 from monoq import harness
-from monoq.harness import derive_seed
+from monoq.harness import derive_seeds
+from monoq.wclass import onehot_indices
 from monoq.measures import PureFeatures
 
 ALPHAS = (0.8229, 1.3027)
@@ -150,8 +152,7 @@ def test_campaign_margins_match_dense_route(mode, state_class, n_qubits, n_state
         by_index.setdefault(record.index, []).append(record)
     cells = {index: [(r.alpha, r.mu) for r in records] for index, records in by_index.items()}
     n_satisfied = 0
-    for index in range(n_states):
-        state_seed = derive_seed(seed, index)
+    for index, state_seed in enumerate(derive_seeds(seed, 0, n_states).tolist()):
         if state_class == "haar":
             psi = haar_random_state(n_qubits, state_seed)
         else:
@@ -180,12 +181,28 @@ def test_pair_values_match_decomposition_search():
             assert -1e-9 <= excess <= 1e-3, (k, partner, excess)
 
 
+def _default_rng_amplitudes(state_class, n_qubits, seed):
+    """The documented draw, inline: one default_rng per state, two half-size normal calls."""
+    width = 2**n_qubits if state_class == "haar" else n_qubits
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=width) + 1j * rng.normal(size=width)
+    v = v / np.linalg.norm(v)
+    if state_class == "haar":
+        return v
+    b = v[1:]
+    v[1:] = b[np.argsort(-np.abs(b), kind="stable")]
+    amps = np.zeros(2**n_qubits, dtype=complex)
+    amps[onehot_indices(n_qubits)] = v
+    return amps
+
+
 @pytest.mark.parametrize(
     "state_class, n_qubits",
     [("haar", n) for n in range(1, 11)] + [("wclass", n) for n in range(3, 11)],
 )
 def test_sampled_stacks_match_public_constructors(state_class, n_qubits, monkeypatch):
-    # three states per chunk, so rows come from several stacks
+    # three states per chunk, so rows come from several stacks; the public
+    # constructors share the stack path, so rows are also held to the inline draw
     monkeypatch.setattr(harness, "CHUNK_AMPLITUDES", 3 * 2**n_qubits)
     config = CampaignConfig(mode="ckw" if state_class == "haar" else "monogamy", n_states=7,
                             n_qubits=n_qubits, seed=50 + n_qubits, state_class=state_class)
@@ -194,19 +211,20 @@ def test_sampled_stacks_match_public_constructors(state_class, n_qubits, monkeyp
         assert amplitudes.shape == (len(seeds), 2**n_qubits)
         for k, (seed, row) in enumerate(zip(seeds, amplitudes)):
             indices.append(start + k)
-            assert seed == derive_seed(config.seed, start + k)
+            assert type(seed) is int
+            assert seed == int(np.random.SeedSequence([config.seed, start + k]).generate_state(1, np.uint64)[0])
             if state_class == "haar":
                 expected = haar_random_state(n_qubits, seed).amplitudes
             else:
                 expected = random_wclass(n_qubits, seed).to_state_vector().amplitudes
             assert row.tobytes() == expected.tobytes()
+            assert row.tobytes() == _default_rng_amplitudes(state_class, n_qubits, seed).tobytes()
     assert indices == list(range(7))
 
 
 def _public_records(config):
     """The witness records of ``config``, each from a public per-state bound function."""
-    for index in range(config.n_states):
-        seed = derive_seed(config.seed, index)
+    for index, seed in enumerate(derive_seeds(config.seed, 0, config.n_states).tolist()):
         if config.state_class == "haar":
             state = psi = haar_random_state(config.n_qubits, seed)
         else:

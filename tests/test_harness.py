@@ -33,7 +33,7 @@ from monoq import harness
 from monoq.harness import (
     MODES,
     REFERENCE_ALPHA,
-    derive_seed,
+    derive_seeds,
     falpha_table,
     fmt12,
     parse_config_file,
@@ -436,10 +436,12 @@ class TestHelpers:
         assert fmt12(1 / 3) == "0.333333333333"
         assert fmt12(-0.0) == "-0"  # never produced by measure outputs
 
-    def test_derive_seed_deterministic(self):
-        assert derive_seed(42, 7) == derive_seed(42, 7)
-        assert derive_seed(42, 7) != derive_seed(42, 8)
-        assert derive_seed(43, 7) != derive_seed(42, 7)
+    def test_derive_seeds_deterministic(self):
+        seeds = derive_seeds(42, 7, 9).tolist()
+        assert seeds == derive_seeds(42, 7, 9).tolist()
+        assert seeds[0] != seeds[1]
+        assert derive_seeds(43, 7, 8)[0] != seeds[0]
+        assert derive_seeds(42, 8, 8).size == 0
 
     def test_falpha_table(self):
         header, rows = falpha_table([0.823, 1.3], points=5)
