@@ -9,6 +9,7 @@ tolerance), 3 when the program itself fails (its traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -128,7 +129,13 @@ def cmd_falpha(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing leaves the parser unchanged (every call gets a fresh namespace
+    and its own defaults), so later ``main`` calls reuse it.
+    """
     parser = argparse.ArgumentParser(
         prog="monoq",
         description="Evaluate and stress-test weighted entanglement monogamy/polygamy bounds.",

@@ -159,26 +159,38 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(tensor.reshape(d, d), kept_labels)
 
 
+def pair_blocks(amplitudes: np.ndarray):
+    """The amplitude block M of the first qubit and each other qubit, one (B, 4, K) array per qubit.
+
+    ``amplitudes`` is (B, 2**n) and K = 2**(n-2).  For q = 1..n-1 in turn,
+    the axes of the first qubit (first factor) and qubit q (second factor)
+    go to the front and the rest is reshaped to K columns, so the pair's
+    marginal is rho = M M^H.
+    """
+    b, n = amplitudes.shape[0], int(amplitudes.shape[1]).bit_length() - 1
+    tensor = amplitudes.reshape((b,) + (2,) * n)
+    for q in range(1, n):
+        yield np.moveaxis(tensor, (1, 1 + q), (1, 2)).reshape(b, 4, -1)
+
+
 def pair_marginal_stack(amplitudes: np.ndarray) -> np.ndarray:
     """Two-qubit marginals of a stack of pure states, shape (B, n-1, 4, 4).
 
     ``amplitudes`` is (B, 2**n).  Entry [b, k] is the marginal of state b on
     the first qubit (first factor) and qubit k + 1 (second factor),
-    contracted straight from the amplitudes: the pair's axes
-    go to the front, the rest is reshaped to (4, K), and rho = M M^H is summed
-    over K pairwise, last traced qubit first.  That is the order
+    contracted straight from the amplitudes: rho = M M^H of ``pair_blocks``
+    is summed over K pairwise, last traced qubit first.  That is the order
     ``partial_trace`` sums the projector in, so the entries equal the dense
     route's, without forming a 2^n x 2^n matrix or validating anything.
     """
     b, n = amplitudes.shape[0], int(amplitudes.shape[1]).bit_length() - 1
-    tensor = amplitudes.reshape((b,) + (2,) * n)
     out = np.empty((b, n - 1, 4, 4), dtype=complex)
-    for q in range(1, n):
-        m = np.moveaxis(tensor, (1, 1 + q), (1, 2)).reshape(b, 4, 1, -1)
+    for k, block in enumerate(pair_blocks(amplitudes)):
+        m = block[:, :, None, :]
         terms = m * m.conj().transpose(0, 2, 1, 3)
         while terms.shape[-1] > 1:
             terms = terms[..., 0::2] + terms[..., 1::2]
-        out[:, q - 1] = terms[..., 0]
+        out[:, k] = terms[..., 0]
     return out
 
 
@@ -300,10 +312,13 @@ def unit_gaussian_rows(seeds, width: int) -> np.ndarray:
     PCG64 local to the call, seeded with the first seed, draws each row in
     one ``normal(size=2 * width)`` call; before every later row it is set to
     that seed's start state from ``pcg64_states``.  So a batch of one costs
-    what ``default_rng`` does.  The norm stays per row: it is a BLAS dot
-    whose summation order a stacked sum would not keep.  ``seeds`` is a
-    nonempty sequence of ints in [0, 2**64); ``tests/test_seed_streams.py``
-    holds the rows to ``default_rng`` byte for byte.
+    what ``default_rng`` does.  The norm stays per row and is
+    ``np.linalg.norm``'s own complex formula, sqrt(re.re + im.im) as two
+    BLAS dots on the row's strided real and imaginary views, without its
+    wrapper; a stacked sum would not keep the dots' summation order.
+    ``seeds`` is a nonempty sequence of ints in [0, 2**64);
+    ``tests/test_seed_streams.py`` holds the rows to ``default_rng`` and
+    ``np.linalg.norm`` byte for byte.
     """
     draws = np.empty((len(seeds), 2 * width))
     bitgen = np.random.PCG64(seeds[0])
@@ -317,7 +332,7 @@ def unit_gaussian_rows(seeds, width: int) -> np.ndarray:
         bitgen.state = full_state
         row[:] = gen.normal(size=2 * width)
     v = draws[:, :width] + 1j * draws[:, width:]
-    norms = np.array([np.linalg.norm(row) for row in v])
+    norms = np.sqrt([row.real.dot(row.real) + row.imag.dot(row.imag) for row in v])
     return v / norms[:, None]
 
 

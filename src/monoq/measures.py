@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, StateVector, pair_marginal_stack, schmidt_probabilities
+from .core import DensityMatrix, StateVector, pair_blocks, pair_marginal_stack, schmidt_probabilities
 from .errors import DomainError, InvalidSubsystemError, ParameterError, SizeError
 
 # Order window on which the analytic two-qubit formula and the weighted
@@ -191,18 +191,62 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 def _spin_flip_lambdas(rhos: np.ndarray) -> np.ndarray:
     """Descending square roots of the eigenvalues of rho (YY) rho* (YY), for a (..., 4, 4) stack.
 
-    Computed as the singular values of the symmetric spin-flip overlap
-    tau_kl = <e_k~| YY |e_l~*> on the subnormalized eigenvectors
-    |e_k~> = sqrt(w_k) |e_k>, which carries the same spectrum at amplitude
-    precision instead of the sqrt-of-eigenvalue noise floor.  Wootters
-    concurrence is max(0, l1 - l2 - l3 - l4); concurrence of assistance is
-    the sum of the four.
+    The eigen-factor route, for any two-qubit state: the rows of the basis
+    passed to ``_basis_lambdas`` are the subnormalized eigenvectors
+    |e_k~> = sqrt(w_k) |e_k> of rho.  Wootters concurrence is
+    max(0, l1 - l2 - l3 - l4); concurrence of assistance is the sum of the
+    four.
     """
     w, v = np.linalg.eigh(rhos)
     # rows are subnormalized eigenvectors
     basis = np.swapaxes(v * np.sqrt(np.clip(w, 0.0, None))[..., None, :], -1, -2)
+    return _basis_lambdas(basis)
+
+
+def _basis_lambdas(basis: np.ndarray) -> np.ndarray:
+    """Descending spin-flip lambdas (..., 4) of rho = sum_k |f_k><f_k|, from rows f_k (..., K, 4).
+
+    They are the singular values of the symmetric spin-flip overlap
+    tau_kl = <f_k| YY |f_l*>, padded with zeros to four: rho (YY) rho* (YY)
+    and tau^H tau share their nonzero spectrum.  Any factor of rho will do,
+    and tau carries the spectrum at amplitude precision instead of the
+    sqrt-of-eigenvalue noise floor.  Two rows (a 3-qubit pure state's
+    amplitude block) take the closed form of ``_symmetric_2x2_singular_values``.
+    """
     tau = basis.conj() @ _YY @ np.swapaxes(basis.conj(), -1, -2)
-    return np.sort(np.linalg.svd(tau, compute_uv=False), axis=-1)[..., ::-1]
+    rows = tau.shape[-1]
+    if rows == 2:
+        lam = _symmetric_2x2_singular_values(tau)
+    else:
+        lam = np.sort(np.linalg.svd(tau, compute_uv=False), axis=-1)[..., ::-1]
+    if rows == 4:
+        return lam
+    out = np.zeros(lam.shape[:-1] + (4,))
+    out[..., :rows] = lam
+    return out
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
+def _symmetric_2x2_singular_values(t: np.ndarray) -> np.ndarray:
+    """Descending singular values (..., 2) of a stack of complex symmetric T = [[a, b], [b, d]].
+
+    With F = |a|^2 + 2|b|^2 + |d|^2 = l1^2 + l2^2 and D = |ad - b^2| = l1 l2,
+    l1 = sqrt((F + s) / 2) and l2 = D / l1 (0 when l1 = 0), where
+    s = l1^2 - l2^2 is the eigenvalue gap of T^H T.  s is taken as
+    sqrt((|a|^2 - |d|^2)^2 + 4 |a* b + b* d|^2), a sum of squares, and not
+    as sqrt(F^2 - 4 D^2), which cancels when l1 = l2 and leaves about 1e-8
+    of error there.
+    """
+    a, b, d = t[..., 0, 0], t[..., 0, 1], t[..., 1, 1]
+    aa, dd = _abs2(a), _abs2(d)
+    gap = np.sqrt((aa - dd) ** 2 + 4.0 * _abs2(a.conj() * b + b.conj() * d))
+    l1 = np.sqrt((aa + 2.0 * _abs2(b) + dd + gap) / 2.0)
+    l2 = np.divide(np.abs(a * d - b * b), l1, out=np.zeros_like(l1), where=l1 > 0.0)
+    # at l1 = l2, rounding can put D / l1 an ulp above l1
+    return np.stack([l1, np.minimum(l2, l1)], axis=-1)
 
 
 def _wootters(lam: np.ndarray) -> np.ndarray:
@@ -255,6 +299,12 @@ class PureFeatures:
     tensor order.  Both come straight from the amplitudes, once per state;
     every (alpha, mu) cell is evaluated from them.  Row b of a stack equals
     the features of state b alone.
+
+    Up to 4 qubits a pair's 4 x K amplitude block M (K = 2**(n-2) <= 4) is
+    itself a factor of its marginal M M^H, so the lambdas are the singular
+    values of M^T (YY) M, with no marginal and no ``eigh``.  Beyond that
+    the K > 4 rows of M^H would make the overlap larger than the marginal,
+    and the marginal's eigenvectors are the factor instead.
     """
 
     cut_probs: np.ndarray
@@ -265,10 +315,12 @@ class PureFeatures:
         """Features of a (B, 2**n) amplitude stack, n >= 2."""
         if amplitudes.shape[1] < 4:
             raise InvalidSubsystemError("the first qubit has no partner in a one-qubit state")
-        return cls(
-            schmidt_probabilities(amplitudes, (0,)),
-            _spin_flip_lambdas(pair_marginal_stack(amplitudes)),
-        )
+        if amplitudes.shape[1] <= 16:
+            blocks = np.stack(list(pair_blocks(amplitudes)), axis=1)
+            lambdas = _basis_lambdas(np.swapaxes(blocks, -1, -2).conj())
+        else:
+            lambdas = _spin_flip_lambdas(pair_marginal_stack(amplitudes))
+        return cls(schmidt_probabilities(amplitudes, (0,)), lambdas)
 
     @classmethod
     def of_state(cls, psi: StateVector) -> "PureFeatures":

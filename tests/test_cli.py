@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -403,3 +404,35 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "fuzz" in proc.stdout
+
+
+def test_repeated_main_calls_match_fresh_processes(w_file, tmp_path, monkeypatch, capsys):
+    # the parser is built once per process, so no argument or MONOQ_SEED of
+    # one call may reach the next: each call prints what a fresh process does
+    fuzz3 = ["fuzz", "--qubits", "3", "--states", "6"]
+    runs = [
+        (fuzz3 + ["--mode", "ckw", "--class", "wclass", "--tolerance", "1e-3",
+                  "--out", str(tmp_path / "a.csv")], "11"),
+        (fuzz3 + ["--mode", "ckw", "--seed", "5"], "11"),
+        (fuzz3 + ["--mode", "ckw"], "12"),
+        (fuzz3 + ["--mode", "ckw"], None),
+        (fuzz3 + ["--mode", "monogamy", "--alpha", "0.9", "--mu", "2,3"], "3"),
+        (fuzz3 + ["--mode", "monogamy"], "3"),
+        (["falpha", "--alpha", "0.9,1.2", "--points", "3"], None),
+        (["falpha", "--points", "3"], None),
+        (["eval", w_file, "--mu", "0.5", "--focus", "B"], None),
+        (["eval", w_file], None),
+        (["fuzz", "--mode", "ckw", "--qubits", "11"], None),
+    ]
+    for argv, env_seed in runs:
+        env = {key: value for key, value in os.environ.items() if key != "MONOQ_SEED"}
+        if env_seed is None:
+            monkeypatch.delenv("MONOQ_SEED", raising=False)
+        else:
+            monkeypatch.setenv("MONOQ_SEED", env_seed)
+            env["MONOQ_SEED"] = env_seed
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "monoq.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

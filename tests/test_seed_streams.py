@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoq import CampaignConfig, run_campaign
-from monoq.core import haar_amplitudes, pcg64_states
+from monoq.core import haar_amplitudes, pcg64_states, unit_gaussian_rows
 from monoq.errors import ConfigError
 from monoq.harness import derive_seeds
 from monoq.wclass import wclass_coefficients
@@ -75,6 +75,13 @@ def test_pcg64_states_match_numpy(random_seeds):
     for seed, state, inc in zip(seeds, states, incs, strict=True):
         assert type(state) is int and type(inc) is int
         assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
+
+
+@pytest.mark.parametrize("width", [1, 2, 17, 1024])
+def test_unit_rows_match_default_rng_and_linalg_norm(width):
+    # the row norm is np.linalg.norm's complex formula without its wrapper
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + derive_seeds(9, 0, 20).tolist()
+    assert unit_gaussian_rows(seeds, width).tobytes() == _default_rng_rows(seeds, width).tobytes()
 
 
 @pytest.mark.parametrize("n_qubits", range(1, 11))
