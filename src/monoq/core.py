@@ -199,7 +199,9 @@ def schmidt_probabilities(amplitudes: np.ndarray, part) -> np.ndarray:
 
     ``amplitudes`` is (B, 2**n) and ``part`` a tuple of qubit axes; r is the
     smaller side's dimension.  One SVD of the amplitudes reshaped to
-    (2**len(part), rest), squared: the one route to a pure-state cut spectrum.
+    (2**len(part), rest), squared: the route to the spectrum of any cut.
+    ``measures.PureFeatures`` reads the first-qubit cut of a single-excitation
+    row in closed form instead.
     """
     b, n = amplitudes.shape[0], int(amplitudes.shape[1]).bit_length() - 1
     part = tuple(part)

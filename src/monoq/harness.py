@@ -24,11 +24,12 @@ from .core import MAX_QUBITS, StateVector, load_state
 from .errors import ConfigError, IoError, PreconditionError
 from .measures import ALPHA_MAX, ALPHA_WINDOW, MU_MAX, AlphaMu, PureFeatures, renyi_entanglement_pure
 from .monogamy import (
+    Orderings,
     bound_values,
     ckw_terms,
+    ladder_spectra,
     ladder_terms,
     lemma1_terms,
-    ordering_profile,
     scalar_weight_inequality,
 )
 from .polygamy import reoa_cut
@@ -398,6 +399,11 @@ class CampaignResult:
     n_sampled: int
     n_satisfied: int
     n_skipped: int
+    # ordering decisions, None in modes without a hypothesis: states per
+    # split code (0 for none, m for a split at m, n-2 for the full ladder),
+    # and skipped states per index of their first failed ">=" condition
+    split_counts: tuple[int, ...] | None = None
+    first_failed_ge: tuple[int, ...] | None = None
 
     @property
     def records(self) -> tuple[WitnessRecord, ...]:
@@ -440,7 +446,24 @@ class CampaignResult:
             "min_margin": None if worst is None else worst.margin,
             "mean_tightness_gain": None if worst is None else self.mean_tightness_gain,
             "worst": None if worst is None else worst._asdict(),
+            "split_histogram": self.split_histogram,
+            "skip_reasons": self.skip_reasons,
         }
+
+    @property
+    def split_histogram(self) -> dict | None:
+        """States per ladder: ``"full"``, each split index, then ``"none"`` for skipped states."""
+        if self.split_counts is None:
+            return None
+        none, *splits, full = self.split_counts
+        return {"full": full, **{str(m): c for m, c in enumerate(splits, start=1)}, "none": none}
+
+    @property
+    def skip_reasons(self) -> dict | None:
+        """Skipped states per first failed condition, keyed ``"satisfied_ge[i]"``."""
+        if self.first_failed_ge is None:
+            return None
+        return {f"satisfied_ge[{i}]": c for i, c in enumerate(self.first_failed_ge)}
 
     def write_records_csv(self, stream) -> None:
         """Header, then the rows as ``to_csv_row`` prints them, CSV_CHUNK_ROWS lines per write.
@@ -491,51 +514,65 @@ def _values(terms, upper: bool = False) -> list[tuple]:
     return [bound_values(lhs, t, upper) for _, lhs, t in terms]
 
 
-# Per-mode evaluators (features, ordering profiles, alpha, mu) -> one
-# (lhs, rhs, margin, baseline) per state, shared by campaigns and replay so
-# that a record and its replay cannot drift apart.  ``profiles`` holds what
-# ``_prepare`` returned per state.  The public per-state functions build their
+class _Passed(NamedTuple):
+    """The states of one ``_evaluate`` call whose hypothesis holds.
+
+    ``splits`` holds each state's ladder (``split_index``) and ``spectra``
+    maps each alpha of the cells to ``ladder_spectra`` of the states; both
+    are None in modes without a hypothesis.
+    """
+
+    feats: PureFeatures
+    splits: list | None
+    spectra: dict | None
+
+
+# Per-mode evaluators (passed states, alpha, mu) -> one (lhs, rhs, margin,
+# baseline) per state, shared by campaigns and replay so that a record and
+# its replay cannot drift apart.  The public per-state functions build their
 # reports from the same ``*_terms`` functions and ``bound_values``.
 _EVALUATORS = {
-    "ckw": lambda feats, profiles, alpha, mu: _values(ckw_terms(feats)),
-    "lemma1": lambda feats, profiles, alpha, mu: _values(lemma1_terms(feats, mu)),
-    "monogamy": lambda feats, profiles, alpha, mu: _values(
-        ladder_terms(feats.cut_probs, profiles, AlphaMu(alpha, mu), upper=False)
+    "ckw": lambda passed, alpha, mu: _values(ckw_terms(passed.feats)),
+    "lemma1": lambda passed, alpha, mu: _values(lemma1_terms(passed.feats, mu)),
+    "monogamy": lambda passed, alpha, mu: _values(
+        ladder_terms(passed.spectra[alpha], passed.splits, AlphaMu(alpha, mu), upper=False)
     ),
-    "polygamy": lambda feats, profiles, alpha, mu: _values(
-        ladder_terms(feats.cut_probs, profiles, AlphaMu(alpha, mu), upper=True), upper=True
+    "polygamy": lambda passed, alpha, mu: _values(
+        ladder_terms(passed.spectra[alpha], passed.splits, AlphaMu(alpha, mu), upper=True),
+        upper=True,
     ),
 }
+
+# Modes whose bound holds without an ordering hypothesis.
+_NO_HYPOTHESIS = ("ckw", "lemma1")
 
 # A feature batch holds at most this many amplitudes (1 MiB of complex
 # numbers): 8192 three-qubit states, 64 ten-qubit states.
 CHUNK_AMPLITUDES = 2**16
 
 
-def _prepare(mode: str, labels, feats: PureFeatures) -> list:
-    """Per state: its ordering profile, or None for ckw and lemma1, which have no hypothesis."""
-    if mode in ("ckw", "lemma1"):
-        return [None] * len(feats.cut_probs)
-    return [
-        ordering_profile(labels, pairs, cut)
-        for pairs, cut in zip(feats.pair_concurrences.tolist(), feats.cut_concurrence.tolist())
-    ]
+def _evaluate(mode: str, amplitudes: np.ndarray, cells) -> tuple[list, list, Orderings | None]:
+    """The states of a (B, 2**n) stack whose hypothesis holds, their values per cell, the decision.
 
-
-def _evaluate(mode: str, amplitudes: np.ndarray, labels, cells) -> tuple[list, list]:
-    """The states of a (B, 2**n) stack whose hypothesis holds, and their values per cell.
-
-    Returns the stack rows that pass and, per cell, one (lhs, rhs, margin,
-    baseline) per passing state.  The features are computed once, from the
-    stacked amplitudes, and every cell is evaluated from them.
+    Returns the stack rows that pass; per cell, one (lhs, rhs, margin,
+    baseline) per passing state; and the ordering decision of every row, or
+    None for ckw and lemma1, which have no hypothesis.  The features are
+    computed once from the stacked amplitudes, the hypotheses are decided
+    for the whole stack at once, and the cut and pair spectra once per alpha.
     """
     feats = PureFeatures.of(amplitudes)
-    profiles = _prepare(mode, labels, feats)
-    keep = [i for i, p in enumerate(profiles) if p is None or p.satisfied]
-    if not keep:
-        return keep, []
-    feats, passed = feats.take(keep), [profiles[i] for i in keep]
-    return keep, [_EVALUATORS[mode](feats, passed, alpha, mu) for alpha, mu in cells]
+    if mode in _NO_HYPOTHESIS:
+        keep, orderings, passed = list(range(len(amplitudes))), None, _Passed(feats, None, None)
+    else:
+        orderings = Orderings.of(feats.pair_concurrences)
+        keep = np.flatnonzero(orderings.split).tolist()
+        if not keep:
+            return keep, [], orderings
+        feats, pairs = feats.take(keep), orderings.pairs[keep]
+        alphas = dict.fromkeys(alpha for alpha, _ in cells)  # distinct, in cell order
+        spectra = {alpha: ladder_spectra(feats.cut_probs, pairs, alpha) for alpha in alphas}
+        passed = _Passed(feats, [orderings.split_index(i) for i in keep], spectra)
+    return keep, [_EVALUATORS[mode](passed, alpha, mu) for alpha, mu in cells], orderings
 
 
 def _cells(config: CampaignConfig) -> list[tuple[float | None, float | None]]:
@@ -582,9 +619,10 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     mode, state_class, cells = config.mode, config.state_class, _cells(config)
     rows: list[tuple] = []
     n_sampled = n_satisfied = 0
+    decisions = []  # per chunk: states per split code, skipped states per first failed ">="
     for start, seeds, amplitudes, labels in _sampled_chunks(config):
         n_sampled += len(seeds)
-        keep, per_cell = _evaluate(mode, amplitudes, labels, cells)
+        keep, per_cell, orderings = _evaluate(mode, amplitudes, cells)
         n_satisfied += len(keep)
         n = len(labels)
         rows += [
@@ -592,7 +630,14 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             for j, i in enumerate(keep)
             for (alpha, mu), values in zip(cells, per_cell)
         ]
-    return CampaignResult(config, tuple(rows), n_sampled, n_satisfied, n_sampled - n_satisfied)
+        if orderings is not None:
+            # a skipped state fails some ">=" condition; argmin finds its first
+            skipped = orderings.ge[orderings.split == 0]
+            decisions.append((np.bincount(orderings.split, minlength=n - 1),
+                              np.bincount(np.argmin(skipped, axis=1), minlength=n - 2)))
+    counts = [tuple(np.sum(c, axis=0).tolist()) for c in zip(*decisions)] or [None, None]
+    return CampaignResult(config, tuple(rows), n_sampled, n_satisfied, n_sampled - n_satisfied,
+                          *counts)
 
 
 def replay_record(record: WitnessRecord, state: StateVector | None = None) -> float:
@@ -609,7 +654,7 @@ def replay_record(record: WitnessRecord, state: StateVector | None = None) -> fl
         state = _sample_state(record.state_class, record.n_qubits, record.state_seed)
     psi = _entering(record.mode, state)
     cell = (record.alpha, record.mu)
-    keep, per_cell = _evaluate(record.mode, psi.amplitudes[None], psi.labels, [cell])
+    keep, per_cell, _ = _evaluate(record.mode, psi.amplitudes[None], [cell])
     if not keep:
         raise PreconditionError("recorded state no longer satisfies the hypothesis")
     _, _, margin, _ = per_cell[0][0]

@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import DensityMatrix, StateVector, pair_blocks, pair_marginal_stack, schmidt_probabilities
 from .errors import DomainError, InvalidSubsystemError, ParameterError, SizeError
+from .wclass import onehot_indices, single_excitation_rows
 
 # Order window on which the analytic two-qubit formula and the weighted
 # bounds are stated.
@@ -133,22 +134,23 @@ def f_alpha(x, alpha: float):
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if not (np.all(arr >= -DOMAIN_ATOL) and np.all(arr <= 1.0 + DOMAIN_ATOL)):  # NaN fails too
         raise DomainError(f"argument outside [0, 1]: {x!r}")
-    arr = np.clip(arr, 0.0, 1.0)
+    out = _f_alpha_values(np.clip(arr, 0.0, 1.0), alpha)
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
+def _f_alpha_values(arr: np.ndarray, alpha: float) -> np.ndarray:
+    """``f_alpha`` of an array already in [0, 1] at a checked order, unvalidated."""
     root = np.sqrt(1.0 - arr)
     lo, hi = (1.0 - root) / 2.0, (1.0 + root) / 2.0
     if abs(alpha - 1.0) < VON_NEUMANN_SWITCH:
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = -np.where(lo > 0.0, lo * np.log2(lo), 0.0) - np.where(
+            out = -np.where(lo > 0.0, lo * np.log2(lo), 0.0) - np.where(
                 hi > 0.0, hi * np.log2(hi), 0.0
             )
-        out = terms
     else:
         powsum = np.where(lo > 0.0, lo**alpha, 0.0) + hi**alpha
         out = np.log2(powsum) / (1.0 - alpha)
-    out = np.where((out < 0.0) & (out > -1e-12), 0.0, out) + 0.0  # also clears -0.0
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out
+    return np.where((out < 0.0) & (out > -1e-12), 0.0, out) + 0.0  # also clears -0.0
 
 
 def _cut(psi: StateVector, partition) -> set:
@@ -293,18 +295,26 @@ class PureFeatures:
     """What every bound reads from a stack of pure states around their first qubit.
 
     The first qubit is the focus of every bound; another focus is a
-    permutation of the state.  ``cut_probs`` (B, 2) holds the Schmidt
-    probabilities of focus | rest and ``pair_lambdas`` (B, n-1, 4) the
-    spin-flip lambdas of the marginal on the focus and each other qubit, in
-    tensor order.  Both come straight from the amplitudes, once per state;
-    every (alpha, mu) cell is evaluated from them.  Row b of a stack equals
-    the features of state b alone.
+    permutation of the state.  ``cut_probs`` (B, 2) holds the descending
+    Schmidt probabilities of focus | rest and ``pair_lambdas`` (B, n-1, 4)
+    the spin-flip lambdas of the marginal on the focus and each other qubit,
+    in tensor order.  Both come straight from the amplitudes, once per
+    state; every (alpha, mu) cell is evaluated from them.  Row b of a stack
+    equals the features of state b alone.
 
-    Up to 4 qubits a pair's 4 x K amplitude block M (K = 2**(n-2) <= 4) is
-    itself a factor of its marginal M M^H, so the lambdas are the singular
-    values of M^T (YY) M, with no marginal and no ``eigh``.  Beyond that
-    the K > 4 rows of M^H would make the overlap larger than the marginal,
-    and the marginal's eigenvectors are the factor instead.
+    A row of n >= 3 qubits that is exactly 0 off the one-hot indices is a
+    W-class state a|10..0> + sum_i b_i |0..1_i..0>, and its features are
+    closed form: the cut probabilities are |a|^2 and sum_i |b_i|^2, and the
+    lambdas of pair i are (2|a||b_i|, 0, 0, 0), so its concurrence and its
+    concurrence of assistance are both exactly 2|a||b_i|.  Such rows take no
+    SVD, no marginal and no ``eigh``.
+
+    Every other row takes one SVD for the cut.  Up to 4 qubits a pair's
+    4 x K amplitude block M (K = 2**(n-2) <= 4) is itself a factor of its
+    marginal M M^H, so the lambdas are the singular values of M^T (YY) M,
+    with no marginal and no ``eigh``.  Beyond that the K > 4 rows of M^H
+    would make the overlap larger than the marginal, and the marginal's
+    eigenvectors are the factor instead.
     """
 
     cut_probs: np.ndarray
@@ -315,6 +325,33 @@ class PureFeatures:
         """Features of a (B, 2**n) amplitude stack, n >= 2."""
         if amplitudes.shape[1] < 4:
             raise InvalidSubsystemError("the first qubit has no partner in a one-qubit state")
+        single = single_excitation_rows(amplitudes)
+        if not single.any():
+            return cls._dense(amplitudes)
+        if single.all():
+            return cls._wclass(amplitudes)
+        n = int(amplitudes.shape[1]).bit_length() - 1
+        out = cls(np.empty((len(single), 2)), np.empty((len(single), n - 1, 4)))
+        for rows, route in ((single, cls._wclass), (~single, cls._dense)):
+            part = route(amplitudes[rows])
+            out.cut_probs[rows], out.pair_lambdas[rows] = part.cut_probs, part.pair_lambdas
+        return out
+
+    @classmethod
+    def _wclass(cls, amplitudes: np.ndarray) -> "PureFeatures":
+        """Closed-form features of single-excitation rows (see the class docstring)."""
+        n = int(amplitudes.shape[1]).bit_length() - 1
+        coeffs = amplitudes[:, onehot_indices(n)]
+        moduli = np.hypot(coeffs.real, coeffs.imag)  # libm hypot, as Python's abs(complex)
+        excited, rest = _abs2(coeffs[:, 0]), np.sum(_abs2(coeffs[:, 1:]), axis=1)
+        lambdas = np.zeros(coeffs.shape[:1] + (n - 1, 4))
+        lambdas[..., 0] = 2.0 * moduli[:, :1] * moduli[:, 1:]
+        cut = np.stack([np.maximum(excited, rest), np.minimum(excited, rest)], axis=1)
+        return cls(cut, lambdas)
+
+    @classmethod
+    def _dense(cls, amplitudes: np.ndarray) -> "PureFeatures":
+        """Features of any rows: one SVD for the cut, the factor or eigen route for the pairs."""
         if amplitudes.shape[1] <= 16:
             blocks = np.stack(list(pair_blocks(amplitudes)), axis=1)
             lambdas = _basis_lambdas(np.swapaxes(blocks, -1, -2).conj())
@@ -393,7 +430,7 @@ def _decomposition_average(phi: np.ndarray, alpha: float) -> np.ndarray:
     cq = _pure_c_times_q(phi)
     with np.errstate(divide="ignore", invalid="ignore"):
         c2 = np.where(q > 1e-14, (cq / np.maximum(q, 1e-300)) ** 2, 0.0)
-    return np.einsum("tn,tn->t", q, f_alpha(np.clip(c2, 0.0, 1.0), alpha))
+    return np.einsum("tn,tn->t", q, _f_alpha_values(np.clip(c2, 0.0, 1.0), alpha))
 
 
 def _random_isometry_batch(count: int, size: int, rank: int, rng) -> np.ndarray:
@@ -401,8 +438,10 @@ def _random_isometry_batch(count: int, size: int, rank: int, rng) -> np.ndarray:
 
     Gram-Schmidt on the first ``rank`` columns of each draw: the Q factor of
     its QR decomposition with R's diagonal made positive, up to rounding.
+    Both halves are drawn in full, so the stream does not depend on ``rank``.
     """
-    z = rng.normal(size=(count, size, size)) + 1j * rng.normal(size=(count, size, size))
+    re, im = rng.normal(size=(count, size, size)), rng.normal(size=(count, size, size))
+    z = re[:, :, :rank] + 1j * im[:, :, :rank]
     cols: list[np.ndarray] = []
     for j in range(rank):
         v = z[:, :, j]

@@ -10,12 +10,12 @@ margin and the gain over the unweighted baseline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import StateVector, schmidt_probabilities
+from .core import StateVector
 from .errors import DomainError, ParameterError, PreconditionError, UnsupportedStateClassError
 from .measures import AlphaMu, PureFeatures, f_alpha, renyi_entropy, require_power
 from .wclass import wclass_from_state
@@ -119,14 +119,6 @@ class OrderingProfile:
     split_index: int | str | None
 
     @property
-    def n_parties(self) -> int:
-        return 1 + len(self.party_order)
-
-    @property
-    def is_full(self) -> bool:
-        return self.split_index == FULL
-
-    @property
     def satisfied(self) -> bool:
         return self.split_index is not None
 
@@ -171,8 +163,8 @@ def detect_ordering(psi: StateVector, relabel: bool = True) -> OrderingProfile:
     if psi.n_qubits > 3:
         wclass_from_state(psi)
     feats = PureFeatures.of_state(psi)
-    pairs, full_cut = feats.pair_concurrences[0].tolist(), float(feats.cut_concurrence[0])
-    return ordering_profile(psi.labels, pairs, full_cut, relabel)
+    full_cut = float(feats.cut_concurrence[0])
+    return ordering_profile(psi.labels, feats.pair_concurrences[0], full_cut, relabel)
 
 
 def ordering_profile(labels, pairs, full_cut: float, relabel: bool = True) -> OrderingProfile:
@@ -180,48 +172,77 @@ def ordering_profile(labels, pairs, full_cut: float, relabel: bool = True) -> Or
 
     ``labels`` are the state's qubit labels, focus first; ``pairs`` are the
     pair concurrences with every other qubit in label order and ``full_cut``
-    the focus-vs-rest concurrence.  Tail i is sqrt(sum_{j>i} C_j^2) over the
-    party-ordered pairs: W-class states meet the N-qubit CKW inequality with
-    equality, and at three qubits the one tail is the last pair itself.
+    the focus-vs-rest concurrence.  The one-row case of ``Orderings.of``.
     """
-    n = len(labels)
-    if n < 3:
-        raise ParameterError(f"ordering profiles need at least 3 qubits, got {n}")
-    partners = labels[1:]
-    pair_of = dict(zip(partners, pairs))
-    order = list(partners)
-    if relabel:
-        order.sort(key=lambda lab: -pair_of[lab])
-    pair_vals = tuple(pair_of[lab] for lab in order)
+    return Orderings.of(np.asarray(pairs, dtype=float)[None], relabel).profile(0, labels, full_cut)
 
-    tails, rest = [], 0.0
-    for c in reversed(pair_vals[1:]):
-        rest += c * c
-        tails.append(math.sqrt(rest))
-    tails = tuple(reversed(tails))
 
-    ge = tuple(pair_vals[i] >= tails[i] - ORDERING_ATOL for i in range(n - 2))
-    le = tuple(pair_vals[i] <= tails[i] + ORDERING_ATOL for i in range(n - 2))
+class Orderings(NamedTuple):
+    """The ordering decision for a stack of states, one row per state.
 
-    split: int | str | None = None
-    if all(ge):
-        split = FULL
-    else:
-        for m in range(n - 3, 0, -1):
-            if all(ge[:m]) and all(le[m:]):
-                split = m
-                break
+    ``order`` holds the partner indices (0 for the first partner) in party
+    order and ``pairs`` the pair concurrences in that order, ``tails`` and
+    the ``ge``/``le`` flags are the profile fields of ``OrderingProfile``,
+    and ``split`` codes the ladder: n - 2 for FULL, m for a split at m, 0
+    when no ladder applies.
+    """
 
-    return OrderingProfile(
-        focus=labels[0],
-        party_order=tuple(order),
-        pair_concurrences=pair_vals,
-        tail_concurrences=tails,
-        full_cut_concurrence=full_cut,
-        satisfied_ge=ge,
-        satisfied_le=le,
-        split_index=split,
-    )
+    order: np.ndarray
+    pairs: np.ndarray
+    tails: np.ndarray
+    ge: np.ndarray
+    le: np.ndarray
+    split: np.ndarray
+
+    @classmethod
+    def of(cls, pairs: np.ndarray, relabel: bool = True) -> "Orderings":
+        """Decide every row of a (B, n-1) stack of pair concurrences in label order.
+
+        Tail i is sqrt(sum_{j>i} C_j^2) over the party-ordered pairs: W-class
+        states meet the N-qubit CKW inequality with equality, and at three
+        qubits the one tail is the last pair itself.  It is summed from the
+        last partner on, in the order of a running sum, and rooted by the
+        correctly rounded ``np.sqrt``.  The split is the largest m in
+        [1, n-2] with every ">=" condition before m and every "<=" condition
+        from m on; m = n - 2 asks every ">=" condition, the full ladder.
+        """
+        b, n = pairs.shape[0], pairs.shape[1] + 1
+        if n < 3:
+            raise ParameterError(f"ordering profiles need at least 3 qubits, got {n}")
+        if relabel:
+            order = np.argsort(-pairs, axis=1, kind="stable")
+        else:
+            order = np.tile(np.arange(n - 1), (b, 1))
+        ordered = np.take_along_axis(pairs, order, axis=1)
+        later = ordered[:, :0:-1]  # partners n-1 .. 2
+        tails = np.sqrt(np.cumsum(later * later, axis=1))[:, ::-1]
+        ge = ordered[:, :-1] >= tails - ORDERING_ATOL
+        le = ordered[:, :-1] <= tails + ORDERING_ATOL
+        # admissible[:, m - 1]: all of ge[:m] and all of le[m:], for m = 1 .. n-2
+        le_from = np.logical_and.accumulate(le[:, ::-1], axis=1)[:, ::-1]
+        admissible = np.logical_and.accumulate(ge, axis=1)
+        admissible[:, :-1] &= le_from[:, 1:]
+        last = np.argmax(admissible[:, ::-1], axis=1)
+        split = np.where(admissible.any(axis=1), n - 2 - last, 0)
+        return cls(order, ordered, tails, ge, le, split)
+
+    def split_index(self, row: int) -> int | str | None:
+        """The ladder of one row as ``OrderingProfile.split_index`` gives it."""
+        split = int(self.split[row])
+        return FULL if split == self.pairs.shape[1] - 1 else split or None
+
+    def profile(self, row: int, labels, full_cut: float) -> OrderingProfile:
+        """The ``OrderingProfile`` of one row; ``labels`` are the state's, focus first."""
+        return OrderingProfile(
+            focus=labels[0],
+            party_order=tuple(labels[1 + k] for k in self.order[row].tolist()),
+            pair_concurrences=tuple(self.pairs[row].tolist()),
+            tail_concurrences=tuple(self.tails[row].tolist()),
+            full_cut_concurrence=full_cut,
+            satisfied_ge=tuple(self.ge[row].tolist()),
+            satisfied_le=tuple(self.le[row].tolist()),
+            split_index=self.split_index(row),
+        )
 
 
 def ckw_terms(feats: PureFeatures) -> list[tuple]:
@@ -266,35 +287,51 @@ def lemma1_check(psi: StateVector, x: float) -> BoundReport:
     return BoundReport.from_terms(kind, lhs, terms, upper=False, mu=x)
 
 
-def ladder_terms(cut_probs: np.ndarray, profiles, params: AlphaMu, upper: bool) -> list[tuple]:
-    """Ladder-weighted (kind, lhs, terms), one per (focus | rest Schmidt probabilities, profile).
+def ladder_spectra(cut_probs: np.ndarray, pairs: np.ndarray, alpha: float) -> tuple[list, list]:
+    """(cut entanglement, [f_alpha(C^2) per pair]) per state, at order ``alpha``.
+
+    ``cut_probs`` (B, 2) are focus | rest Schmidt probabilities and
+    ``pairs`` (B, n-1) pair concurrences in party order.  Every mu of one
+    alpha reads the same values, so they are computed once per alpha.
+    """
+    return renyi_entropy(cut_probs, alpha).tolist(), f_alpha(pairs * pairs, alpha).tolist()
+
+
+def ladder_terms(spectra: tuple[list, list], splits, params: AlphaMu, upper: bool) -> list[tuple]:
+    """Ladder-weighted (kind, lhs, terms), one per state of ``ladder_spectra`` at ``params.alpha``.
 
     The left side is the cut entanglement raised to mu.  The terms are
-    ``f_alpha`` at each squared pair concurrence of the profile, raised to
-    mu, in its party order, each with its ladder weight.  ``upper`` selects
-    the polygamy upper bound on assisted entanglement (each pair concurrence
-    equals the pair's concurrence of assistance on W-class states) instead of
-    the monogamy lower bound.  Raises PreconditionError when a profile
-    satisfies no ladder hypothesis: the bound claims nothing there.
+    ``f_alpha`` at each squared pair concurrence, raised to mu, in party
+    order, each with the weight of the state's ladder in ``splits`` (a
+    ``split_index`` per state).  ``upper`` selects the polygamy upper bound
+    on assisted entanglement (each pair concurrence equals the pair's
+    concurrence of assistance on W-class states) instead of the monogamy
+    lower bound.  Raises PreconditionError when a state satisfies no ladder
+    hypothesis: the bound claims nothing there.
     """
     (params.require_polygamy if upper else params.require_monogamy)()
-    alpha, mu = params.alpha, params.mu
+    mu = params.mu
     prefix, which = ("assist", "weighted upper bound") if upper else ("ladder", "weighted bound")
-    lhs = [e**mu for e in renyi_entropy(cut_probs, alpha).tolist()]
-    pair_c = np.array([p.pair_concurrences for p in profiles])
-    pair_e = f_alpha(pair_c * pair_c, alpha).tolist()
     ladders: dict = {}  # split -> (kind, weights)
     out = []
-    for l, row, profile in zip(lhs, pair_e, profiles):
-        if not profile.satisfied:
+    for e, row, split in zip(*spectra, splits):
+        if split is None:
             raise PreconditionError(f"ordering hypothesis unsatisfied; the {which} is not claimed")
-        split = profile.split_index
         if split not in ladders:
-            kind = f"{prefix}-full" if profile.is_full else f"{prefix}-split-{split}"
-            ladders[split] = kind, weight_ladder(profile.n_parties, split, mu).tolist()
+            kind = f"{prefix}-full" if split == FULL else f"{prefix}-split-{split}"
+            ladders[split] = kind, weight_ladder(1 + len(row), split, mu).tolist()
         kind, weights = ladders[split]
-        out.append((kind, l, tuple([(w, e**mu) for w, e in zip(weights, row)])))
+        out.append((kind, e**mu, tuple([(w, t**mu) for w, t in zip(weights, row)])))
     return out
+
+
+def profile_report(psi: StateVector, profile: OrderingProfile, params: AlphaMu,
+                   upper: bool) -> BoundReport:
+    """The ladder report of one state and its profile (``theorem_bound``, ``theorem3_bound``)."""
+    cut = PureFeatures.of_state(psi).cut_probs
+    spectra = ladder_spectra(cut, np.array([profile.pair_concurrences]), params.alpha)
+    ((kind, lhs, terms),) = ladder_terms(spectra, [profile.split_index], params, upper)
+    return BoundReport.from_terms(kind, lhs, terms, upper, params.alpha, params.mu)
 
 
 def theorem_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) -> BoundReport:
@@ -306,9 +343,7 @@ def theorem_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) -
     that ``profile`` measured on ``psi``.
     """
     params.require_monogamy()
-    probs = schmidt_probabilities(psi.amplitudes[None], (0,))
-    ((kind, lhs, terms),) = ladder_terms(probs, [profile], params, upper=False)
-    return BoundReport.from_terms(kind, lhs, terms, False, params.alpha, params.mu)
+    return profile_report(psi, profile, params, upper=False)
 
 
 @dataclass(frozen=True)

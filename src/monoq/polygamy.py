@@ -9,10 +9,10 @@ analytic and the hypotheses are decidable.
 
 from __future__ import annotations
 
-from .core import DensityMatrix, StateVector, schmidt_probabilities
+from .core import DensityMatrix, StateVector
 from .errors import SizeError, UnsupportedStateClassError
-from .measures import AlphaMu, PureFeatures, renyi_entanglement_pure
-from .monogamy import BoundReport, OrderingProfile, ladder_terms
+from .measures import AlphaMu, PureFeatures, renyi_entropy
+from .monogamy import BoundReport, OrderingProfile, profile_report
 from .wclass import WClassState, wclass_from_state
 
 __all__ = [
@@ -44,8 +44,9 @@ def reoa_cut(state, alpha: float) -> float:
     """Assisted entanglement across the focus-vs-rest cut of a pure state.
 
     For a pure global state the assisted value across the cut equals the
-    plain entanglement of the cut.  Mixed inputs are rejected: no analytic
-    route exists for them here.
+    plain entanglement of the cut, read from the state's ``PureFeatures``
+    like the left side of ``theorem3_bound``.  Mixed inputs are rejected: no
+    analytic route exists for them here.
     """
     if isinstance(state, DensityMatrix):
         raise UnsupportedStateClassError(
@@ -54,7 +55,7 @@ def reoa_cut(state, alpha: float) -> float:
         )
     if isinstance(state, WClassState):
         state = state.to_state_vector()
-    return renyi_entanglement_pure(state, {state.labels[0]}, alpha)
+    return renyi_entropy(PureFeatures.of_state(state).cut_probs[0], alpha)
 
 
 def theorem3_bound(w, profile: OrderingProfile, params: AlphaMu) -> BoundReport:
@@ -64,17 +65,18 @@ def theorem3_bound(w, profile: OrderingProfile, params: AlphaMu) -> BoundReport:
     squared pair concurrences that ``profile`` measured, which equal the
     concurrences of assistance 2|a||b_i| on W-class marginals, and weighted
     by the ladder of the profile's split (see ``ladder_terms``).  The left
-    side is the focus-vs-rest entanglement of ``w`` raised to mu.
+    side is the focus-vs-rest entanglement of ``w`` raised to mu: of the
+    state itself when ``w`` is a ``StateVector``, of its expansion when it
+    is a ``WClassState``.
     """
     params.require_polygamy()
-    w = _as_wclass(w)
-    if w.labels[0] != profile.focus:
+    form = _as_wclass(w)
+    if form.labels[0] != profile.focus:
         raise UnsupportedStateClassError(
-            f"profile focus {profile.focus!r} must be the excitation qubit {w.labels[0]!r}"
+            f"profile focus {profile.focus!r} must be the excitation qubit {form.labels[0]!r}"
         )
-    probs = schmidt_probabilities(w.to_state_vector().amplitudes[None], (0,))
-    ((kind, lhs, terms),) = ladder_terms(probs, [profile], params, upper=True)
-    return BoundReport.from_terms(kind, lhs, terms, True, params.alpha, params.mu)
+    psi = w if isinstance(w, StateVector) else form.to_state_vector()
+    return profile_report(psi, profile, params, upper=True)
 
 
 def coa_polygamy_check(psi: StateVector) -> BoundReport:

@@ -70,6 +70,24 @@ def onehot_indices(n_parties: int) -> list[int]:
     return [1 << (n_parties - 1 - i) for i in range(n_parties)]
 
 
+def single_excitation_rows(amplitudes: np.ndarray) -> np.ndarray:
+    """Which rows of a (B, 2**n) stack, n >= 3, are exactly 0 off ``onehot_indices(n)``.
+
+    Index 0 is never one-hot, so a row with a nonzero first amplitude (every
+    Haar row) is decided by that one entry.  Always False below 3 qubits.
+    """
+    rows = amplitudes[:, 0] == 0
+    n = int(amplitudes.shape[1]).bit_length() - 1
+    if n < 3:
+        rows[:] = False
+    elif rows.any():
+        which = np.flatnonzero(rows)
+        sub = amplitudes[which]
+        onehot = np.count_nonzero(sub[:, onehot_indices(n)], axis=1)
+        rows[which] = np.count_nonzero(sub, axis=1) == onehot
+    return rows
+
+
 def build_wclass(a, b_list, labels=()) -> tuple[WClassState, StateVector]:
     """Construct a W-class state and its state-vector expansion."""
     w = WClassState(complex(a), tuple(complex(x) for x in b_list), tuple(labels))

@@ -216,6 +216,17 @@ class TestFuzz:
         assert main(["fuzz", "--mode", "ckw", "--states", "3", *extra]) == 2
         assert "n_qubits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("state_class", ["haar", "file"])
+    def test_two_qubit_monogamy_exits_2(self, state_class, tmp_path, capsys):
+        # the stacked ordering decision needs a third qubit; without one the
+        # input is rejected, not left to fail inside (exit 3)
+        extra = ["--qubits", "2"]
+        if state_class == "file":
+            save_state(StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2)), tmp_path / "bell.json")
+            extra = ["--class", "file", "--state", str(tmp_path / "bell.json")]
+        assert main(["fuzz", "--mode", "monogamy", "--states", "4", *extra]) == 2
+        assert "ordering profiles need at least 3 qubits" in capsys.readouterr().err
+
     def test_power_at_cap_runs(self, capsys):
         code = main(["fuzz", "--mode", "monogamy", "--states", "5", "--mu", "100"])
         assert code in (0, 1)

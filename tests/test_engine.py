@@ -257,7 +257,7 @@ def _public_records(config):
 @pytest.mark.parametrize(
     "mode, state_class, n_qubits, n_states",
     [("ckw", "haar", 3, 40), ("lemma1", "haar", 3, 40), ("monogamy", "haar", 3, 40)]
-    + [(mode, "wclass", n, 60) for mode in ("monogamy", "polygamy") for n in (4, 5, 6)],
+    + [(mode, "wclass", n, 60) for mode in ("monogamy", "polygamy") for n in (3, 4, 5, 6, 7)],
 )
 def test_campaign_rows_match_public_route(mode, state_class, n_qubits, n_states):
     config = CampaignConfig(mode=mode, n_states=n_states, n_qubits=n_qubits, seed=60 + n_qubits,

@@ -1,6 +1,8 @@
 import dataclasses
 import io
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from monoq import (
     ALPHA_WINDOW,
+    AlphaMu,
     BoundReport,
     CampaignConfig,
     CampaignResult,
@@ -23,13 +26,16 @@ from monoq import (
     figure_rows,
     haar_random_state,
     load_state,
+    random_wclass,
     reference_schmidt_state,
     replay_record,
     run_campaign,
     save_state,
+    theorem3_bound,
+    theorem_bound,
     w_state,
 )
-from monoq import harness
+from monoq import harness, monogamy
 from monoq.harness import (
     MODES,
     REFERENCE_ALPHA,
@@ -38,6 +44,7 @@ from monoq.harness import (
     fmt12,
     parse_config_file,
 )
+from monoq.cli import main
 from monoq.measures import ALPHA_MAX, MU_MAX, f_alpha
 
 
@@ -323,6 +330,41 @@ class TestCampaigns:
         for key in ("mode", "n_sampled", "n_violations", "min_margin", "mean_tightness_gain"):
             assert key in summary
 
+    # summary keys as they were before the ordering counts; the new keys follow
+    SUMMARY_KEYS = ["mode", "state_class", "n_qubits", "seed", "tolerance", "n_sampled",
+                    "n_hypothesis_satisfied", "n_skipped", "n_records", "n_violations",
+                    "min_margin", "mean_tightness_gain", "worst"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_summary_keys_keep_their_order(self, mode):
+        hypothesis = mode in ("monogamy", "polygamy")
+        config = CampaignConfig(mode=mode, n_states=5, n_qubits=4 if hypothesis else 3, seed=2,
+                                state_class="wclass" if hypothesis else None)
+        summary = run_campaign(config).summary()
+        assert list(summary) == self.SUMMARY_KEYS + ["split_histogram", "skip_reasons"]
+        if not hypothesis:  # no ordering hypothesis, nothing skipped
+            assert summary["split_histogram"] is None and summary["skip_reasons"] is None
+
+    @pytest.mark.parametrize("mode, n_qubits", [("monogamy", 3), ("polygamy", 5)])
+    def test_spectra_once_per_alpha(self, mode, n_qubits, monkeypatch):
+        # every mu cell of an alpha reads the same cut entropy and pair f_alpha
+        calls = Counter()
+
+        def counted(name, fn):
+            def call(values, alpha):
+                calls[name, alpha] += 1
+                return fn(values, alpha)
+            return call
+
+        for name in ("renyi_entropy", "f_alpha"):
+            monkeypatch.setattr(monogamy, name, counted(name, getattr(monogamy, name)))
+        config = CampaignConfig(mode=mode, n_states=30, n_qubits=n_qubits, seed=4,
+                                state_class="wclass", alpha_grid=(0.9, 1.2, 0.9))
+        result = run_campaign(config)
+        assert len(result.rows) == 3 * len(config.mu_grid) * result.n_satisfied > 0
+        names = ("renyi_entropy", "f_alpha")
+        assert calls == {(name, alpha): 1 for name in names for alpha in (0.9, 1.2)}
+
     def test_file_class_single_state(self, tmp_path):
         path = tmp_path / "w.json"
         save_state(w_state(), path)
@@ -338,6 +380,68 @@ class TestCampaigns:
         result = run_campaign(config)
         assert result.n_sampled == 1
         assert result.n_violations == 0
+
+
+class TestSkipReasons:
+    """The split histogram and first failed conditions against per-state profiles."""
+
+    @staticmethod
+    def _expected(states):
+        splits, reasons = Counter(), Counter()
+        for psi in states:
+            profile = detect_ordering(psi)
+            splits[str(profile.split_index)] += 1
+            if not profile.satisfied:
+                reasons[f"satisfied_ge[{profile.satisfied_ge.index(False)}]"] += 1
+        n = states[0].n_qubits
+        histogram = {"full": splits["full"], **{str(m): splits[str(m)] for m in range(1, n - 2)},
+                     "none": splits["None"]}
+        keys = [f"satisfied_ge[{i}]" for i in range(n - 2)]
+        return histogram, {key: reasons[key] for key in keys}
+
+    @pytest.mark.parametrize("mode, n_qubits", [("monogamy", n) for n in (3, 4, 5, 7)]
+                             + [("polygamy", n) for n in (4, 6)])
+    def test_counts_match_profiles(self, mode, n_qubits):
+        config = CampaignConfig(mode=mode, n_states=50, n_qubits=n_qubits, seed=80 + n_qubits,
+                                state_class="wclass")
+        result = run_campaign(config)
+        states = [random_wclass(n_qubits, seed).to_state_vector()
+                  for seed in derive_seeds(config.seed, 0, config.n_states).tolist()]
+        histogram, reasons = self._expected(states)
+        summary = result.summary()
+        assert summary["split_histogram"] == histogram
+        assert summary["skip_reasons"] == reasons
+        assert sum(histogram.values()) == result.n_sampled
+        assert histogram["none"] == sum(reasons.values()) == result.n_skipped
+        if n_qubits > 4:
+            assert result.n_skipped > 0  # the reasons are exercised
+
+    def test_counts_add_up_over_chunks(self, monkeypatch):
+        config = CampaignConfig(mode="monogamy", n_states=60, n_qubits=5, seed=9,
+                                state_class="wclass")
+        whole = run_campaign(config).summary()
+        monkeypatch.setattr(harness, "CHUNK_AMPLITUDES", 7 * 2**5)
+        chunked = run_campaign(config).summary()
+        assert chunked == whole
+        assert whole["skip_reasons"]["satisfied_ge[0]"] > 0
+
+    @pytest.mark.parametrize(
+        "b, histogram, reasons",
+        [
+            ((0.7, 0.3, 0.25, 0.25), {"full": 0, "1": 1, "2": 0, "none": 0}, [0, 0, 0]),
+            ((0.5, 0.5, 0.5, 0.5), {"full": 0, "1": 0, "2": 0, "none": 1}, [1, 0, 0]),
+            ((0.9, 0.3, 0.29, 0.15), {"full": 0, "1": 0, "2": 0, "none": 1}, [0, 1, 0]),
+        ],
+        ids=["split-1", "ge0-fails", "ge1-fails"],
+    )
+    def test_file_states(self, b, histogram, reasons, tmp_path):
+        b = np.array(b) / np.linalg.norm(b) * np.sqrt(0.7)
+        path = tmp_path / "state.json"
+        save_state(build_wclass(np.sqrt(0.3), tuple(b))[1], path)
+        summary = run_campaign(CampaignConfig(mode="polygamy", state_class="file",
+                                              state_file=str(path))).summary()
+        assert summary["split_histogram"] == histogram
+        assert summary["skip_reasons"] == {f"satisfied_ge[{i}]": c for i, c in enumerate(reasons)}
 
 
 class TestReplay:
@@ -384,6 +488,54 @@ class TestReplay:
         assert result.records
         for record in result.records:
             assert replay_record(record, state) == record.margin
+
+    @pytest.mark.parametrize(
+        "mode, n_qubits",
+        [("monogamy", n) for n in range(3, 9)] + [("polygamy", n) for n in range(4, 9)],
+    )
+    def test_wclass_records_replay_and_file_states_give_the_same_rows(self, mode, n_qubits,
+                                                                      tmp_path, capsys):
+        # features, ordering and spectra come from the same closed form on
+        # every route: a seeded campaign, its replay, a file-class campaign,
+        # the public bound functions and ``eval`` on the file
+        mu_grid = (2.0, 5.0) if mode == "monogamy" else (0.25, 1.0)
+        n_states = 60 if n_qubits < 7 else 240  # few wide states pass: 2 of 60 at 7 qubits
+        config = CampaignConfig(mode=mode, n_states=n_states, n_qubits=n_qubits,
+                                seed=1300 + n_qubits, state_class="wclass",
+                                alpha_grid=ALPHA_WINDOW, mu_grid=mu_grid)
+        by_index: dict = {}
+        for record in run_campaign(config).records:
+            assert replay_record(record) == record.margin
+            by_index.setdefault(record.index, []).append(record)
+        assert by_index
+        bound = theorem_bound if mode == "monogamy" else theorem3_bound
+        for index, records in by_index.items():
+            psi = random_wclass(n_qubits, records[0].state_seed).to_state_vector()
+            path = tmp_path / f"state{index}.json"
+            save_state(psi, path)
+            state = load_state(path)
+            from_file = run_campaign(dataclasses.replace(
+                config, state_class="file", state_file=str(path), n_qubits=3
+            )).records
+            rows = [(r.alpha, r.mu, r.lhs, r.rhs, r.margin, r.baseline_rhs) for r in from_file]
+            profile = detect_ordering(state)
+            public = [bound(state, profile, AlphaMu(r.alpha, r.mu)) for r in from_file]
+            assert [(b.alpha, b.mu, b.lhs, b.rhs, b.margin, b.baseline_rhs) for b in public] == rows
+            out = tmp_path / "eval.json"
+            assert main(["eval", str(path), "--alpha", repr(rows[0][0]), "--mu", repr(rows[0][1]),
+                         "--out", str(out)]) == 0
+            report = json.loads(out.read_text())["report"]
+            keys = ("lhs", "rhs", "margin", "baseline_rhs")
+            assert tuple(report[k] for k in keys) == rows[0][2:]
+            seeded = [(r.alpha, r.mu, r.lhs, r.rhs, r.margin, r.baseline_rhs) for r in records]
+            if state.amplitudes.tobytes() == psi.amplitudes.tobytes():
+                assert rows == seeded
+            else:  # loading renormalized the amplitudes by an ulp
+                for row, expected in zip(rows, seeded, strict=True):
+                    assert row[:2] == expected[:2]
+                    scale = max(1.0, abs(expected[3]))  # the weighted side
+                    assert np.max(np.abs(np.subtract(row[2:], expected[2:]))) <= 1e-12 * scale
+        capsys.readouterr()
 
     @pytest.mark.parametrize(
         "mode, n_qubits",

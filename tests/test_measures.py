@@ -334,6 +334,23 @@ class TestConvexRoofOracle:
             first = coa_search(rho, n_trials=1000, seed=7)
             assert coa_search(rho, n_trials=1000, seed=7) == first
 
+    # values of the search before its inner loop dropped the re-validation
+    # of f_alpha and the unused isometry columns; each must stay bit for bit
+    PINNED = {
+        (2, 11): (["0x1.95fc888404810p-3", "0x1.6450639aa4ce4p-4", "0x1.db220e7fced96p-5",
+                   "0x1.1cea736e78679p-5"], "0x1.c2e92cc1349f8p-2"),
+        (3, 12): (["0x1.e64d8df5ba0fap-3", "0x1.d394b60b8a52bp-4", "0x1.5c3f2087cbaf9p-4",
+                   "0x1.dc994b4e8d4adp-5"], "0x1.44fa28aeadfe5p-1"),
+    }
+
+    @pytest.mark.parametrize("rank, seed", list(PINNED))
+    def test_pinned_values(self, rank, seed):
+        rho = random_mixed_state(2, rank, seed=seed)
+        roofs, coa = self.PINNED[rank, seed]
+        for alpha, expected in zip((0.5, 0.823, 1.0, 1.3), roofs):
+            assert convex_roof_oracle(rho, alpha, n_trials=400, seed=7) == float.fromhex(expected)
+        assert coa_search(rho, n_trials=400, seed=7) == float.fromhex(coa)
+
     def test_bad_trial_count(self):
         with pytest.raises(ParameterError):
             convex_roof_oracle(bell_projector(), ALPHA_LO, n_trials=0, seed=0)
@@ -361,6 +378,15 @@ class TestRandomIsometries:
         expected = (q * (d / np.abs(d))[:, None, :])[:, :, :rank]
         v = _random_isometry_batch(500, size, rank, np.random.default_rng(rank))
         assert np.max(np.abs(v - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("size, rank", SHAPES)
+    def test_draws_full_blocks_whatever_the_rank(self, size, rank):
+        # only `rank` columns are assembled, but both normal blocks are drawn
+        # in full, so the generator ends where a full draw leaves it
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        _random_isometry_batch(7, size, rank, rng)
+        ref.normal(size=(7, size, size)), ref.normal(size=(7, size, size))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestAlphaMu:

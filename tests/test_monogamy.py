@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from monoq import (
 from monoq.harness import reference_schmidt_state
 from monoq.core import MAX_QUBITS
 from monoq.measures import ALPHA_WINDOW, MU_MAX, f_alpha
-from monoq.monogamy import ORDERING_ATOL
+from monoq.monogamy import ORDERING_ATOL, Orderings, ordering_profile
 
 ALPHA_LO, ALPHA_HI = ALPHA_WINDOW
 SQRT6_OVER_6 = np.sqrt(6.0) / 6.0
@@ -82,6 +83,67 @@ class TestWeightLadder:
         for n in (3, 4, 5):
             for mu in (0.25, 0.5, 0.75, 1.0):
                 assert np.max(weight_ladder(n, FULL, mu)) <= 1.0
+
+
+def _row_by_row(labels, pairs, relabel):
+    """The per-state ordering rule as written before it ran on stacks: a Python
+    sort, a running sum, ``math.sqrt`` and a scan over the split indices."""
+    n = len(labels)
+    pair_of = dict(zip(labels[1:], pairs))
+    order = list(labels[1:])
+    if relabel:
+        order.sort(key=lambda lab: -pair_of[lab])
+    pair_vals = tuple(pair_of[lab] for lab in order)
+    tails, rest = [], 0.0
+    for c in reversed(pair_vals[1:]):
+        rest += c * c
+        tails.append(math.sqrt(rest))
+    tails = tuple(reversed(tails))
+    ge = tuple(pair_vals[i] >= tails[i] - ORDERING_ATOL for i in range(n - 2))
+    le = tuple(pair_vals[i] <= tails[i] + ORDERING_ATOL for i in range(n - 2))
+    split = FULL if all(ge) else next(
+        (m for m in range(n - 3, 0, -1) if all(ge[:m]) and all(le[m:])), None
+    )
+    return tuple(order), pair_vals, tails, ge, le, split
+
+
+# pair concurrences with exact ties, zeros and near-threshold values
+PAIR_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 0.5 + 1e-13, 0.5 - 1e-13, 1.0]), st.floats(0.0, 1.0)
+)
+
+
+class TestOrderingStack:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(3, MAX_QUBITS), relabel=st.booleans())
+    def test_rows_match_the_per_state_rule(self, data, n, relabel):
+        # every row of a stack decides exactly as the per-state rule: same
+        # order, bit-identical tails, same flags and split
+        rows = data.draw(st.lists(st.lists(PAIR_VALUES, min_size=n - 1, max_size=n - 1),
+                                  min_size=1, max_size=6))
+        labels = ("A",) + tuple(f"B{i}" for i in range(1, n))
+        orderings = Orderings.of(np.array(rows), relabel)
+        for row, pairs in enumerate(rows):
+            order, pair_vals, tails, ge, le, split = _row_by_row(labels, pairs, relabel)
+            profile = orderings.profile(row, labels, 0.5)
+            assert profile == ordering_profile(labels, pairs, 0.5, relabel)
+            assert profile.party_order == order
+            assert [x.hex() for x in profile.pair_concurrences] == [x.hex() for x in pair_vals]
+            assert [x.hex() for x in profile.tail_concurrences] == [x.hex() for x in tails]
+            assert (profile.satisfied_ge, profile.satisfied_le) == (ge, le)
+            assert profile.split_index == split
+            assert type(profile.split_index) in (int, str, type(None))
+
+    def test_split_codes(self):
+        # FULL is code n - 2, a split at m is m, no ladder is 0
+        stack = np.array([[0.6, 0.3, 0.2, 0.1], [0.6, 0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 0.6]])
+        orderings = Orderings.of(stack, relabel=False)
+        assert orderings.split.tolist() == [3, 1, 0]
+        assert [orderings.split_index(i) for i in range(3)] == [FULL, 1, None]
+
+    def test_needs_three_qubits(self):
+        with pytest.raises(ParameterError):
+            Orderings.of(np.array([[0.5]]))
 
 
 class TestDetectOrdering:

@@ -12,6 +12,7 @@ from monoq import (
     StateVector,
     UnsupportedStateClassError,
     WClassState,
+    WitnessRecord,
     build_wclass,
     coa_polygamy_check,
     coa_two_qubit,
@@ -21,6 +22,7 @@ from monoq import (
     pure_to_density,
     random_wclass,
     reoa_cut,
+    replay_record,
     theorem3_bound,
     w_state,
     wclass_from_state,
@@ -180,6 +182,34 @@ class TestTheorem3Bound:
         profile = detect_ordering(psi, relabel=False)
         with pytest.raises(PreconditionError):
             theorem3_bound(w, profile, AlphaMu(0.9, 0.5))
+
+    def test_reads_the_state_it_was_given(self):
+        # a StateVector within the 1e-12 norm tolerance but not exactly unit:
+        # the bound reads its own cut, as a campaign or replay of it does,
+        # and not the cut of the renormalized W-class form
+        _, exact = build_wclass(np.sqrt(0.6), (np.sqrt(0.25), np.sqrt(0.15)))
+        psi = StateVector(exact.amplitudes * (1.0 + 4e-13))
+        profile = detect_ordering(psi)
+        params = AlphaMu(ALPHA_LO, 0.5)
+        report = theorem3_bound(psi, profile, params)
+        record = WitnessRecord(index=0, mode="polygamy", state_class="file", n_qubits=3,
+                               state_seed=0, alpha=params.alpha, mu=params.mu, lhs=report.lhs,
+                               rhs=report.rhs, margin=report.margin,
+                               baseline_rhs=report.baseline_rhs)
+        assert replay_record(record, psi) == report.margin
+        renormalized = theorem3_bound(wclass_from_state(psi).to_state_vector(), profile, params)
+        assert renormalized.lhs != report.lhs  # the two cuts differ, so the test can tell
+
+    def test_left_side_is_reoa_cut(self):
+        # one cut entanglement for both public routes, also where the closed
+        # form and an SVD of the amplitudes round apart
+        for n in (3, 5, 8):
+            for seed in range(40):
+                psi = random_wclass(n, seed=seed).to_state_vector()
+                profile = detect_ordering(psi)
+                if profile.satisfied:
+                    report = theorem3_bound(psi, profile, AlphaMu(ALPHA_HI, 1.0))
+                    assert report.lhs == reoa_cut(psi, ALPHA_HI)
 
     def test_split_ladder_four_parties(self):
         # force a split profile: pair 1 dominates, pairs 2..3 below their tails
