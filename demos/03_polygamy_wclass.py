@@ -23,8 +23,6 @@ from monoq import (
     reoa_cut,
     theorem3_bound,
     w_state,
-    wclass_from_state,
-    wclass_pair_coa,
     wootters_concurrence,
 )
 from monoq.harness import figure_rows
@@ -47,7 +45,7 @@ print("=" * 72)
 rho = pure_to_density(psi)
 for i, lab in enumerate(("B1", "B2", "B3"), start=1):
     marginal = partial_trace(rho, {"A", lab})
-    print(f"  pair A|{lab}: analytic {wclass_pair_coa(w, i):.9f}   "
+    print(f"  pair A|{lab}: analytic {w.pair_concurrence(i):.9f}   "
           f"concurrence {wootters_concurrence(marginal):.9f}   "
           f"assistance {coa_two_qubit(marginal):.9f}")
 
@@ -60,11 +58,11 @@ print("=" * 72)
 print("3. The weighted upper bound on the W state")
 print("=" * 72)
 
-wref = wclass_from_state(w_state())
-profile = detect_ordering(w_state())
-print(f"assisted cut value Ea(A|BC) = {reoa_cut(wref, 0.823):.6f}")
+w3 = w_state()
+profile = detect_ordering(w3)
+print(f"assisted cut value Ea(A|BC) = {reoa_cut(w3, 0.823):.6f}")
 for mu in (0.25, 0.5, 0.75, 1.0):
-    rep = theorem3_bound(wref, profile, AlphaMu(0.823, mu))
+    rep = theorem3_bound(w3, profile, AlphaMu(0.823, mu))
     print(f"  mu={mu:<5}: lhs={rep.lhs:.6f} <= weighted rhs={rep.rhs:.6f} "
           f"<= baseline={rep.baseline_rhs:.6f}   margin={rep.margin:+.6f}")
 print("(at mu=1 the ladder weights are all 1, so weighted and baseline agree)")
@@ -83,8 +81,8 @@ print("=" * 72)
 checked = skipped = 0
 worst = np.inf
 for seed in range(150):
-    wr = random_wclass(4, seed=seed)
-    prof = detect_ordering(wr.to_state_vector())
+    wr = random_wclass(4, seed=seed).to_state_vector()
+    prof = detect_ordering(wr)
     if not prof.satisfied:
         skipped += 1
         continue

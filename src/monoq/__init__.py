@@ -78,7 +78,6 @@ from .polygamy import (
     coa_polygamy_check,
     reoa_cut,
     theorem3_bound,
-    wclass_pair_coa,
 )
 from .wclass import (
     WClassState,

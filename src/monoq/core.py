@@ -397,7 +397,8 @@ def state_from_dict(data: dict) -> StateVector:
     ``[[re, im], ...]`` in tensor order.  Qubit counts outside
     [1, MAX_QUBITS], wrong-length arrays, non-finite amplitudes, real or
     imaginary parts above 1 + 1e-9 in modulus and norms outside 1 +/- 1e-9
-    are rejected.
+    are rejected.  The amplitudes are divided by their norm only where
+    StateVector would reject them, so a saved state loads back as itself.
     """
     try:
         n = int(data["n_qubits"])
@@ -422,7 +423,9 @@ def state_from_dict(data: dict) -> StateVector:
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > JSON_NORM_ATOL:
         raise IoError(f"state norm {norm!r} outside 1 +/- {JSON_NORM_ATOL}")
-    return StateVector(amps / norm, labels)
+    if abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) > NORM_ATOL:
+        amps = amps / norm
+    return StateVector(amps, labels)
 
 
 def state_to_dict(psi: StateVector) -> dict:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import MAX_QUBITS, StateVector, load_state
 from .errors import ConfigError, IoError, PreconditionError
-from .measures import ALPHA_MAX, ALPHA_WINDOW, MU_MAX, AlphaMu, PureFeatures, renyi_entanglement_pure
+from .measures import ALPHA_MAX, ALPHA_WINDOW, MU_MAX, AlphaMu, PureFeatures
 from .monogamy import (
     Orderings,
     bound_values,
@@ -32,7 +32,6 @@ from .monogamy import (
     lemma1_terms,
     scalar_weight_inequality,
 )
-from .polygamy import reoa_cut
 from .wclass import (
     build_wclass,
     onehot_indices,
@@ -100,19 +99,15 @@ def figure_rows(figure: str, alpha: float = REFERENCE_ALPHA):
     is recomputed from the state; no tabulated constants.
     """
     if figure == "fig1":
-        psi = reference_schmidt_state()
-        e_cut = renyi_entanglement_pure(psi, {"A"}, alpha)
-        pairs = PureFeatures.of_state(psi).pair_concurrences[0]
-        e_pairs = measures.f_alpha(pairs * pairs, alpha).tolist()
-        mus = [2.0 + k / 20.0 for k in range(161)]
+        psi, mus = reference_schmidt_state(), [2.0 + k / 20.0 for k in range(161)]
     elif figure == "fig2":
-        psi = w_state(3)
-        e_cut = reoa_cut(psi, alpha)
-        coas = PureFeatures.of_state(psi).pair_coas[0]
-        e_pairs = measures.f_alpha(coas * coas, alpha).tolist()
-        mus = [k / 100.0 for k in range(101)]
+        psi, mus = w_state(3), [k / 100.0 for k in range(101)]
     else:
         raise ConfigError(f"unknown figure {figure!r}; expected fig1 or fig2")
+    feats = PureFeatures.of_state(psi)
+    e_cut = measures.renyi_entropy(feats.cut_probs[0], alpha)
+    pairs = (feats.pair_concurrences if figure == "fig1" else feats.pair_coas)[0]
+    e_pairs = measures.f_alpha(pairs * pairs, alpha).tolist()
     rows = []
     for mu in mus:
         terms = [e**mu for e in e_pairs]

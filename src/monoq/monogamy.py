@@ -328,6 +328,8 @@ def ladder_terms(spectra: tuple[list, list], splits, params: AlphaMu, upper: boo
 def profile_report(psi: StateVector, profile: OrderingProfile, params: AlphaMu,
                    upper: bool) -> BoundReport:
     """The ladder report of one state and its profile (``theorem_bound``, ``theorem3_bound``)."""
+    if profile.focus != psi.labels[0]:
+        raise UnsupportedStateClassError("the profile's focus must be the state's first qubit")
     cut = PureFeatures.of_state(psi).cut_probs
     spectra = ladder_spectra(cut, np.array([profile.pair_concurrences]), params.alpha)
     ((kind, lhs, terms),) = ladder_terms(spectra, [profile.split_index], params, upper)

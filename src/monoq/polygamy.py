@@ -9,38 +9,20 @@ analytic and the hypotheses are decidable.
 
 from __future__ import annotations
 
-from .core import DensityMatrix, StateVector
+from .core import StateVector
 from .errors import SizeError, UnsupportedStateClassError
 from .measures import AlphaMu, PureFeatures, renyi_entropy
 from .monogamy import BoundReport, OrderingProfile, profile_report
-from .wclass import WClassState, wclass_from_state
+from .wclass import wclass_from_state
 
 __all__ = [
-    "wclass_pair_coa",
     "reoa_cut",
     "theorem3_bound",
     "coa_polygamy_check",
 ]
 
 
-def _as_wclass(state) -> WClassState:
-    if isinstance(state, WClassState):
-        return state
-    if isinstance(state, StateVector):
-        return wclass_from_state(state)
-    raise UnsupportedStateClassError(f"expected a W-class state, got {type(state).__name__}")
-
-
-def wclass_pair_coa(w: WClassState, i: int) -> float:
-    """Concurrence of assistance 2|a||b_i| of the i-th pair marginal (1-based).
-
-    On W-class states this coincides with the plain concurrence of the same
-    marginal.
-    """
-    return _as_wclass(w).pair_concurrence(i)
-
-
-def reoa_cut(state, alpha: float) -> float:
+def reoa_cut(psi: StateVector, alpha: float) -> float:
     """Assisted entanglement across the focus-vs-rest cut of a pure state.
 
     For a pure global state the assisted value across the cut equals the
@@ -48,34 +30,26 @@ def reoa_cut(state, alpha: float) -> float:
     like the left side of ``theorem3_bound``.  Mixed inputs are rejected: no
     analytic route exists for them here.
     """
-    if isinstance(state, DensityMatrix):
+    if not isinstance(psi, StateVector):
         raise UnsupportedStateClassError(
-            "assisted entanglement of a mixed state has no analytic form here; "
-            "pass the pure global state instead"
+            f"expected the pure global state as a StateVector, got {type(psi).__name__}; "
+            "assisted entanglement of a mixed state has no analytic form here"
         )
-    if isinstance(state, WClassState):
-        state = state.to_state_vector()
-    return renyi_entropy(PureFeatures.of_state(state).cut_probs[0], alpha)
+    return renyi_entropy(PureFeatures.of_state(psi).cut_probs[0], alpha)
 
 
-def theorem3_bound(w, profile: OrderingProfile, params: AlphaMu) -> BoundReport:
+def theorem3_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) -> BoundReport:
     """Weighted upper bound on the mu-th power of assisted entanglement.
 
-    The pairwise assisted terms are evaluated through ``f_alpha`` at the
-    squared pair concurrences that ``profile`` measured, which equal the
+    ``psi`` must be W-class (``wclass_from_state`` raises otherwise).  The
+    pairwise assisted terms are evaluated through ``f_alpha`` at the squared
+    pair concurrences that ``profile`` measured, which equal the
     concurrences of assistance 2|a||b_i| on W-class marginals, and weighted
     by the ladder of the profile's split (see ``ladder_terms``).  The left
-    side is the focus-vs-rest entanglement of ``w`` raised to mu: of the
-    state itself when ``w`` is a ``StateVector``, of its expansion when it
-    is a ``WClassState``.
+    side is the focus-vs-rest entanglement of ``psi`` raised to mu.
     """
     params.require_polygamy()
-    form = _as_wclass(w)
-    if form.labels[0] != profile.focus:
-        raise UnsupportedStateClassError(
-            f"profile focus {profile.focus!r} must be the excitation qubit {form.labels[0]!r}"
-        )
-    psi = w if isinstance(w, StateVector) else form.to_state_vector()
+    wclass_from_state(psi)
     return profile_report(psi, profile, params, upper=True)
 
 

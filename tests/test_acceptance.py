@@ -32,7 +32,6 @@ from monoq import (
     run_campaign,
     w_state,
     wclass_from_state,
-    wclass_pair_coa,
 )
 from monoq.harness import REFERENCE_ALPHA, figure_rows, reference_schmidt_state
 from monoq.polygamy import reoa_cut
@@ -68,9 +67,10 @@ def test_criterion_01_worked_example_pair_and_cut_values():
 
 def test_criterion_02_w_state_assisted_values():
     start = time.perf_counter()
-    w = wclass_from_state(w_state())
-    ea_pairs = [f_alpha(wclass_pair_coa(w, i) ** 2, REFERENCE_ALPHA) for i in (1, 2)]
-    ea_cut = reoa_cut(w, REFERENCE_ALPHA)
+    psi = w_state()
+    w = wclass_from_state(psi)
+    ea_pairs = [f_alpha(w.pair_concurrence(i) ** 2, REFERENCE_ALPHA) for i in (1, 2)]
+    ea_cut = reoa_cut(psi, REFERENCE_ALPHA)
     elapsed = time.perf_counter() - start
     ok = (
         all(abs(v - 0.607218) < GOLDEN_ATOL for v in ea_pairs)

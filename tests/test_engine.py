@@ -226,10 +226,9 @@ def _public_records(config):
     """The witness records of ``config``, each from a public per-state bound function."""
     for index, seed in enumerate(derive_seeds(config.seed, 0, config.n_states).tolist()):
         if config.state_class == "haar":
-            state = psi = haar_random_state(config.n_qubits, seed)
+            psi = haar_random_state(config.n_qubits, seed)
         else:
-            state = random_wclass(config.n_qubits, seed)
-            psi = state.to_state_vector()
+            psi = random_wclass(config.n_qubits, seed).to_state_vector()
         reports = []
         if config.mode == "ckw":
             reports = [ckw_check(psi)]
@@ -239,11 +238,8 @@ def _public_records(config):
             profile = detect_ordering(psi)
             if not profile.satisfied:
                 continue
-            # theorem3_bound takes the W-class form itself, not its expansion
-            bound, arg = (
-                (theorem3_bound, state) if config.mode == "polygamy" else (theorem_bound, psi)
-            )
-            reports = [bound(arg, profile, AlphaMu(alpha, mu))
+            bound = theorem3_bound if config.mode == "polygamy" else theorem_bound
+            reports = [bound(psi, profile, AlphaMu(alpha, mu))
                        for alpha in config.alpha_grid for mu in config.mu_grid]
         for report in reports:
             yield WitnessRecord(

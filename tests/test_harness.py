@@ -527,14 +527,9 @@ class TestReplay:
             report = json.loads(out.read_text())["report"]
             keys = ("lhs", "rhs", "margin", "baseline_rhs")
             assert tuple(report[k] for k in keys) == rows[0][2:]
-            seeded = [(r.alpha, r.mu, r.lhs, r.rhs, r.margin, r.baseline_rhs) for r in records]
-            if state.amplitudes.tobytes() == psi.amplitudes.tobytes():
-                assert rows == seeded
-            else:  # loading renormalized the amplitudes by an ulp
-                for row, expected in zip(rows, seeded, strict=True):
-                    assert row[:2] == expected[:2]
-                    scale = max(1.0, abs(expected[3]))  # the weighted side
-                    assert np.max(np.abs(np.subtract(row[2:], expected[2:]))) <= 1e-12 * scale
+            # the file loads back as the seeded state, so every row is the seeded one
+            assert state.amplitudes.tobytes() == psi.amplitudes.tobytes()
+            assert rows == [(r.alpha, r.mu, r.lhs, r.rhs, r.margin, r.baseline_rhs) for r in records]
         capsys.readouterr()
 
     @pytest.mark.parametrize(

@@ -24,9 +24,9 @@ from monoq import (
     reoa_cut,
     replay_record,
     theorem3_bound,
+    theorem_bound,
     w_state,
     wclass_from_state,
-    wclass_pair_coa,
     wootters_concurrence,
 )
 from monoq.errors import InvalidSubsystemError
@@ -69,11 +69,11 @@ class TestBuildWclass:
             wclass_from_state(haar_random_state(3, seed=1))
 
 
-class TestWclassPairCoa:
+class TestPairConcurrence:
     def test_w_state_pairs(self):
         w = wclass_from_state(w_state())
         for i in (1, 2):
-            assert abs(wclass_pair_coa(w, i) - 2 / 3) < 1e-12
+            assert abs(w.pair_concurrence(i) - 2 / 3) < 1e-12
 
     def test_matches_wootters_and_coa(self):
         # equality of concurrence and assisted concurrence on every marginal
@@ -84,32 +84,32 @@ class TestWclassPairCoa:
                 rho = pure_to_density(psi)
                 for i in range(1, n):
                     marginal = partial_trace(rho, {"A", f"B{i}"})
-                    analytic = wclass_pair_coa(w, i)
+                    analytic = w.pair_concurrence(i)
                     assert abs(analytic - wootters_concurrence(marginal)) < 1e-10
                     assert abs(analytic - coa_two_qubit(marginal)) < 1e-10
 
     def test_zero_amplitude_cases(self):
         w, _ = build_wclass(np.sqrt(0.5), (np.sqrt(0.5), 0.0))
-        assert wclass_pair_coa(w, 2) == 0.0
+        assert w.pair_concurrence(2) == 0.0
         w0, _ = build_wclass(0.0, (np.sqrt(0.5), np.sqrt(0.5)))
-        assert wclass_pair_coa(w0, 1) == 0.0
-        assert wclass_pair_coa(w0, 2) == 0.0
+        assert w0.pair_concurrence(1) == 0.0
+        assert w0.pair_concurrence(2) == 0.0
 
     def test_index_range(self):
         w = wclass_from_state(w_state())
         with pytest.raises(InvalidSubsystemError):
-            wclass_pair_coa(w, 0)
+            w.pair_concurrence(0)
         with pytest.raises(InvalidSubsystemError):
-            wclass_pair_coa(w, 3)
+            w.pair_concurrence(3)
 
 
 class TestReoaCut:
     def test_w_state_reference_value(self):
-        assert abs(reoa_cut(wclass_from_state(w_state()), 0.823) - 0.932108) < 1e-6
+        assert abs(reoa_cut(w_state(), 0.823) - 0.932108) < 1e-6
 
     def test_product_state(self):
-        w, _ = build_wclass(1.0, (0.0, 0.0))
-        assert reoa_cut(w, 0.9) == 0.0
+        _, psi = build_wclass(1.0, (0.0, 0.0))
+        assert reoa_cut(psi, 0.9) == 0.0
 
     def test_bell_with_spectator(self):
         amps = np.zeros(8, dtype=complex)
@@ -124,40 +124,37 @@ class TestReoaCut:
 
 class TestTheorem3Bound:
     def test_w_state_full_ladder(self):
-        w = wclass_from_state(w_state())
         profile = detect_ordering(w_state())
         for mu in (0.25, 0.5, 0.75, 1.0):
-            report = theorem3_bound(w, profile, AlphaMu(0.823, mu))
+            report = theorem3_bound(w_state(), profile, AlphaMu(0.823, mu))
             assert report.margin >= -1e-9
             assert report.lhs == pytest.approx(0.932108**mu, abs=1e-5)
             assert report.rhs == pytest.approx(2.0**mu * 0.607218**mu, abs=1e-5)
 
     def test_w_state_mu_one_ladders_coincide(self):
-        w = wclass_from_state(w_state())
-        report = theorem3_bound(w, detect_ordering(w_state()), AlphaMu(0.823, 1.0))
+        report = theorem3_bound(w_state(), detect_ordering(w_state()), AlphaMu(0.823, 1.0))
         assert [wt for wt, _ in report.rhs_terms] == [1.0, 1.0]
         assert abs(report.rhs - report.baseline_rhs) < 1e-15
         assert report.lhs == pytest.approx(0.932108, abs=1e-6)
         assert report.rhs == pytest.approx(2 * 0.607218, abs=1e-5)
 
     def test_product_case_zero(self):
-        w, psi = build_wclass(1.0, (0.0, 0.0))
-        report = theorem3_bound(w, detect_ordering(psi), AlphaMu(0.9, 0.5))
+        _, psi = build_wclass(1.0, (0.0, 0.0))
+        report = theorem3_bound(psi, detect_ordering(psi), AlphaMu(0.9, 0.5))
         assert report.lhs == 0.0 and report.rhs == 0.0
 
     def test_random_wclass_upper_bound_holds(self):
         checked = 0
         for n in (3, 4, 5):
             for seed in range(60):
-                w = random_wclass(n, seed=seed)
-                psi = w.to_state_vector()
+                psi = random_wclass(n, seed=seed).to_state_vector()
                 profile = detect_ordering(psi)
                 if not profile.satisfied:
                     continue
                 checked += 1
                 for alpha in (0.8229, 1.3027):
                     for mu in (0.25, 0.5, 0.75, 1.0):
-                        report = theorem3_bound(w, profile, AlphaMu(alpha, mu))
+                        report = theorem3_bound(psi, profile, AlphaMu(alpha, mu))
                         assert report.margin >= -1e-9
                         # weighted bound never exceeds the unweighted one
                         assert report.rhs <= report.baseline_rhs + 1e-12
@@ -165,23 +162,22 @@ class TestTheorem3Bound:
 
     def test_mu_zero_reports_equality(self):
         # degenerate ladder (1, 0, ...) against lhs^0: evaluated, not asserted
-        w = wclass_from_state(w_state())
-        report = theorem3_bound(w, detect_ordering(w_state()), AlphaMu(0.823, 0.0))
+        report = theorem3_bound(w_state(), detect_ordering(w_state()), AlphaMu(0.823, 0.0))
         assert report.lhs == 1.0 and report.rhs == 1.0 and report.margin == 0.0
 
     def test_parameters_validated(self):
-        w = wclass_from_state(w_state())
-        profile = detect_ordering(w_state())
+        psi = w_state()
+        profile = detect_ordering(psi)
         with pytest.raises(ParameterError):
-            theorem3_bound(w, profile, AlphaMu(0.823, 2.0))  # mu > 1
+            theorem3_bound(psi, profile, AlphaMu(0.823, 2.0))  # mu > 1
         with pytest.raises(ParameterError):
-            theorem3_bound(w, profile, AlphaMu(0.5, 0.5))  # alpha outside window
+            theorem3_bound(psi, profile, AlphaMu(0.5, 0.5))  # alpha outside window
 
     def test_precondition_enforced(self):
-        w, psi = build_wclass(np.sqrt(0.5), (np.sqrt(0.1), np.sqrt(0.4)))
+        _, psi = build_wclass(np.sqrt(0.5), (np.sqrt(0.1), np.sqrt(0.4)))
         profile = detect_ordering(psi, relabel=False)
         with pytest.raises(PreconditionError):
-            theorem3_bound(w, profile, AlphaMu(0.9, 0.5))
+            theorem3_bound(psi, profile, AlphaMu(0.9, 0.5))
 
     def test_reads_the_state_it_was_given(self):
         # a StateVector within the 1e-12 norm tolerance but not exactly unit:
@@ -213,10 +209,10 @@ class TestTheorem3Bound:
 
     def test_split_ladder_four_parties(self):
         # force a split profile: pair 1 dominates, pairs 2..3 below their tails
-        w, psi = build_wclass(np.sqrt(0.4), (np.sqrt(0.41), np.sqrt(0.09), np.sqrt(0.10)))
+        _, psi = build_wclass(np.sqrt(0.4), (np.sqrt(0.41), np.sqrt(0.09), np.sqrt(0.10)))
         profile = detect_ordering(psi, relabel=False)
         if profile.split_index not in (FULL, None):
-            report = theorem3_bound(w, profile, AlphaMu(0.9, 0.5))
+            report = theorem3_bound(psi, profile, AlphaMu(0.9, 0.5))
             assert report.margin >= -1e-9
 
 
@@ -257,6 +253,8 @@ def test_theorem3_rejects_non_wclass_input():
     rho = DensityMatrix(np.eye(8) / 8)
     with pytest.raises(UnsupportedStateClassError):
         reoa_cut(rho, 0.9)
+    with pytest.raises(UnsupportedStateClassError):  # the coefficient form is not a state
+        reoa_cut(wclass_from_state(w_state()), 0.9)
     with pytest.raises(UnsupportedStateClassError):
         theorem3_bound(
             haar_random_state(3, seed=5),
@@ -268,11 +266,23 @@ def test_theorem3_rejects_non_wclass_input():
 def test_assisted_terms_match_f_alpha_route():
     # the pairwise assisted estimate is f_alpha at the squared pair CoA
     w = random_wclass(4, seed=77)
-    profile = detect_ordering(w.to_state_vector())
+    psi = w.to_state_vector()
+    profile = detect_ordering(psi)
     if profile.satisfied:
-        report = theorem3_bound(w, profile, AlphaMu(ALPHA_LO, 0.5))
+        report = theorem3_bound(psi, profile, AlphaMu(ALPHA_LO, 0.5))
         expected = [
             f_alpha(w.pair_concurrence(w.labels.index(lab)) ** 2, ALPHA_LO) ** 0.5
             for lab in profile.party_order
         ]
         np.testing.assert_allclose([t for _, t in report.rhs_terms], expected, atol=1e-12)
+
+
+def test_bounds_reject_a_profile_of_another_focus():
+    # a profile measured around B1 would pair B1's pair terms with A's cut
+    _, psi = build_wclass(np.sqrt(0.5), (np.sqrt(0.3), np.sqrt(0.2)))
+    other = detect_ordering(psi.permuted(("B1", "A", "B2")))
+    assert other.focus == "B1" and other.satisfied
+    for bound, mu in ((theorem_bound, 2.0), (theorem3_bound, 0.5)):
+        with pytest.raises(UnsupportedStateClassError, match="focus must be the state's first"):
+            bound(psi, other, AlphaMu(0.9, mu))
+        bound(psi, detect_ordering(psi), AlphaMu(0.9, mu))  # its own profile is taken

@@ -172,12 +172,11 @@ def test_every_route_takes_no_spectra(no_spectra, tmp_path, capsys):
                                     state_class="wclass", mu_grid=(mu,))
             for record in run_campaign(config).records[:3]:
                 replay_record(record)
-    w, psi = build_wclass(np.sqrt(0.4), (np.sqrt(0.3), np.sqrt(0.2), np.sqrt(0.1)))
+    _, psi = build_wclass(np.sqrt(0.4), (np.sqrt(0.3), np.sqrt(0.2), np.sqrt(0.1)))
     profile = detect_ordering(psi)
     assert profile.satisfied
     theorem_bound(psi, profile, AlphaMu(0.9, 2.0))
     theorem3_bound(psi, profile, AlphaMu(0.9, 0.5))
-    theorem3_bound(w, profile, AlphaMu(0.9, 0.5))
     path = tmp_path / "w.json"
     save_state(StateVector(psi.amplitudes, ("W", "X", "Y", "Z")), path)
     for mu in ("2", "0.5"):
