@@ -27,7 +27,7 @@ for config in (
                    state_class="wclass", mu_grid=(0.25, 0.5, 0.75, 1.0)),
 ):
     result = run_campaign(config)
-    print(f"  {config.mode:<9} records={len(result.records):<5} "
+    print(f"  {config.mode:<9} records={result.n_records:<5} "
           f"violations={result.n_violations:<3} min margin={result.min_margin:+.3e}")
 
 print()

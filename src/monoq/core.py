@@ -20,6 +20,7 @@ from .errors import (
     NormalizationError,
     PositivityError,
     SizeError,
+    UnsupportedStateClassError,
 )
 
 MAX_QUBITS = 10
@@ -77,6 +78,19 @@ class StateVector:
         n = self.n_qubits
         amps = self.amplitudes.reshape([2] * n).transpose(perm).reshape(-1)
         return StateVector(amps.copy(), new_labels)
+
+
+def require_state_vector(psi) -> None:
+    """Reject anything but a ``StateVector`` where a pure global state is read.
+
+    The public bound and ordering functions take the state itself; a
+    ``WClassState`` (its coefficient form) or a ``DensityMatrix`` raises
+    UnsupportedStateClassError here instead of failing on a missing field.
+    """
+    if not isinstance(psi, StateVector):
+        raise UnsupportedStateClassError(
+            f"expected the pure global state as a StateVector, got {type(psi).__name__}"
+        )
 
 
 def _require_hermitian(mat: np.ndarray) -> None:
@@ -311,30 +325,31 @@ def unit_gaussian_rows(seeds, width: int) -> np.ndarray:
 
     Row b is what ``default_rng(seeds[b])`` gives with two ``normal(size=width)``
     calls, real parts first, then ``v / np.linalg.norm(v)``, bit for bit.  One
-    PCG64 local to the call, seeded with the first seed, draws each row in
-    one ``normal(size=2 * width)`` call; before every later row it is set to
-    that seed's start state from ``pcg64_states``.  So a batch of one costs
-    what ``default_rng`` does.  The norm stays per row and is
-    ``np.linalg.norm``'s own complex formula, sqrt(re.re + im.im) as two
-    BLAS dots on the row's strided real and imaginary views, without its
-    wrapper; a stacked sum would not keep the dots' summation order.
-    ``seeds`` is a nonempty sequence of ints in [0, 2**64);
-    ``tests/test_seed_streams.py`` holds the rows to ``default_rng`` and
-    ``np.linalg.norm`` byte for byte.
+    PCG64 local to the call, seeded with the first seed, fills each row in
+    place with one ``standard_normal(out=row)`` call (``normal(size=2 *
+    width)`` returns ``0.0 + 1.0 * x`` of the same draws); before every
+    later row it is set to that seed's start state from ``pcg64_states``.
+    So a batch of one costs what ``default_rng`` does.
+    The norm stays per row and is ``np.linalg.norm``'s own complex formula,
+    sqrt(re.re + im.im) as two BLAS dots on the row views of ``v.real`` and
+    ``v.imag``, without its wrapper; a stacked sum would not keep the dots'
+    summation order.  ``seeds`` is a nonempty sequence of ints in
+    [0, 2**64); ``tests/test_seed_streams.py`` holds the rows to
+    ``default_rng`` and ``np.linalg.norm`` byte for byte.
     """
     draws = np.empty((len(seeds), 2 * width))
     bitgen = np.random.PCG64(seeds[0])
     gen = np.random.Generator(bitgen)
-    draws[0] = gen.normal(size=2 * width)
+    gen.standard_normal(out=draws[0])
     stream = {"state": 0, "inc": 0}
     full_state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
     states, incs = pcg64_states(seeds[1:])
     for row, state, inc in zip(draws[1:], states, incs):
         stream["state"], stream["inc"] = state, inc
         bitgen.state = full_state
-        row[:] = gen.normal(size=2 * width)
+        gen.standard_normal(out=row)
     v = draws[:, :width] + 1j * draws[:, width:]
-    norms = np.sqrt([row.real.dot(row.real) + row.imag.dot(row.imag) for row in v])
+    norms = np.sqrt([re.dot(re) + im.dot(im) for re, im in zip(v.real, v.imag)])
     return v / norms[:, None]
 
 

@@ -14,6 +14,7 @@ dependence.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,12 +23,11 @@ import numpy as np
 
 from .core import MAX_QUBITS, StateVector, load_state
 from .errors import ConfigError, IoError, PreconditionError
-from .measures import ALPHA_MAX, ALPHA_WINDOW, MU_MAX, AlphaMu, PureFeatures
+from .measures import ALPHA_MAX, ALPHA_WINDOW, MU_MAX, PureFeatures
 from .monogamy import (
     Orderings,
     bound_values,
     ckw_terms,
-    ladder_spectra,
     ladder_terms,
     lemma1_terms,
     scalar_weight_inequality,
@@ -112,7 +112,10 @@ def figure_rows(figure: str, alpha: float = REFERENCE_ALPHA):
     for mu in mus:
         terms = [e**mu for e in e_pairs]
         ours = terms[0] + (2.0**mu - 1.0) * terms[1]
-        rows.append((mu, e_cut**mu, ours, sum(terms)))
+        prior = 0.0
+        for term in terms:  # left to right: sum() compensates from Python 3.12 on
+            prior += term
+        rows.append((mu, e_cut**mu, ours, prior))
     return ("mu", "lhs", "ours", "prior"), rows
 
 
@@ -311,9 +314,6 @@ def _csv_field(value) -> str:
     return str(value) if isinstance(value, (int, str)) else fmt12(value)
 
 
-# Positions in a witness row, which holds a WitnessRecord's fields as a plain tuple.
-_RHS, _MARGIN, _BASELINE = map(WitnessRecord._fields.index, ("rhs", "margin", "baseline_rhs"))
-
 # Rows per write of ``CampaignResult.write_records_csv``.
 CSV_CHUNK_ROWS = 1024
 
@@ -380,17 +380,23 @@ def _csv_template(mode, state_class, n_qubits, alpha, mu, t) -> str:
     return ",".join(["%s", *fixed[:3], "%s", *fixed[3:], "%.12g", "%.12g", "%.12g", "%.12g"]) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CampaignResult:
-    """Aggregate of a fuzzing run plus every evaluated witness.
+    """Aggregate of a fuzzing run plus every evaluated witness, held as columns.
 
-    ``rows`` holds the witnesses as plain tuples of a WitnessRecord's fields,
-    in field order, with ints at index and seed and floats at lhs, rhs,
-    margin and baseline; ``records`` and ``worst`` build records on demand.
+    ``block`` (B, C, 4) holds (lhs, rhs, margin, baseline_rhs) of each of the
+    B passing states in each of the C cells, ``indices`` (B, C) the record
+    index of each (state, cell) and ``seeds`` (B,) each state's seed.
+    ``cells`` holds, per cell, the fields its records share: (mode,
+    state_class, n_qubits, alpha, mu, t).  Records run state-major and
+    cell-minor; ``records`` and ``worst`` build ``WitnessRecord``s on demand.
     """
 
     config: CampaignConfig
-    rows: tuple[tuple, ...]
+    cells: tuple[tuple, ...]
+    indices: np.ndarray
+    seeds: np.ndarray
+    block: np.ndarray
     n_sampled: int
     n_satisfied: int
     n_skipped: int
@@ -401,13 +407,28 @@ class CampaignResult:
     first_failed_ge: tuple[int, ...] | None = None
 
     @property
+    def n_records(self) -> int:
+        return self.indices.size
+
+    @property
     def records(self) -> tuple[WitnessRecord, ...]:
-        return tuple(map(WitnessRecord._make, self.rows))
+        return tuple(map(self._record, range(self.n_records)))
+
+    def _record(self, k: int) -> WitnessRecord:
+        """Record k in state-major, cell-minor order."""
+        b, c = divmod(k, len(self.cells))
+        mode, state_class, n_qubits, alpha, mu, t = self.cells[c]
+        return WitnessRecord(int(self.indices[b, c]), mode, state_class, n_qubits,
+                             int(self.seeds[b]), alpha, mu, *self.block[b, c].tolist(), t)
 
     @property
     def n_violations(self) -> int:
         tol = self.config.tolerance
-        return sum(1 for r in self.rows if not r[_MARGIN] >= -tol)  # NaN counts
+        return int(np.count_nonzero(~(self.block[..., 2] >= -tol)))  # NaN counts
+
+    @property
+    def n_nonfinite_margins(self) -> int:
+        return int(np.count_nonzero(~np.isfinite(self.block[..., 2])))
 
     @property
     def min_margin(self) -> float:
@@ -416,14 +437,15 @@ class CampaignResult:
 
     @property
     def mean_tightness_gain(self) -> float:
-        gains = [abs(r[_RHS] - r[_BASELINE]) for r in self.rows]
-        return float(np.mean(gains)) if gains else float("nan")
+        gains = np.abs(self.block[..., 1] - self.block[..., 3]).ravel()  # state-major
+        return float(np.mean(gains)) if gains.size else float("nan")
 
     @property
     def worst(self) -> WitnessRecord | None:
         """First record of smallest margin; a NaN margin is smaller than any number."""
-        row = min(self.rows, key=lambda r: (not math.isnan(r[_MARGIN]), r[_MARGIN]), default=None)
-        return None if row is None else WitnessRecord._make(row)
+        if not self.n_records:
+            return None
+        return self._record(int(np.argmin(self.block[..., 2])))  # argmin stops at a NaN
 
     def summary(self) -> dict:
         worst = self.worst
@@ -436,13 +458,14 @@ class CampaignResult:
             "n_sampled": self.n_sampled,
             "n_hypothesis_satisfied": self.n_satisfied,
             "n_skipped": self.n_skipped,
-            "n_records": len(self.rows),
+            "n_records": self.n_records,
             "n_violations": self.n_violations,
             "min_margin": None if worst is None else worst.margin,
             "mean_tightness_gain": None if worst is None else self.mean_tightness_gain,
             "worst": None if worst is None else worst._asdict(),
             "split_histogram": self.split_histogram,
             "skip_reasons": self.skip_reasons,
+            "n_nonfinite_margins": self.n_nonfinite_margins,
         }
 
     @property
@@ -461,27 +484,20 @@ class CampaignResult:
         return {f"satisfied_ge[{i}]": c for i, c in enumerate(self.first_failed_ge)}
 
     def write_records_csv(self, stream) -> None:
-        """Header, then the rows as ``to_csv_row`` prints them, CSV_CHUNK_ROWS lines per write.
+        """Header, then the records as ``to_csv_row`` prints them, CSV_CHUNK_ROWS lines per write.
 
         Each line fills its cell's template (see ``_csv_template``), made once
-        per distinct (mode, class, qubits, alpha, mu, t).
+        per cell, with the record's index, seed and four values.
         """
         stream.write(",".join(WitnessRecord.CSV_COLUMNS) + "\n")
-        # alpha, mu and t are keyed by identity: 0.0 and -0.0 are equal but
-        # print apart, and the rows keep every keyed object alive
-        templates: dict = {}
-        rows = self.rows
-        for start in range(0, len(rows), CSV_CHUNK_ROWS):
-            lines = []
-            for index, mode, cls, n, seed, alpha, mu, lhs, rhs, margin, base, t in rows[
-                start:start + CSV_CHUNK_ROWS
-            ]:
-                key = (mode, cls, n, id(alpha), id(mu), id(t))
-                template = templates.get(key)
-                if template is None:
-                    template = templates[key] = _csv_template(mode, cls, n, alpha, mu, t)
-                lines.append(template % (index, seed, lhs, rhs, margin, base))
-            stream.write("".join(lines))
+        if not self.n_records:
+            return
+        templates = [_csv_template(*cell) for cell in self.cells]
+        fields = zip(self.indices.ravel().tolist(), np.repeat(self.seeds, len(templates)).tolist(),
+                     *self.block.reshape(-1, 4).T.tolist())
+        rows = zip(itertools.cycle(templates), fields)
+        while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
+            stream.write("".join([template % values for template, values in chunk]))
 
 
 def _scalar_margin(t: float, x: float) -> float:
@@ -491,50 +507,43 @@ def _scalar_margin(t: float, x: float) -> float:
 
 
 def _scalar_campaign(config: CampaignConfig) -> CampaignResult:
-    rows = []
-    ts = np.linspace(0.0, 1.0, 200)
+    """The scalar grid as one row of cells: a cell and a record index per (x, t)."""
+    cells, values = [], []
     for x in config.mu_grid:
-        for t in ts:
+        for t in np.linspace(0.0, 1.0, 200):
             rhs = 1.0 + (2.0**x - 1.0) * t**x
-            margin = _scalar_margin(float(t), float(x))
-            rows.append(
-                (len(rows), "scalar", "grid", 0, 0, None, float(x), (1.0 + t) ** x, rhs, margin,
-                 rhs, float(t))
-            )
-    return CampaignResult(config, tuple(rows), len(rows), len(rows), 0)
-
-
-def _values(terms, upper: bool = False) -> list[tuple]:
-    """(lhs, rhs, margin, baseline) per (kind, lhs, terms) of a ``*_terms`` function."""
-    return [bound_values(lhs, t, upper) for _, lhs, t in terms]
+            values.append(((1.0 + t) ** x, rhs, _scalar_margin(float(t), float(x)), rhs))
+            cells.append(("scalar", "grid", 0, None, float(x), float(t)))
+    n = len(cells)
+    return CampaignResult(config, tuple(cells), np.arange(n)[None], np.zeros(1, dtype=np.uint64),
+                          np.array([values]), n, n, 0)
 
 
 class _Passed(NamedTuple):
     """The states of one ``_evaluate`` call whose hypothesis holds.
 
-    ``splits`` holds each state's ladder (``split_index``) and ``spectra``
-    maps each alpha of the cells to ``ladder_spectra`` of the states; both
-    are None in modes without a hypothesis.
+    ``pairs`` holds their pair concurrences in party order and ``splits``
+    their ``Orderings.split`` codes; both are None in modes without a
+    hypothesis.
     """
 
     feats: PureFeatures
-    splits: list | None
-    spectra: dict | None
+    pairs: np.ndarray | None
+    splits: np.ndarray | None
 
 
-# Per-mode evaluators (passed states, alpha, mu) -> one (lhs, rhs, margin,
-# baseline) per state, shared by campaigns and replay so that a record and
-# its replay cannot drift apart.  The public per-state functions build their
-# reports from the same ``*_terms`` functions and ``bound_values``.
+# Per-mode evaluators (passed states, cells) -> (lhs, weights, terms) columns
+# of every passed state and cell, shared by campaigns and replay so that a
+# record and its replay cannot drift apart.  The public per-state functions
+# build their reports from the same ``*_terms`` functions and ``bound_values``.
 _EVALUATORS = {
-    "ckw": lambda passed, alpha, mu: _values(ckw_terms(passed.feats)),
-    "lemma1": lambda passed, alpha, mu: _values(lemma1_terms(passed.feats, mu)),
-    "monogamy": lambda passed, alpha, mu: _values(
-        ladder_terms(passed.spectra[alpha], passed.splits, AlphaMu(alpha, mu), upper=False)
+    "ckw": lambda passed, cells: ckw_terms(passed.feats),
+    "lemma1": lambda passed, cells: lemma1_terms(passed.feats, [mu for _, mu in cells]),
+    "monogamy": lambda passed, cells: ladder_terms(
+        passed.feats.cut_probs, passed.pairs, passed.splits, cells, upper=False
     ),
-    "polygamy": lambda passed, alpha, mu: _values(
-        ladder_terms(passed.spectra[alpha], passed.splits, AlphaMu(alpha, mu), upper=True),
-        upper=True,
+    "polygamy": lambda passed, cells: ladder_terms(
+        passed.feats.cut_probs, passed.pairs, passed.splits, cells, upper=True
     ),
 }
 
@@ -546,28 +555,27 @@ _NO_HYPOTHESIS = ("ckw", "lemma1")
 CHUNK_AMPLITUDES = 2**16
 
 
-def _evaluate(mode: str, amplitudes: np.ndarray, cells) -> tuple[list, list, Orderings | None]:
-    """The states of a (B, 2**n) stack whose hypothesis holds, their values per cell, the decision.
+def _evaluate(mode: str, amplitudes: np.ndarray, cells) -> tuple:
+    """The rows of a (B, 2**n) stack whose hypothesis holds, their values, the decision.
 
-    Returns the stack rows that pass; per cell, one (lhs, rhs, margin,
-    baseline) per passing state; and the ordering decision of every row, or
-    None for ckw and lemma1, which have no hypothesis.  The features are
-    computed once from the stacked amplitudes, the hypotheses are decided
-    for the whole stack at once, and the cut and pair spectra once per alpha.
+    Returns the indices of the passing rows; their (lhs, rhs, margin,
+    baseline) block of shape (len(keep), len(cells), 4); and the ordering
+    decision of every row, or None for ckw and lemma1, which have no
+    hypothesis.  The features are computed once from the stacked
+    amplitudes, the hypotheses are decided for the whole stack at once, and
+    every cell is evaluated as columns over the passing rows.
     """
     feats = PureFeatures.of(amplitudes)
     if mode in _NO_HYPOTHESIS:
-        keep, orderings, passed = list(range(len(amplitudes))), None, _Passed(feats, None, None)
+        keep, orderings, passed = np.arange(len(amplitudes)), None, _Passed(feats, None, None)
     else:
         orderings = Orderings.of(feats.pair_concurrences)
-        keep = np.flatnonzero(orderings.split).tolist()
-        if not keep:
-            return keep, [], orderings
-        feats, pairs = feats.take(keep), orderings.pairs[keep]
-        alphas = dict.fromkeys(alpha for alpha, _ in cells)  # distinct, in cell order
-        spectra = {alpha: ladder_spectra(feats.cut_probs, pairs, alpha) for alpha in alphas}
-        passed = _Passed(feats, [orderings.split_index(i) for i in keep], spectra)
-    return keep, [_EVALUATORS[mode](passed, alpha, mu) for alpha, mu in cells], orderings
+        keep = np.flatnonzero(orderings.split)
+        if not keep.size:
+            return keep, np.empty((0, len(cells), 4)), orderings
+        passed = _Passed(feats.take(keep), orderings.pairs[keep], orderings.split[keep])
+    columns = _EVALUATORS[mode](passed, cells)
+    return keep, bound_values(*columns, upper=mode == "polygamy"), orderings
 
 
 def _cells(config: CampaignConfig) -> list[tuple[float | None, float | None]]:
@@ -611,27 +619,28 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             "haar states beyond 3 qubits have no computable ordering tails; use class=wclass"
         )
 
-    mode, state_class, cells = config.mode, config.state_class, _cells(config)
-    rows: list[tuple] = []
-    n_sampled = n_satisfied = 0
+    mode, cells = config.mode, _cells(config)
+    indices, seeds, blocks = [], [], []
+    n_sampled = 0
     decisions = []  # per chunk: states per split code, skipped states per first failed ">="
-    for start, seeds, amplitudes, labels in _sampled_chunks(config):
-        n_sampled += len(seeds)
-        keep, per_cell, orderings = _evaluate(mode, amplitudes, cells)
-        n_satisfied += len(keep)
-        n = len(labels)
-        rows += [
-            (start + i, mode, state_class, n, seeds[i], alpha, mu, *values[j], None)
-            for j, i in enumerate(keep)
-            for (alpha, mu), values in zip(cells, per_cell)
-        ]
+    for start, chunk_seeds, amplitudes, labels in _sampled_chunks(config):
+        n_sampled += len(chunk_seeds)
+        keep, block, orderings = _evaluate(mode, amplitudes, cells)
+        indices.append(start + keep)
+        seeds.append(np.array(chunk_seeds, dtype=np.uint64)[keep])
+        blocks.append(block)
         if orderings is not None:
             # a skipped state fails some ">=" condition; argmin finds its first
+            n = len(labels)
             skipped = orderings.ge[orderings.split == 0]
             decisions.append((np.bincount(orderings.split, minlength=n - 1),
                               np.bincount(np.argmin(skipped, axis=1), minlength=n - 2)))
     counts = [tuple(np.sum(c, axis=0).tolist()) for c in zip(*decisions)] or [None, None]
-    return CampaignResult(config, tuple(rows), n_sampled, n_satisfied, n_sampled - n_satisfied,
+    fields = (mode, config.state_class, len(labels))
+    index = np.concatenate(indices)
+    return CampaignResult(config, tuple((*fields, alpha, mu, None) for alpha, mu in cells),
+                          np.repeat(index[:, None], len(cells), axis=1), np.concatenate(seeds),
+                          np.concatenate(blocks), n_sampled, len(index), n_sampled - len(index),
                           *counts)
 
 
@@ -648,12 +657,10 @@ def replay_record(record: WitnessRecord, state: StateVector | None = None) -> fl
     if state is None:
         state = _sample_state(record.state_class, record.n_qubits, record.state_seed)
     psi = _entering(record.mode, state)
-    cell = (record.alpha, record.mu)
-    keep, per_cell, _ = _evaluate(record.mode, psi.amplitudes[None], [cell])
-    if not keep:
+    keep, block, _ = _evaluate(record.mode, psi.amplitudes[None], [(record.alpha, record.mu)])
+    if not keep.size:
         raise PreconditionError("recorded state no longer satisfies the hypothesis")
-    _, _, margin, _ = per_cell[0][0]
-    return margin
+    return float(block[0, 0, 2])
 
 
 def falpha_table(alphas, points: int = 101):

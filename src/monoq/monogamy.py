@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import StateVector
+from .core import StateVector, require_state_vector
 from .errors import DomainError, ParameterError, PreconditionError, UnsupportedStateClassError
 from .measures import AlphaMu, PureFeatures, f_alpha, renyi_entropy, require_power
 from .wclass import wclass_from_state
@@ -26,17 +26,28 @@ FULL = "full"
 ORDERING_ATOL = 1e-12
 
 
-def bound_values(lhs: float, terms, upper: bool) -> tuple[float, float, float, float]:
-    """(lhs, rhs, margin, baseline) of ``lhs`` against weighted terms (weight, term).
+def bound_values(lhs: np.ndarray, weights: np.ndarray, terms: np.ndarray,
+                 upper: bool) -> np.ndarray:
+    """(lhs, rhs, margin, baseline) of every (state, cell), shape (B, C, 4).
 
-    rhs is the weighted sum of the terms and baseline their unweighted sum,
-    each added left to right.  ``margin`` is ``rhs - lhs`` for an upper bound
-    on ``lhs`` and ``lhs - rhs`` for a lower bound, so that a nonnegative
-    value means the inequality holds.
+    ``lhs`` is (B, C); ``weights`` and ``terms`` are (B, C, k), the weighted
+    terms of each cell's right side.  rhs is ``0.0 + W[..., 0] * T[..., 0]``,
+    then ``+ W[..., j] * T[..., j]`` for j = 1 .. k-1, left to right, and
+    baseline is the unweighted terms summed the same way.  IEEE ``*`` and
+    ``+`` give the same bits on arrays as on Python floats, so the values do
+    not depend on the Python version; the builtin ``sum`` of floats
+    compensates from Python 3.12 on.  ``margin`` is ``rhs - lhs`` for an
+    upper bound on ``lhs`` and ``lhs - rhs`` for a lower bound, so that a
+    nonnegative value means the inequality holds.
     """
-    rhs = float(sum([w * t for w, t in terms]))
-    baseline = float(sum([t for _, t in terms]))
-    return lhs, rhs, rhs - lhs if upper else lhs - rhs, baseline
+    block = np.zeros(lhs.shape + (4,))
+    block[..., 0] = lhs
+    rhs, baseline = block[..., 1], block[..., 3]
+    for j in range(terms.shape[-1]):
+        rhs += weights[..., j] * terms[..., j]
+        baseline += terms[..., j]
+    block[..., 2] = rhs - lhs if upper else lhs - rhs
+    return block
 
 
 @dataclass(frozen=True)
@@ -62,17 +73,19 @@ class BoundReport:
     mu: float | None = None
 
     @classmethod
-    def from_terms(cls, kind, lhs, terms, upper: bool, alpha=None, mu=None) -> "BoundReport":
-        """Report comparing ``lhs`` with the sum of weighted terms (weight, term).
+    def from_columns(cls, kind, columns, upper: bool, alpha=None, mu=None) -> "BoundReport":
+        """Report of the one state and cell of ``columns``, (lhs, weights, terms) of a batch of one.
 
         ``upper`` marks an upper bound on ``lhs``, otherwise a lower bound; the
-        unweighted sum of the same terms is the baseline.
+        unweighted sum of the same terms is the baseline.  The values come
+        from ``bound_values``, as a campaign's do.
         """
-        lhs, rhs, margin, baseline = bound_values(lhs, terms, upper)
+        lhs, weights, terms = columns
+        (((lhs, rhs, margin, baseline),),) = bound_values(lhs, weights, terms, upper).tolist()
         return cls(
             kind=kind,
             lhs=lhs,
-            rhs_terms=terms,
+            rhs_terms=tuple(zip(weights[0, 0].tolist(), terms[0, 0].tolist())),
             rhs=rhs,
             margin=margin,
             baseline_rhs=baseline,
@@ -160,6 +173,7 @@ def detect_ordering(psi: StateVector, relabel: bool = True) -> OrderingProfile:
     order of decreasing pair concurrence, the labeling under which the
     hypotheses are most likely to hold.
     """
+    require_state_vector(psi)
     if psi.n_qubits > 3:
         wclass_from_state(psi)
     feats = PureFeatures.of_state(psi)
@@ -245,36 +259,52 @@ class Orderings(NamedTuple):
         )
 
 
-def ckw_terms(feats: PureFeatures) -> list[tuple]:
-    """Squared-concurrence monogamy (kind, lhs, terms), one per state of ``feats``."""
-    return [
-        ("ckw", cut**2, tuple((1.0, c**2) for c in pairs))
-        for cut, pairs in zip(feats.cut_concurrence.tolist(), feats.pair_concurrences.tolist())
-    ]
+def powers(values: np.ndarray, x: float) -> np.ndarray:
+    """``v ** x`` for every entry, by Python's ``**`` one value at a time.
+
+    ``np.power`` rounds differently from the C ``pow`` behind Python's
+    ``**`` on a few percent of inputs (and ``x ** 2`` from ``x * x``), so
+    every power of a bound is taken here, the same on every route.
+    """
+    return np.array([v**x for v in values.ravel().tolist()]).reshape(values.shape)
+
+
+def ckw_terms(feats: PureFeatures) -> tuple:
+    """Squared-concurrence monogamy columns (lhs, weights, terms) of every state of ``feats``.
+
+    One cell: lhs (B, 1) is the squared cut concurrence and the terms
+    (B, 1, n-1) the squared pair concurrences, each of weight 1.
+    """
+    terms = powers(feats.pair_concurrences, 2)[:, None]
+    return powers(feats.cut_concurrence, 2)[:, None], np.ones_like(terms), terms
 
 
 def ckw_check(psi: StateVector) -> BoundReport:
     """Squared-concurrence monogamy: C^2 first qubit vs rest >= sum of pair C^2."""
-    ((kind, lhs, terms),) = ckw_terms(PureFeatures.of_state(psi))
-    return BoundReport.from_terms(kind, lhs, terms, upper=False)
+    require_state_vector(psi)
+    return BoundReport.from_columns("ckw", ckw_terms(PureFeatures.of_state(psi)), upper=False)
 
 
-def lemma1_terms(feats: PureFeatures, x: float) -> list[tuple]:
-    """Weighted concurrence-power (kind, lhs, terms) at power ``x``, one per state of ``feats``."""
-    if x < 2:
-        raise ParameterError(f"the weighted concurrence inequality needs x >= 2, got {x}")
-    require_power(x, "x")
-    if feats.pair_lambdas.shape[1] != 2:
-        raise UnsupportedStateClassError(
-            "both sides are computable only for pure three-qubit states"
-        )
-    weight = 2.0 ** (x / 2.0) - 1.0
-    return [
-        ("lemma1", cut**x, ((1.0, c1**x), (weight, c2**x)))
-        for cut, (c2, c1) in zip(
-            feats.cut_concurrence.tolist(), np.sort(feats.pair_concurrences, axis=-1).tolist()
-        )
-    ]
+def lemma1_terms(feats: PureFeatures, xs) -> tuple:
+    """Weighted concurrence-power columns (lhs, weights, terms), one cell per power in ``xs``.
+
+    Cell c of state b has lhs C_cut^x and terms (C_1^x, C_2^x) of weights
+    (1, 2^(x/2) - 1), partners ordered so that C_1 >= C_2.
+    """
+    for x in xs:
+        if x < 2:
+            raise ParameterError(f"the weighted concurrence inequality needs x >= 2, got {x}")
+        require_power(x, "x")
+        if feats.pair_lambdas.shape[1] != 2:
+            raise UnsupportedStateClassError(
+                "both sides are computable only for pure three-qubit states"
+            )
+    cut, pairs = feats.cut_concurrence, np.sort(feats.pair_concurrences, axis=-1)[:, ::-1]
+    lhs, terms = np.empty((len(cut), len(xs))), np.empty((len(cut), len(xs), 2))
+    for c, x in enumerate(xs):
+        lhs[:, c], terms[:, c] = powers(cut, x), powers(pairs, x)
+    weights = np.array([(1.0, 2.0 ** (x / 2.0) - 1.0) for x in xs])
+    return lhs, np.broadcast_to(weights, terms.shape), terms
 
 
 def lemma1_check(psi: StateVector, x: float) -> BoundReport:
@@ -283,57 +313,68 @@ def lemma1_check(psi: StateVector, x: float) -> BoundReport:
     Checks C_cut^x >= C_1^x + (2^(x/2) - 1) C_2^x with the partners ordered
     so that C_1 >= C_2, for powers x >= 2.
     """
-    ((kind, lhs, terms),) = lemma1_terms(PureFeatures.of_state(psi), x)
-    return BoundReport.from_terms(kind, lhs, terms, upper=False, mu=x)
+    require_state_vector(psi)
+    columns = lemma1_terms(PureFeatures.of_state(psi), [x])
+    return BoundReport.from_columns("lemma1", columns, upper=False, mu=x)
 
 
-def ladder_spectra(cut_probs: np.ndarray, pairs: np.ndarray, alpha: float) -> tuple[list, list]:
-    """(cut entanglement, [f_alpha(C^2) per pair]) per state, at order ``alpha``.
+def ladder_terms(cut_probs: np.ndarray, pairs: np.ndarray, splits: np.ndarray, cells,
+                 upper: bool) -> tuple:
+    """Ladder-weighted columns (lhs, weights, terms), one cell per (alpha, mu) of ``cells``.
 
-    ``cut_probs`` (B, 2) are focus | rest Schmidt probabilities and
-    ``pairs`` (B, n-1) pair concurrences in party order.  Every mu of one
-    alpha reads the same values, so they are computed once per alpha.
+    ``cut_probs`` (B, 2) are focus | rest Schmidt probabilities, ``pairs``
+    (B, n-1) pair concurrences in party order and ``splits`` (B,) each
+    state's ladder as an ``Orderings.split`` code.  The left side is the cut
+    entanglement raised to mu.  The terms are ``f_alpha`` at each squared
+    pair concurrence, raised to mu, in party order, each with the weight of
+    the state's ladder.  The cut entropy and pair ``f_alpha`` values are
+    computed once per distinct alpha, and each ladder's weights once per
+    cell.  ``upper`` selects the polygamy upper bound on assisted
+    entanglement (each pair concurrence equals the pair's concurrence of
+    assistance on W-class states) instead of the monogamy lower bound.
+    Raises PreconditionError when a state satisfies no ladder hypothesis
+    (split code 0): the bound claims nothing there.
     """
-    return renyi_entropy(cut_probs, alpha).tolist(), f_alpha(pairs * pairs, alpha).tolist()
-
-
-def ladder_terms(spectra: tuple[list, list], splits, params: AlphaMu, upper: bool) -> list[tuple]:
-    """Ladder-weighted (kind, lhs, terms), one per state of ``ladder_spectra`` at ``params.alpha``.
-
-    The left side is the cut entanglement raised to mu.  The terms are
-    ``f_alpha`` at each squared pair concurrence, raised to mu, in party
-    order, each with the weight of the state's ladder in ``splits`` (a
-    ``split_index`` per state).  ``upper`` selects the polygamy upper bound
-    on assisted entanglement (each pair concurrence equals the pair's
-    concurrence of assistance on W-class states) instead of the monogamy
-    lower bound.  Raises PreconditionError when a state satisfies no ladder
-    hypothesis: the bound claims nothing there.
-    """
-    (params.require_polygamy if upper else params.require_monogamy)()
-    mu = params.mu
-    prefix, which = ("assist", "weighted upper bound") if upper else ("ladder", "weighted bound")
-    ladders: dict = {}  # split -> (kind, weights)
-    out = []
-    for e, row, split in zip(*spectra, splits):
-        if split is None:
-            raise PreconditionError(f"ordering hypothesis unsatisfied; the {which} is not claimed")
-        if split not in ladders:
-            kind = f"{prefix}-full" if split == FULL else f"{prefix}-split-{split}"
-            ladders[split] = kind, weight_ladder(1 + len(row), split, mu).tolist()
-        kind, weights = ladders[split]
-        out.append((kind, e**mu, tuple([(w, t**mu) for w, t in zip(weights, row)])))
-    return out
+    for alpha, mu in cells:
+        params = AlphaMu(alpha, mu)
+        (params.require_polygamy if upper else params.require_monogamy)()
+    if not splits.all():
+        which = "weighted upper bound" if upper else "weighted bound"
+        raise PreconditionError(f"ordering hypothesis unsatisfied; the {which} is not claimed")
+    b, k = pairs.shape
+    codes = set(splits.tolist())
+    spectra = {
+        alpha: (renyi_entropy(cut_probs, alpha), f_alpha(pairs * pairs, alpha))
+        for alpha in dict.fromkeys(alpha for alpha, _ in cells)  # distinct, in cell order
+    }
+    lhs = np.empty((b, len(cells)))
+    weights, terms = np.empty((b, len(cells), k)), np.empty((b, len(cells), k))
+    for c, (alpha, mu) in enumerate(cells):
+        cut, pair = spectra[alpha]
+        lhs[:, c], terms[:, c] = powers(cut, mu), powers(pair, mu)
+        table = np.empty((k, k))  # weights per split code, n - 2 = k - 1 the full ladder
+        for code in codes:
+            table[code] = weight_ladder(k + 1, FULL if code == k - 1 else code, mu)
+        weights[:, c] = table[splits]
+    return lhs, weights, terms
 
 
 def profile_report(psi: StateVector, profile: OrderingProfile, params: AlphaMu,
                    upper: bool) -> BoundReport:
     """The ladder report of one state and its profile (``theorem_bound``, ``theorem3_bound``)."""
+    require_state_vector(psi)
     if profile.focus != psi.labels[0]:
         raise UnsupportedStateClassError("the profile's focus must be the state's first qubit")
+    split, n = profile.split_index, 1 + len(profile.pair_concurrences)
+    if split is not None:
+        weight_ladder(n, split, params.mu)  # raises on a split no n-qubit profile has
+    code = np.array([n - 2 if split == FULL else split or 0])
     cut = PureFeatures.of_state(psi).cut_probs
-    spectra = ladder_spectra(cut, np.array([profile.pair_concurrences]), params.alpha)
-    ((kind, lhs, terms),) = ladder_terms(spectra, [profile.split_index], params, upper)
-    return BoundReport.from_terms(kind, lhs, terms, upper, params.alpha, params.mu)
+    columns = ladder_terms(cut, np.array([profile.pair_concurrences]), code,
+                           [(params.alpha, params.mu)], upper)
+    prefix = "assist" if upper else "ladder"
+    kind = f"{prefix}-full" if split == FULL else f"{prefix}-split-{split}"
+    return BoundReport.from_columns(kind, columns, upper, params.alpha, params.mu)
 
 
 def theorem_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) -> BoundReport:

@@ -9,10 +9,12 @@ analytic and the hypotheses are decidable.
 
 from __future__ import annotations
 
-from .core import StateVector
-from .errors import SizeError, UnsupportedStateClassError
+import numpy as np
+
+from .core import StateVector, require_state_vector
+from .errors import SizeError
 from .measures import AlphaMu, PureFeatures, renyi_entropy
-from .monogamy import BoundReport, OrderingProfile, profile_report
+from .monogamy import BoundReport, OrderingProfile, powers, profile_report
 from .wclass import wclass_from_state
 
 __all__ = [
@@ -30,11 +32,7 @@ def reoa_cut(psi: StateVector, alpha: float) -> float:
     like the left side of ``theorem3_bound``.  Mixed inputs are rejected: no
     analytic route exists for them here.
     """
-    if not isinstance(psi, StateVector):
-        raise UnsupportedStateClassError(
-            f"expected the pure global state as a StateVector, got {type(psi).__name__}; "
-            "assisted entanglement of a mixed state has no analytic form here"
-        )
+    require_state_vector(psi)
     return renyi_entropy(PureFeatures.of_state(psi).cut_probs[0], alpha)
 
 
@@ -58,9 +56,10 @@ def coa_polygamy_check(psi: StateVector) -> BoundReport:
 
     Holds for every pure multi-qubit state; the margin is rhs - lhs.
     """
+    require_state_vector(psi)
     if psi.n_qubits > 6:
         raise SizeError(f"capped at 6 qubits, got {psi.n_qubits}")
     feats = PureFeatures.of_state(psi)
-    lhs = float(feats.cut_concurrence[0]) ** 2
-    terms = tuple((1.0, c**2) for c in feats.pair_coas[0].tolist())
-    return BoundReport.from_terms("coa-polygamy", lhs, terms, upper=True)
+    terms = powers(feats.pair_coas, 2)[:, None]
+    columns = powers(feats.cut_concurrence, 2)[:, None], np.ones_like(terms), terms
+    return BoundReport.from_columns("coa-polygamy", columns, upper=True)

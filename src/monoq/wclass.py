@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_QUBITS, StateVector, resolve_labels, unit_gaussian_rows
+from .core import MAX_QUBITS, StateVector, require_state_vector, resolve_labels, unit_gaussian_rows
 from .errors import (
     InvalidSubsystemError,
     NormalizationError,
@@ -98,8 +98,10 @@ def wclass_from_state(psi: StateVector) -> WClassState:
     """Recognize a state vector with single-excitation support.
 
     Raises UnsupportedStateClassError when any amplitude outside the one-hot
-    basis states exceeds WCLASS_SUPPORT_ATOL.
+    basis states exceeds WCLASS_SUPPORT_ATOL, and on anything but a
+    ``StateVector``.
     """
+    require_state_vector(psi)
     amps = psi.amplitudes
     onehot = onehot_indices(psi.n_qubits)
     mask = np.ones(amps.size, dtype=bool)

@@ -45,7 +45,7 @@ from monoq.harness import (
     parse_config_file,
 )
 from monoq.cli import main
-from monoq.measures import ALPHA_MAX, MU_MAX, f_alpha
+from monoq.measures import ALPHA_MAX, MU_MAX, PureFeatures, f_alpha
 
 
 class TestReferenceStates:
@@ -62,6 +62,19 @@ class TestReferenceStates:
 
 
 class TestFigureData:
+    @pytest.mark.parametrize("figure", ["fig1", "fig2"])
+    def test_prior_is_summed_left_to_right(self, figure):
+        # sum() of floats compensates from Python 3.12 on; the column must not
+        psi = reference_schmidt_state() if figure == "fig1" else w_state(3)
+        feats = PureFeatures.of_state(psi)
+        pairs = (feats.pair_concurrences if figure == "fig1" else feats.pair_coas)[0]
+        e_pairs = f_alpha(pairs * pairs, REFERENCE_ALPHA).tolist()
+        for mu, _, _, prior in figure_rows(figure)[1]:
+            expected = 0.0
+            for e in e_pairs:
+                expected = expected + e**mu
+            assert prior == expected
+
     def test_fig1_grid_and_ordering(self):
         header, rows = figure_rows("fig1")
         assert header == ("mu", "lhs", "ours", "prior")
@@ -216,11 +229,12 @@ class TestConfig:
 
 def _ckw_result(*margins) -> CampaignResult:
     """Campaign result over hand-made ckw records with the given margins."""
-    fields = dict(mode="ckw", state_class="haar", n_qubits=3, state_seed=0, alpha=None,
-                  mu=None, lhs=0.0, rhs=0.0, baseline_rhs=0.0)
-    records = tuple(WitnessRecord(index=i, margin=m, **fields) for i, m in enumerate(margins))
-    n = len(records)
-    return CampaignResult(CampaignConfig(mode="ckw", n_states=n), records, n, n, 0)
+    n = len(margins)
+    block = np.zeros((n, 1, 4))  # lhs, rhs and baseline 0
+    block[:, 0, 2] = margins
+    cells = (("ckw", "haar", 3, None, None, None),)
+    return CampaignResult(CampaignConfig(mode="ckw", n_states=n), cells, np.arange(n)[:, None],
+                          np.zeros(n, dtype=np.uint64), block, n, n, 0)
 
 
 class TestCampaigns:
@@ -291,6 +305,21 @@ class TestCampaigns:
     def test_nan_margin_is_a_violation(self):
         assert _ckw_result(0.5, float("nan")).n_violations == 1
 
+    def test_nonfinite_margins_are_counted(self):
+        nan, inf = float("nan"), float("inf")
+        assert _ckw_result(0.5, -0.25).summary()["n_nonfinite_margins"] == 0
+        summary = _ckw_result(0.5, nan, -inf, inf, -1.0).summary()
+        assert summary["n_nonfinite_margins"] == 3
+        assert summary["n_violations"] == 3  # NaN, -inf and -1.0
+
+    def test_records_come_from_the_columns(self):
+        result = _ckw_result(0.5, -0.25)
+        assert result.records == tuple(
+            WitnessRecord(index=i, mode="ckw", state_class="haar", n_qubits=3, state_seed=0,
+                          alpha=None, mu=None, lhs=0.0, rhs=0.0, margin=m, baseline_rhs=0.0)
+            for i, m in enumerate((0.5, -0.25))
+        )
+
     @pytest.mark.parametrize("margins", [(0.5, float("nan")), (float("nan"), 0.5)])
     def test_nan_margin_is_the_worst(self, margins):
         summary = _ckw_result(*margins).summary()
@@ -303,7 +332,8 @@ class TestCampaigns:
         assert result.worst.index == 1 and result.min_margin == -0.25
 
     def test_no_state_or_record_objects_per_state(self, monkeypatch):
-        # states go straight into amplitude stacks and witnesses stay plain rows
+        # states go straight into amplitude stacks and witnesses stay columns:
+        # besides the arrays, nothing in a result grows with its records
         def forbidden(*args, **kwargs):
             raise AssertionError("object built inside a campaign")
 
@@ -321,7 +351,13 @@ class TestCampaigns:
             CampaignConfig(mode="scalar", n_states=1, mu_grid=(0.5, 2.0)),
         ):
             result = run_campaign(config)
-            assert result.rows
+            assert result.n_records
+            n_cells = len(result.cells)
+            assert result.block.shape == (result.n_records // n_cells, n_cells, 4)
+            for field in dataclasses.fields(result):  # split counts: at most n - 1 entries
+                value = getattr(result, field.name)
+                assert isinstance(value, (np.ndarray, CampaignConfig, int, type(None))) \
+                    or len(value) <= max(n_cells, config.n_qubits), field.name
             result.write_records_csv(io.StringIO())
 
     def test_summary_fields(self):
@@ -341,7 +377,9 @@ class TestCampaigns:
         config = CampaignConfig(mode=mode, n_states=5, n_qubits=4 if hypothesis else 3, seed=2,
                                 state_class="wclass" if hypothesis else None)
         summary = run_campaign(config).summary()
-        assert list(summary) == self.SUMMARY_KEYS + ["split_histogram", "skip_reasons"]
+        assert list(summary) == self.SUMMARY_KEYS + ["split_histogram", "skip_reasons",
+                                                     "n_nonfinite_margins"]
+        assert summary["n_nonfinite_margins"] == 0
         if not hypothesis:  # no ordering hypothesis, nothing skipped
             assert summary["split_histogram"] is None and summary["skip_reasons"] is None
 
@@ -361,7 +399,7 @@ class TestCampaigns:
         config = CampaignConfig(mode=mode, n_states=30, n_qubits=n_qubits, seed=4,
                                 state_class="wclass", alpha_grid=(0.9, 1.2, 0.9))
         result = run_campaign(config)
-        assert len(result.rows) == 3 * len(config.mu_grid) * result.n_satisfied > 0
+        assert result.n_records == 3 * len(config.mu_grid) * result.n_satisfied > 0
         names = ("renyi_entropy", "f_alpha")
         assert calls == {(name, alpha): 1 for name in names for alpha in (0.9, 1.2)}
 

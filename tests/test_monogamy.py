@@ -29,10 +29,29 @@ from monoq import (
 from monoq.harness import reference_schmidt_state
 from monoq.core import MAX_QUBITS
 from monoq.measures import ALPHA_WINDOW, MU_MAX, f_alpha
-from monoq.monogamy import ORDERING_ATOL, Orderings, ordering_profile
+from monoq.monogamy import ORDERING_ATOL, Orderings, bound_values, ordering_profile
 
 ALPHA_LO, ALPHA_HI = ALPHA_WINDOW
 SQRT6_OVER_6 = np.sqrt(6.0) / 6.0
+
+
+class TestBoundValues:
+    def test_terms_are_added_left_to_right(self):
+        # sum() of floats compensates from Python 3.12 on and gives 1.0 here
+        terms = np.array([[[1e16, 1.0, -1e16]]])
+        block = bound_values(np.array([[0.5]]), np.ones_like(terms), terms, upper=False)
+        assert block.tolist() == [[[0.5, 0.0, 0.5, 0.0]]]
+
+    def test_weights_margins_and_signed_zeros(self):
+        lhs = np.array([[1.0, 2.0]])
+        weights = np.array([[[1.0, 3.0], [1.0, 7.0]]])
+        terms = np.array([[[0.5, 0.25], [-0.0, -0.0]]])
+        lower = bound_values(lhs, weights, terms, upper=False)
+        upper = bound_values(lhs, weights, terms, upper=True)
+        assert lower[0, 0].tolist() == [1.0, 1.25, -0.25, 0.75]
+        assert upper[0, 0].tolist() == [1.0, 1.25, 0.25, 0.75]
+        # 0 + (-0.0) is 0.0, as sum() gives it
+        assert [math.copysign(1.0, v) for v in lower[0, 1, 1::2]] == [1.0, 1.0]
 
 
 class TestWeightLadder:
@@ -302,6 +321,15 @@ class TestTheoremBound:
         psi = reference_schmidt_state()
         report = theorem_bound(psi, detect_ordering(psi), AlphaMu(ALPHA_LO, 3.0))
         assert [w for w, _ in report.rhs_terms] == [1.0, 7.0]
+
+    @pytest.mark.parametrize("split", [0, 3, -1])
+    def test_a_split_no_profile_has_is_rejected(self, split):
+        # five qubits: splits 1 and 2, and "full"; code 3 would read as full
+        psi = build_wclass(np.sqrt(0.295), (0.7, 0.3, 0.25, 0.25))[1]
+        profile = detect_ordering(psi)
+        assert profile.split_index == 1
+        with pytest.raises(ParameterError, match="invalid for 5 parties"):
+            theorem_bound(psi, dataclasses.replace(profile, split_index=split), AlphaMu(0.9, 2.0))
 
     def test_pair_terms_come_from_the_profile(self):
         # the pair concurrences detect_ordering tested are the ones the bound uses

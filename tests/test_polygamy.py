@@ -14,10 +14,12 @@ from monoq import (
     WClassState,
     WitnessRecord,
     build_wclass,
+    ckw_check,
     coa_polygamy_check,
     coa_two_qubit,
     detect_ordering,
     haar_random_state,
+    lemma1_check,
     partial_trace,
     pure_to_density,
     random_wclass,
@@ -261,6 +263,26 @@ def test_theorem3_rejects_non_wclass_input():
             detect_ordering(w_state()),
             AlphaMu(0.9, 0.5),
         )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: theorem_bound(w, detect_ordering(w_state()), AlphaMu(0.9, 2.0)),
+        lambda w: theorem3_bound(w, detect_ordering(w_state()), AlphaMu(0.9, 0.5)),
+        detect_ordering,
+        wclass_from_state,
+        coa_polygamy_check,
+        ckw_check,
+        lambda w: lemma1_check(w, 2.0),
+    ],
+    ids=["theorem_bound", "theorem3_bound", "detect_ordering", "wclass_from_state",
+         "coa_polygamy_check", "ckw_check", "lemma1_check"],
+)
+def test_the_coefficient_form_is_rejected(call):
+    # a WClassState used to fail with AttributeError on a missing field
+    with pytest.raises(UnsupportedStateClassError, match="StateVector, got WClassState"):
+        call(wclass_from_state(w_state()))
 
 
 def test_assisted_terms_match_f_alpha_route():
