@@ -332,12 +332,12 @@ def derive_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     bits = range(0, max(32, master_seed.bit_length()), 32)
     master = [master_seed >> shift & 0xFFFFFFFF for shift in bits]
     groups = []
-    for low, high, n_words in ((0, 2**32, 1), (2**32, 2**64, 2)):
+    for low, high in ((0, 2**32), (2**32, 2**64)):
         first, last = max(start, low), min(stop, high)
         if first < last:
             indices = np.arange(first, last, dtype=np.uint64)
-            entropy = master + [indices & 0xFFFFFFFF, indices >> 32][:n_words]
-            groups.append(core.seed_sequence_state(entropy, 1)[0])
+            words = [indices] if low == 0 else [indices & 0xFFFFFFFF, indices >> 32]
+            groups.append(core.seed_sequence_state(master + words, 1)[0])
     return np.concatenate(groups) if groups else np.empty(0, dtype=np.uint64)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, StateVector, pair_blocks, pair_marginal_stack, schmidt_probabilities
+from .core import DensityMatrix, StateVector, pair_blocks, schmidt_probabilities
 from .errors import DomainError, InvalidSubsystemError, ParameterError, SizeError
 from .wclass import onehot_indices, single_excitation_rows
 
@@ -193,8 +193,9 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 def _spin_flip_lambdas(rhos: np.ndarray) -> np.ndarray:
     """Descending square roots of the eigenvalues of rho (YY) rho* (YY), for a (..., 4, 4) stack.
 
-    The eigen-factor route, for any two-qubit state: the rows of the basis
-    passed to ``_basis_lambdas`` are the subnormalized eigenvectors
+    The eigen-factor route, for ``DensityMatrix`` input only (pure states
+    take a factor of the amplitudes, see ``PureFeatures``): the rows of the
+    basis passed to ``_basis_lambdas`` are the subnormalized eigenvectors
     |e_k~> = sqrt(w_k) |e_k> of rho.  Wootters concurrence is
     max(0, l1 - l2 - l3 - l4); concurrence of assistance is the sum of the
     four.
@@ -309,12 +310,13 @@ class PureFeatures:
     concurrence of assistance are both exactly 2|a||b_i|.  Such rows take no
     SVD, no marginal and no ``eigh``.
 
-    Every other row takes one SVD for the cut.  Up to 4 qubits a pair's
-    4 x K amplitude block M (K = 2**(n-2) <= 4) is itself a factor of its
-    marginal M M^H, so the lambdas are the singular values of M^T (YY) M,
-    with no marginal and no ``eigh``.  Beyond that the K > 4 rows of M^H
-    would make the overlap larger than the marginal, and the marginal's
-    eigenvectors are the factor instead.
+    Every other row takes one SVD for the cut.  A pair's 4 x K amplitude
+    block M (K = 2**(n-2)) is a factor of its marginal M M^H: up to 4 qubits
+    (K <= 4) the lambdas are the singular values of M^T (YY) M.  Beyond that
+    the K rows of M^H would make the overlap larger than the marginal, so
+    they are replaced by the 4 rows of R from the thin QR M^H = QR, which
+    factors the same marginal (Q^H Q = 1).  No pure state builds a marginal
+    or calls ``eigh``.
     """
 
     cut_probs: np.ndarray
@@ -351,13 +353,11 @@ class PureFeatures:
 
     @classmethod
     def _dense(cls, amplitudes: np.ndarray) -> "PureFeatures":
-        """Features of any rows: one SVD for the cut, the factor or eigen route for the pairs."""
-        if amplitudes.shape[1] <= 16:
-            blocks = np.stack(list(pair_blocks(amplitudes)), axis=1)
-            lambdas = _basis_lambdas(np.swapaxes(blocks, -1, -2).conj())
-        else:
-            lambdas = _spin_flip_lambdas(pair_marginal_stack(amplitudes))
-        return cls(schmidt_probabilities(amplitudes, (0,)), lambdas)
+        """Features of any rows: one SVD for the cut, a factor of each pair's marginal for the pairs."""
+        factors = np.swapaxes(np.stack(list(pair_blocks(amplitudes)), axis=1), -1, -2).conj()
+        if factors.shape[-2] > 4:
+            factors = np.linalg.qr(factors, mode="r")
+        return cls(schmidt_probabilities(amplitudes, (0,)), _basis_lambdas(factors))
 
     @classmethod
     def of_state(cls, psi: StateVector) -> "PureFeatures":

@@ -43,6 +43,10 @@ CASES = {
     # chunks of 7 states: rows come from 8 stacks
     "monogamy-haar-q3-chunked": (dict(mode="monogamy", n_states=50, n_qubits=3, seed=110),
                                  7 * 2**3),
+    # pair lambdas from the thin QR factor (5 qubits on); lemma1 campaigns
+    # take 3 qubits only, so both are ckw
+    "ckw-haar-q5": (dict(mode="ckw", n_states=40, n_qubits=5, seed=111), None),
+    "ckw-haar-q6": (dict(mode="ckw", n_states=30, n_qubits=6, seed=112), None),
 }
 
 GOLDEN = {
@@ -70,6 +74,10 @@ GOLDEN = {
                            "cc782130c93b44a4d529d05eb0e6a4f271b668adb97196870dd9f2595b4fd523"),
     "monogamy-haar-q3-chunked": ("817f4800f4028b69e86b3d4368ea355a514089a3ffb832d22f3b61b8ce054f4b",
                                 "748bd84d88abdb7ef8f682eff1487210594f2eb5b23ab095b4421f3b41e99855"),
+    "ckw-haar-q5": ("6e4fa2f119fb53fc1111bc92add2999044bc1cf44574cb334af0c266790c843a",
+                   "ff1a78b11d793c2fc92ffa7f43ef2c4970c189acb5fc5d65b90c80c260da0d37"),
+    "ckw-haar-q6": ("bd46afa1049944edf23050ae171fb05f97aa55d31899617cb07e96ee901b523e",
+                   "77e7709ef41cae71b5bc63e17047da3b039503b1595338b7b59614e8d0088fd7"),
 }
 
 

@@ -1,14 +1,17 @@
 """Spin-flip lambdas of pure states straight from their amplitude blocks.
 
-Up to 4 qubits, ``PureFeatures.of`` reads the lambdas of each pair (first
-qubit, qubit q) as the singular values of T = M^T (YY) M, where M is the
-pair's 4 x K amplitude block (K = 2**(n-2) <= 4), padded with zeros to four.
-This is the factor route.  It builds no marginal and calls no ``eigh``.  Here
-it is held to:
+``PureFeatures.of`` reads the lambdas of each pair (first qubit, qubit q)
+from a factor of the pair's marginal M M^H, where M is the pair's 4 x K
+amplitude block (K = 2**(n-2)).  Up to 4 qubits the factor is M^H itself and
+the lambdas are the singular values of T = M^T (YY) M, padded with zeros to
+four.  From 5 qubits on it is the 4 x 4 R of the thin QR M^H = QR.  This is
+the factor route.  It builds no marginal and calls no ``eigh`` at any n.
+Here it is held to:
 
-- the singular values of T accumulated in 80-bit precision, within 2e-15;
+- the singular values of T accumulated in 80-bit precision, within 2e-15 up
+  to 4 qubits and 1e-14 at 5-10 qubits;
 - the eigen-factor route (``_spin_flip_lambdas`` of ``pair_marginal_stack``),
-  which stays in use for 5 or more qubits and for mixed states;
+  which stays in use for mixed states;
 - exact values on states whose lambdas are known in closed form, also after
   random local unitaries (which leave every pair's lambdas unchanged);
 - ``np.linalg.svd`` for the closed form of a 2x2 complex symmetric matrix.
@@ -16,8 +19,9 @@ it is held to:
 The eigen route itself is the noisier one.  It takes square roots of
 eigenvalues that sit at the rounding floor, and on 20,000 Haar states per
 qubit count it strayed from the 80-bit reference by up to 2e-14 (2 qubits)
-and 6e-14 (3 qubits).  So it is compared within 1e-12 there, the tolerance
-of the dense-route tests in ``test_engine``; everywhere else within 1e-14.
+and 6e-14 (3 qubits).  On near-product pairs it strays by about 1e-8.  So it
+is compared within 1e-12 on Haar states, the tolerance of the dense-route
+tests in ``test_engine``; everywhere else within 1e-14.
 """
 
 import warnings
@@ -27,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoq import harness, measures
+from monoq import core, harness, measures
 from monoq.core import haar_amplitudes, haar_random_unitary, pair_blocks, pair_marginal_stack
 from monoq.measures import PureFeatures, _spin_flip_lambdas, _symmetric_2x2_singular_values, _YY
 from monoq.wclass import onehot_indices, wclass_coefficients
@@ -43,7 +47,7 @@ def _extended_reference(amplitudes):
     """Singular values of T = M^T (YY) M, with T summed in 80-bit precision, padded to four."""
     m = np.stack(list(pair_blocks(amplitudes)), axis=1).astype(np.clongdouble)
     t = np.swapaxes(m, -1, -2) @ _YY.astype(np.clongdouble) @ m
-    sv = np.linalg.svd(t.astype(complex), compute_uv=False)
+    sv = np.linalg.svd(t.astype(complex), compute_uv=False)[..., :4]  # T has rank <= 4
     out = np.zeros(sv.shape[:-1] + (4,))
     out[..., : sv.shape[-1]] = sv
     return out
@@ -67,6 +71,17 @@ def test_haar_factor_route_matches_reference_and_eigen_route(n_qubits, seeds):
     np.testing.assert_allclose(lam, _eigen_route(amps), rtol=0, atol=eigen_atol)
     # at most K = 2**(n-2) lambdas are nonzero, and the padding is exact
     assert np.all(lam[..., 2 ** (n_qubits - 2):] == 0.0)
+
+
+@pytest.mark.parametrize("n_qubits", range(5, 11))
+def test_wide_haar_factor_route_matches_reference(n_qubits):
+    # from 5 qubits on the factor is R of the thin QR of M^H
+    amps = haar_amplitudes(n_qubits, harness.derive_seeds(n_qubits, 0, 4).tolist())
+    lam = PureFeatures.of(amps).pair_lambdas
+    assert lam.shape == (4, n_qubits - 1, 4)
+    np.testing.assert_allclose(lam, _extended_reference(amps), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(lam, _eigen_route(amps), rtol=0, atol=1e-12)
+    assert np.all(np.diff(lam, axis=-1) <= 0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -115,6 +130,7 @@ def _structured(name, n):
 
 STRUCTURED = [(name, n) for name in ("product", "ghz", "w", "bell-first-pair") for n in (2, 3, 4)]
 STRUCTURED += [("bell-after-first", n) for n in (3, 4)]
+WIDE_STRUCTURED = [(name, n) for name in ("product", "ghz", "w") for n in range(5, 11)]
 
 
 def _local_unitaries(amps, n, seed):
@@ -144,6 +160,16 @@ def test_structured_states_under_local_unitaries(case, seed):
     amps, exact = _structured(name, n)
     rotated = _local_unitaries(amps, n, seed)
     np.testing.assert_allclose(PureFeatures.of(rotated).pair_lambdas[0], exact, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name, n", WIDE_STRUCTURED)
+def test_wide_structured_states_under_local_unitaries(name, n):
+    # the eigen route strayed by about 1e-8 here on product pairs
+    amps, exact = _structured(name, n)
+    np.testing.assert_allclose(PureFeatures.of(amps[None]).pair_lambdas[0], exact, rtol=0, atol=1e-15)
+    for seed in range(5):
+        rotated = _local_unitaries(amps, n, 1000 * n + seed)
+        np.testing.assert_allclose(PureFeatures.of(rotated).pair_lambdas[0], exact, rtol=0, atol=1e-14)
 
 
 def _symmetric(a, b, d):
@@ -203,6 +229,8 @@ def test_stack_row_equals_batch_of_one(n_qubits):
 
 
 def test_small_states_take_no_marginal_and_no_eigh(monkeypatch):
+    # pure states of every size: no pair marginal and no eigh, in features
+    # and in campaigns
     calls = []
 
     def forbidden(name, original):
@@ -211,10 +239,11 @@ def test_small_states_take_no_marginal_and_no_eigh(monkeypatch):
             return original(*args, **kwargs)
         return call
 
+    assert not hasattr(measures, "pair_marginal_stack")
     monkeypatch.setattr(np.linalg, "eigh", forbidden("eigh", np.linalg.eigh))
-    monkeypatch.setattr(measures, "pair_marginal_stack",
-                        forbidden("pair_marginal_stack", measures.pair_marginal_stack))
-    for n in (2, 3, 4):
+    monkeypatch.setattr(core, "pair_marginal_stack",
+                        forbidden("pair_marginal_stack", core.pair_marginal_stack))
+    for n in range(2, 11):
         PureFeatures.of(haar_amplitudes(n, [1, 2, 3]))
         # ordering profiles need 3 qubits, and Haar ones exactly 3
         runs = [("ckw", "haar")] + [("monogamy", "haar")] * (n == 3) + [("polygamy", "wclass")] * (n > 2)
@@ -222,5 +251,3 @@ def test_small_states_take_no_marginal_and_no_eigh(monkeypatch):
             harness.run_campaign(harness.CampaignConfig(mode=mode, n_states=20, n_qubits=n,
                                                         seed=5, state_class=state_class))
     assert calls == []
-    PureFeatures.of(haar_amplitudes(5, [1, 2, 3]))
-    assert calls == ["pair_marginal_stack", "eigh"]

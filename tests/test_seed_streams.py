@@ -8,6 +8,8 @@ per chunk instead: ``harness.derive_seeds`` hashes a whole index range,
 generator draws each row.  Each step is compared here with numpy itself.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,44 @@ def test_pcg64_states_match_numpy(random_seeds):
     for seed, state, inc in zip(seeds, states, incs, strict=True):
         assert type(state) is int and type(inc) is int
         assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
+
+
+_MASK64 = 2**64 - 1
+_PCG64_MULT_LO = 0x4385DF649FCCF645
+BOUNDARY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def _low_word_carries(seed):
+    """Whether the low-word sums initstate + inc and x * multiplier + inc of PCG64(seed) carry."""
+    w0, w1, w2, w3 = map(int, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+    inc_lo = (w3 << 1 | 1) & _MASK64
+    x_lo = (w1 + inc_lo) & _MASK64
+    return w1 + inc_lo > _MASK64, (x_lo * _PCG64_MULT_LO & _MASK64) + inc_lo > _MASK64
+
+
+def test_pcg64_limbs_match_numpy_at_boundaries_and_carries():
+    seeds = BOUNDARY_SEEDS + list(range(2, 40))
+    # every combination of the two low-word carries is among the seeds
+    assert len({_low_word_carries(seed) for seed in seeds}) == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the uint64 limbs wrap without an overflow warning
+        states, incs = pcg64_states(np.array(seeds, dtype=np.uint64))
+        one_state, one_inc = pcg64_states(np.array([2**64 - 1], dtype=np.uint64))
+    for seed, state, inc in zip(seeds, states, incs, strict=True):
+        assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
+    assert (one_state[0], one_inc[0]) == (states[5], incs[5])
+
+
+STACKED_NORM_WIDTHS = list(range(2, 12)) + [16, 32, 128, 1024]
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 45, 250])
+@pytest.mark.parametrize("width", STACKED_NORM_WIDTHS)
+def test_stacked_row_norms_match_linalg_norm(width, n_rows):
+    # each row's norm is one stacked matmul of the strided real and
+    # imaginary views, byte for byte np.linalg.norm of that row alone
+    seeds = derive_seeds(width, 0, n_rows).tolist()
+    assert unit_gaussian_rows(seeds, width).tobytes() == _default_rng_rows(seeds, width).tobytes()
 
 
 @pytest.mark.parametrize("width", [1, 2, 17, 1024])

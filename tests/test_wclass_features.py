@@ -15,7 +15,7 @@ no pair marginal and no ``eigh``.  Here the closed form is held to:
   row equals that state alone, byte for byte;
 - every route that reads W-class features: campaigns, replay, the public
   bound functions, ``eval`` and file-class campaigns call neither
-  ``np.linalg.svd``/``eigh``/``eigvalsh`` nor ``pair_marginal_stack``.
+  ``np.linalg.svd``/``eigh``/``eigvalsh``/``qr`` nor ``pair_marginal_stack``.
 """
 
 import math
@@ -40,7 +40,7 @@ from monoq import (
     theorem3_bound,
     theorem_bound,
 )
-from monoq import measures
+from monoq import core
 from monoq.cli import main
 from monoq.core import MAX_QUBITS, haar_amplitudes, pair_blocks, schmidt_probabilities
 from monoq.measures import PureFeatures, _YY
@@ -148,15 +148,15 @@ def test_single_excitation_rows():
 
 @pytest.fixture
 def no_spectra(monkeypatch):
-    """Fail on any SVD, eigendecomposition or pair marginal."""
+    """Fail on any SVD, eigendecomposition, QR or pair marginal."""
     def forbidden(name):
         def call(*args, **kwargs):
             raise AssertionError(f"{name} called on single-excitation input")
         return call
 
-    for name in ("svd", "eigh", "eigvalsh"):
+    for name in ("svd", "eigh", "eigvalsh", "qr"):
         monkeypatch.setattr(np.linalg, name, forbidden(name))
-    monkeypatch.setattr(measures, "pair_marginal_stack", forbidden("pair_marginal_stack"))
+    monkeypatch.setattr(core, "pair_marginal_stack", forbidden("pair_marginal_stack"))
 
 
 @pytest.mark.parametrize("n", range(3, MAX_QUBITS + 1))
