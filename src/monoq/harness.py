@@ -618,6 +618,10 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         raise ConfigError(
             "haar states beyond 3 qubits have no computable ordering tails; use class=wclass"
         )
+    if config.mode == "lemma1" and config.state_class != "file" and config.n_qubits != 3:
+        raise ConfigError(f"lemma1 campaigns need three-qubit states, got n_qubits {config.n_qubits}")
+    if config.mode == "lemma1" and min(config.mu_grid) < 2.0:
+        raise ConfigError(f"lemma1 campaigns need powers of at least 2, got {config.mu_grid}")
 
     mode, cells = config.mode, _cells(config)
     indices, seeds, blocks = [], [], []

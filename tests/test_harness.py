@@ -226,6 +226,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             run_campaign(config)
 
+    @pytest.mark.parametrize(
+        "state_class, n_qubits, mu_grid",
+        [("haar", 6, (2.0,)), ("haar", 2, (2.0, 3.0)), ("wclass", 4, (2.0,)), ("haar", 3, (1.5, 2.0))],
+        ids=["haar-q6", "haar-q2", "wclass-q4", "mu-below-2"],
+    )
+    def test_impossible_lemma1_campaign_rejected_before_any_draw(
+        self, state_class, n_qubits, mu_grid, monkeypatch
+    ):
+        def no_draw(*args):
+            raise AssertionError("a state was drawn")
+
+        monkeypatch.setattr(harness, "_DRAWS", {"haar": no_draw, "wclass": no_draw})
+        with pytest.raises(AssertionError, match="drawn"):  # the patch is live
+            run_campaign(CampaignConfig(mode="lemma1", n_states=2, n_qubits=3))
+        config = CampaignConfig(mode="lemma1", n_states=2, n_qubits=n_qubits, mu_grid=mu_grid,
+                                state_class=state_class)
+        with pytest.raises(ConfigError, match="lemma1"):
+            run_campaign(config)
+
 
 def _ckw_result(*margins) -> CampaignResult:
     """Campaign result over hand-made ckw records with the given margins."""

@@ -28,12 +28,15 @@ from monoq import (
 )
 from monoq.errors import InvalidSubsystemError
 from monoq.measures import (
+    _COMPASS,
     ALPHA_MAX,
     MU_MAX,
+    POLISH_XTOL,
     _decomposition_average,
     _random_isometry_batch,
     _search_basis,
     _two_term_lattice,
+    _two_term_polish,
     _two_term_states,
 )
 from monoq.harness import REFERENCE_ALPHA, reference_schmidt_state
@@ -356,6 +359,98 @@ class TestConvexRoofOracle:
             convex_roof_oracle(bell_projector(), ALPHA_LO, n_trials=0, seed=0)
         with pytest.raises(ParameterError):
             convex_roof_oracle(bell_projector(), float("inf"), n_trials=10, seed=0)
+
+
+def sequential_polish(basis, u, phase, values, step, alpha):
+    """The compass search polling one step per round: the reference for the rung ladder."""
+    x = np.stack([u, phase], axis=1)
+    val = values.copy()
+    h = np.full(len(x), step)
+    while True:
+        live = np.flatnonzero(h >= POLISH_XTOL)
+        if live.size == 0:
+            return float(np.min(val))
+        poll = x[live, None, :] + h[live, None, None] * _COMPASS
+        poll[..., 0] = np.clip(poll[..., 0], 0.0, 1.0)
+        flat = poll.reshape(-1, 2)
+        trial = _decomposition_average(_two_term_states(basis, flat[:, 0], flat[:, 1]), alpha)
+        trial = trial.reshape(poll.shape[:2])
+        pick = np.argmin(trial, axis=1)
+        least = trial[np.arange(live.size), pick]
+        won = least < val[live]
+        x[live[won]] = poll[won, pick[won]]
+        val[live[won]] = least[won]
+        h[live] *= np.where(won, 2.0, 0.5)
+
+
+def polish_args(rho, alpha, n_trials, seed):
+    """The oracle's polish arguments: basis, its lattice top-6 (u, phase, value), step and alpha."""
+    basis = _search_basis(rho, n_trials)
+    count = max(1, 2 * n_trials // 3)
+    u, phase = _two_term_lattice(count, np.random.default_rng(seed))
+    values = _decomposition_average(_two_term_states(basis, u, phase), alpha)
+    top = np.argsort(values)[:6]
+    return basis, u[top], phase[top], values[top], 1.0 / np.sqrt(count), alpha
+
+
+def pole_state():
+    """Rank 2 with product eigenvectors: its roof minimum is the eigen-decomposition, at u = 0 or 1."""
+    rng = np.random.default_rng(5)
+    local = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in range(2)]
+    unitary = np.kron(*local)
+    return DensityMatrix(unitary @ np.diag([0.7, 0.0, 0.0, 0.3]) @ unitary.conj().T)
+
+
+class TestRungLadderPolish:
+    """The rung ladder takes the same moves as one compass step per round, bit for bit."""
+
+    ALPHAS = (0.5, 0.823, 1.0, 1.3027)
+    TRIALS = (1, 3, 400, 10_000)
+
+    @staticmethod
+    def assert_same(rho, n_trials, seed=0):
+        for alpha in TestRungLadderPolish.ALPHAS:
+            args = polish_args(rho, alpha, n_trials, seed)
+            assert _two_term_polish(*args) == sequential_polish(*args), alpha
+
+    @pytest.mark.parametrize("n_trials", TRIALS)
+    @pytest.mark.parametrize("k", range(4))
+    def test_random_rank_two_states(self, k, n_trials):
+        self.assert_same(random_mixed_state(2, 2, seed=9000 + k), n_trials, seed=k)
+
+    @pytest.mark.parametrize("n_trials", TRIALS)
+    def test_w_marginal(self, n_trials):
+        self.assert_same(w_marginal(), n_trials, seed=1)
+
+    @pytest.mark.parametrize("n_trials", TRIALS)
+    def test_polls_clipped_at_the_poles(self, n_trials):
+        rho = pole_state()
+        _, u, _, _, step, _ = polish_args(rho, 0.823, n_trials, 0)
+        assert np.any((u < step) | (u > 1.0 - step))  # its first polls leave [0, 1]
+        self.assert_same(rho, n_trials)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_states_match_the_stacked_terms(self, k):
+        # the terms as built before they moved to a points-fast layout, byte for byte
+        basis = _search_basis(random_mixed_state(2, 2, seed=9000 + k), 10)
+        rng = np.random.default_rng(k)
+        u = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 500)])
+        phase = rng.uniform(-10.0, 10.0, u.size)
+        ct, st = np.sqrt(u), np.sqrt(1.0 - u)
+        e = np.exp(1j * phase)
+        first = ct[:, None] * basis[0] + (st * e)[:, None] * basis[1]
+        second = -(st * np.conj(e))[:, None] * basis[0] + ct[:, None] * basis[1]
+        expected = np.stack([first, second], axis=1)
+        assert _two_term_states(basis, u, phase).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", range(2))
+    def test_every_candidate_alone(self, k):
+        rho = random_mixed_state(2, 2, seed=9000 + k)
+        for alpha in self.ALPHAS:
+            basis, u, phase, values, step, _ = polish_args(rho, alpha, 400, k)
+            for i in range(len(u)):
+                one = (basis, u[i:i + 1], phase[i:i + 1], values[i:i + 1], step, alpha)
+                assert _two_term_polish(*one) == sequential_polish(*one)
 
 
 class TestRandomIsometries:
