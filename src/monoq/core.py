@@ -189,29 +189,6 @@ def pair_blocks(amplitudes: np.ndarray):
         yield tensor.transpose([0, 1, 1 + q] + rest).reshape(b, 4, -1)
 
 
-def pair_marginal_stack(amplitudes: np.ndarray) -> np.ndarray:
-    """Two-qubit marginals of a stack of pure states, shape (B, n-1, 4, 4).
-
-    ``amplitudes`` is (B, 2**n).  Entry [b, k] is the marginal of state b on
-    the first qubit (first factor) and qubit k + 1 (second factor),
-    contracted straight from the amplitudes: rho = M M^H of ``pair_blocks``
-    is summed over K pairwise, last traced qubit first.  That is the order
-    ``partial_trace`` sums the projector in, so the entries equal the dense
-    route's, without forming a 2^n x 2^n matrix or validating anything.
-    No campaign route builds these marginals; the tests use them as the
-    dense reference for ``measures.PureFeatures``.
-    """
-    b, n = amplitudes.shape[0], int(amplitudes.shape[1]).bit_length() - 1
-    out = np.empty((b, n - 1, 4, 4), dtype=complex)
-    for k, block in enumerate(pair_blocks(amplitudes)):
-        m = block[:, :, None, :]
-        terms = m * m.conj().transpose(0, 2, 1, 3)
-        while terms.shape[-1] > 1:
-            terms = terms[..., 0::2] + terms[..., 1::2]
-        out[:, k] = terms[..., 0]
-    return out
-
-
 def schmidt_probabilities(amplitudes: np.ndarray, part) -> np.ndarray:
     """Descending Schmidt probabilities of the cut ``part`` | rest, shape (B, r).
 

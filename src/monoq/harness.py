@@ -4,11 +4,16 @@ Everything here is deterministic under a master seed.  State ``index`` has
 the seed ``numpy.random.SeedSequence([master_seed, index])``'s first uint64
 and is drawn from ``default_rng(seed)``, so any witness record can be
 replayed bit-for-bit from its own fields.  Campaigns compute that contract a
-chunk at a time (``derive_seeds``, then ``core.haar_amplitudes`` or
-``wclass.wclass_coefficients`` on the chunk's seeds), with no SeedSequence
-or Generator per state; ``tests/test_seed_streams.py`` pins it against numpy.
-CSV output prints floats with 12 significant digits and no locale
-dependence.
+chunk at a time (``derive_seeds``, then the class's entry in ``_DRAWS``),
+with no SeedSequence or Generator per state; ``tests/test_seed_streams.py``
+pins it against numpy.  ``_DRAWS`` hands ``_evaluate`` a chunk's
+``PureFeatures``: Haar chunks from their amplitudes, W-class chunks in
+closed form from their coefficients, never expanded to 2**n amplitudes.
+The replay of a seeded record draws through the same table, and a state
+from outside (a state file, or a state passed to replay) enters through
+``_entering``.  Every check runs at that boundary, once per campaign or
+record and before the first draw; the evaluators trust their input.  CSV
+output prints floats with 12 significant digits and no locale dependence.
 """
 
 from __future__ import annotations
@@ -21,24 +26,28 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MAX_QUBITS, StateVector, load_state
-from .errors import ConfigError, IoError, PreconditionError
-from .measures import ALPHA_MAX, ALPHA_WINDOW, MU_MAX, PureFeatures
+from .core import MAX_QUBITS, StateVector, load_state, require_state_vector
+from .errors import (
+    ConfigError,
+    IoError,
+    ParameterError,
+    PreconditionError,
+    UnsupportedStateClassError,
+)
+from .measures import ALPHA_MAX, ALPHA_WINDOW, MU_MAX, AlphaMu, PureFeatures
 from .monogamy import (
+    FULL,
     Orderings,
     bound_values,
     ckw_terms,
     ladder_terms,
     lemma1_terms,
+    powers,
+    require_lemma1_power,
     scalar_weight_inequality,
+    weight_ladder,
 )
-from .wclass import (
-    build_wclass,
-    onehot_indices,
-    random_wclass,
-    wclass_coefficients,
-    wclass_from_state,
-)
+from .wclass import build_wclass, wclass_coefficients, wclass_from_state
 from . import core, measures
 
 # Order at which the six-decimal reference values of the worked examples are
@@ -94,7 +103,8 @@ def figure_rows(figure: str, alpha: float = REFERENCE_ALPHA):
 
     ``fig1``: the Schmidt example over mu in [2, 10] step 0.05, columns
     (mu, lhs, ours, prior) with lhs the cut entanglement power, ours the
-    ladder-weighted pair sum, prior the unweighted pair sum.  ``fig2``: the
+    pair sum weighted by ``weight_ladder(3, FULL, mu)``, prior the unweighted
+    pair sum, both as ``bound_values`` adds them.  ``fig2``: the
     W state over mu in [0, 1] step 0.01 with assisted quantities.  Everything
     is recomputed from the state; no tabulated constants.
     """
@@ -107,15 +117,12 @@ def figure_rows(figure: str, alpha: float = REFERENCE_ALPHA):
     feats = PureFeatures.of_state(psi)
     e_cut = measures.renyi_entropy(feats.cut_probs[0], alpha)
     pairs = (feats.pair_concurrences if figure == "fig1" else feats.pair_coas)[0]
-    e_pairs = measures.f_alpha(pairs * pairs, alpha).tolist()
-    rows = []
-    for mu in mus:
-        terms = [e**mu for e in e_pairs]
-        ours = terms[0] + (2.0**mu - 1.0) * terms[1]
-        prior = 0.0
-        for term in terms:  # left to right: sum() compensates from Python 3.12 on
-            prior += term
-        rows.append((mu, e_cut**mu, ours, prior))
+    e_pairs = measures.f_alpha(pairs * pairs, alpha)
+    lhs = np.array([[e_cut**mu for mu in mus]])
+    weights = np.array([[weight_ladder(3, FULL, mu) for mu in mus]])
+    terms = np.array([[powers(e_pairs, mu) for mu in mus]])
+    block = bound_values(lhs, weights, terms, upper=figure == "fig2")[0].tolist()
+    rows = [(mu, left, ours, prior) for mu, (left, ours, _, prior) in zip(mus, block)]
     return ("mu", "lhs", "ours", "prior"), rows
 
 
@@ -172,8 +179,8 @@ class CampaignConfig:
             object.__setattr__(self, "mu_grid", _MODE_MU_DEFAULTS[self.mode])
         if self.state_class not in STATE_CLASSES:
             raise ConfigError(f"class must be one of {STATE_CLASSES}, got {self.state_class!r}")
-        if self.mode == "polygamy" and self.state_class == "haar":
-            raise ConfigError("polygamy campaigns need W-class states; use class wclass or file")
+        if self.mode != "scalar" and self.state_class != "file":
+            _require_seeded(self.mode, self.state_class, self.n_qubits)
         if self.n_states < 1:
             raise ConfigError(f"n_states must be at least 1, got {self.n_states}")
         if self.seed < 0:
@@ -184,14 +191,6 @@ class CampaignConfig:
             raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
         if self.state_class == "file" and not self.state_file:
             raise ConfigError("state class 'file' needs a state file path")
-        # checked here, before any 2**n-sized stack: campaigns trust it after
-        low = 3 if self.state_class == "wclass" else 1
-        sampled = self.mode != "scalar" and self.state_class != "file"
-        if sampled and not low <= self.n_qubits <= MAX_QUBITS:
-            raise ConfigError(
-                f"{self.state_class} states need n_qubits in [{low}, {MAX_QUBITS}], "
-                f"got {self.n_qubits}"
-            )
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         object.__setattr__(self, "mu_grid", tuple(float(m) for m in self.mu_grid))
         if not all(map(math.isfinite, (self.tolerance, *self.alpha_grid, *self.mu_grid))):
@@ -341,37 +340,72 @@ def derive_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     return np.concatenate(groups) if groups else np.empty(0, dtype=np.uint64)
 
 
-def _wclass_stack(n_qubits: int, seeds) -> np.ndarray:
-    stack = np.zeros((len(seeds), 2**n_qubits), dtype=complex)
-    stack[:, onehot_indices(n_qubits)] = wclass_coefficients(n_qubits, seeds)
-    return stack
+# The features of a chunk of a seeded state class, one row per seed: Haar
+# chunks from their (B, 2**n) amplitudes, W-class chunks in closed form from
+# their (B, n) coefficients, never expanded to 2**n.  Campaigns and the replay
+# of a seeded record both draw here, after ``_require_seeded`` checked the
+# class and qubit count; no state object is built per state.
+_DRAWS = {
+    "haar": lambda n, seeds: PureFeatures.of(core.haar_amplitudes(n, seeds)),
+    "wclass": lambda n, seeds: PureFeatures.of_wclass(wclass_coefficients(n, seeds)),
+}
 
 
-# The (B, 2**n) amplitude stack of a seeded state class, one row per seed,
-# written straight from the class's draw helper: no state object is built per
-# sampled state, and the qubit count is the one CampaignConfig checked.
-_DRAWS = {"haar": core.haar_amplitudes, "wclass": _wclass_stack}
+def _require_seeded(mode: str, state_class: str, n_qubits: int) -> None:
+    """Refuse a seeded class and qubit count that ``_DRAWS`` cannot draw or ``mode`` cannot read.
+
+    Checked by ``CampaignConfig`` and by the replay of a seeded record.
+    """
+    if state_class not in _DRAWS:
+        raise ConfigError(f"{state_class!r} states have no seed; pass the state in")
+    if mode == "polygamy" and state_class == "haar":
+        raise ConfigError("polygamy campaigns need W-class states; use class wclass or file")
+    low = 3 if state_class == "wclass" else 2  # every bound needs a partner for the first qubit
+    if not low <= n_qubits <= MAX_QUBITS:
+        raise ConfigError(f"{state_class} states need n_qubits in [{low}, {MAX_QUBITS}], got {n_qubits}")
 
 
-def _sample_state(state_class: str, n_qubits: int, seed: int) -> StateVector:
-    """The state of a seeded record, through the checked public constructors."""
-    if state_class == "haar":
-        return core.haar_random_state(n_qubits, seed)
-    if state_class == "wclass":
-        return random_wclass(n_qubits, seed).to_state_vector()
-    raise ConfigError(f"{state_class!r} states have no seed; pass the state in")
+def _require_cells(mode: str, state_class: str, n_qubits: int, cells) -> None:
+    """Refuse, before the first draw, a campaign or record whose bound claims nothing.
+
+    Haar states have no computable ordering tails beyond three qubits, a
+    seeded lemma1 state must have three qubits, and every cell must lie
+    inside its theorem: the alpha window and mu range of monogamy and
+    polygamy, x >= 2 for lemma1.  The evaluators trust all of it.
+    """
+    if mode == "monogamy" and state_class == "haar" and n_qubits > 3:
+        raise ConfigError(
+            "haar states beyond 3 qubits have no computable ordering tails; use class=wclass"
+        )
+    if mode == "lemma1" and state_class != "file" and n_qubits != 3:
+        raise ConfigError(f"lemma1 campaigns need three-qubit states, got n_qubits {n_qubits}")
+    if mode == "ckw":
+        return
+    try:
+        for alpha, mu in cells:
+            if mode == "lemma1":
+                require_lemma1_power(mu)
+            else:
+                params = AlphaMu(alpha, mu)
+                (params.require_polygamy if mode == "polygamy" else params.require_monogamy)()
+    except ParameterError as exc:
+        raise ConfigError(f"{mode} campaigns: {exc}") from exc
 
 
-def _entering(mode: str, psi: StateVector) -> StateVector:
-    """``psi``, checked to be W-class where ``mode`` reads it as one.
+def _entering(mode: str, psi: StateVector) -> PureFeatures:
+    """The features of a state from outside (a state file, or a state passed to replay), checked.
 
     The polygamy pair terms are assisted values, and the ordering tails
     beyond three qubits root sums of squared pair concurrences, only on
-    W-class states; ``wclass_from_state`` raises on any other state.
+    W-class states; ``wclass_from_state`` raises on any other state.  The
+    lemma1 inequality has both sides only on three-qubit states.
     """
+    require_state_vector(psi)
     if mode == "polygamy" or (mode == "monogamy" and psi.n_qubits > 3):
         wclass_from_state(psi)
-    return psi
+    if mode == "lemma1" and psi.n_qubits != 3:
+        raise UnsupportedStateClassError("both sides are computable only for pure three-qubit states")
+    return PureFeatures.of_state(psi)
 
 
 def _csv_template(mode, state_class, n_qubits, alpha, mu, t) -> str:
@@ -519,32 +553,18 @@ def _scalar_campaign(config: CampaignConfig) -> CampaignResult:
                           np.array([values]), n, n, 0)
 
 
-class _Passed(NamedTuple):
-    """The states of one ``_evaluate`` call whose hypothesis holds.
-
-    ``pairs`` holds their pair concurrences in party order and ``splits``
-    their ``Orderings.split`` codes; both are None in modes without a
-    hypothesis.
-    """
-
-    feats: PureFeatures
-    pairs: np.ndarray | None
-    splits: np.ndarray | None
-
-
-# Per-mode evaluators (passed states, cells) -> (lhs, weights, terms) columns
-# of every passed state and cell, shared by campaigns and replay so that a
-# record and its replay cannot drift apart.  The public per-state functions
-# build their reports from the same ``*_terms`` functions and ``bound_values``.
+# Per-mode evaluators (features, pairs, splits, cells) -> (lhs, weights,
+# terms) columns of the passed states in every cell, shared by campaigns and
+# replay so that a record and its replay cannot drift apart.  ``pairs`` holds
+# the pair concurrences in party order and ``splits`` the ``Orderings.split``
+# codes, both None in modes without a hypothesis.  The public per-state
+# functions build their reports from the same ``*_terms`` functions and
+# ``bound_values``.
 _EVALUATORS = {
-    "ckw": lambda passed, cells: ckw_terms(passed.feats),
-    "lemma1": lambda passed, cells: lemma1_terms(passed.feats, [mu for _, mu in cells]),
-    "monogamy": lambda passed, cells: ladder_terms(
-        passed.feats.cut_probs, passed.pairs, passed.splits, cells, upper=False
-    ),
-    "polygamy": lambda passed, cells: ladder_terms(
-        passed.feats.cut_probs, passed.pairs, passed.splits, cells, upper=True
-    ),
+    "ckw": lambda feats, pairs, splits, cells: ckw_terms(feats),
+    "lemma1": lambda feats, pairs, splits, cells: lemma1_terms(feats, [mu for _, mu in cells]),
+    "monogamy": ladder_terms,
+    "polygamy": ladder_terms,
 }
 
 # Modes whose bound holds without an ordering hypothesis.
@@ -555,26 +575,24 @@ _NO_HYPOTHESIS = ("ckw", "lemma1")
 CHUNK_AMPLITUDES = 2**16
 
 
-def _evaluate(mode: str, amplitudes: np.ndarray, cells) -> tuple:
-    """The rows of a (B, 2**n) stack whose hypothesis holds, their values, the decision.
+def _evaluate(mode: str, feats: PureFeatures, cells) -> tuple:
+    """The states of a chunk's features whose hypothesis holds, their values, the decision.
 
-    Returns the indices of the passing rows; their (lhs, rhs, margin,
+    Returns the indices of the passing states; their (lhs, rhs, margin,
     baseline) block of shape (len(keep), len(cells), 4); and the ordering
-    decision of every row, or None for ckw and lemma1, which have no
-    hypothesis.  The features are computed once from the stacked
-    amplitudes, the hypotheses are decided for the whole stack at once, and
-    every cell is evaluated as columns over the passing rows.
+    decision of every state, or None for ckw and lemma1, which have no
+    hypothesis.  The hypotheses are decided for the whole chunk at once, and
+    every cell is evaluated as columns over the passing states.
     """
-    feats = PureFeatures.of(amplitudes)
     if mode in _NO_HYPOTHESIS:
-        keep, orderings, passed = np.arange(len(amplitudes)), None, _Passed(feats, None, None)
+        keep, orderings, pairs, splits = np.arange(len(feats.cut_probs)), None, None, None
     else:
         orderings = Orderings.of(feats.pair_concurrences)
         keep = np.flatnonzero(orderings.split)
         if not keep.size:
             return keep, np.empty((0, len(cells), 4)), orderings
-        passed = _Passed(feats.take(keep), orderings.pairs[keep], orderings.split[keep])
-    columns = _EVALUATORS[mode](passed, cells)
+        feats, pairs, splits = feats.take(keep), orderings.pairs[keep], orderings.split[keep]
+    columns = _EVALUATORS[mode](feats, pairs, splits, cells)
     return keep, bound_values(*columns, upper=mode == "polygamy"), orderings
 
 
@@ -588,22 +606,20 @@ def _cells(config: CampaignConfig) -> list[tuple[float | None, float | None]]:
 
 
 def _sampled_chunks(config: CampaignConfig):
-    """(first index, seeds, (B, 2**n) amplitudes, labels) per chunk of the campaign's states.
+    """(first index, seeds, features) per chunk of the campaign's states.
 
-    A chunk holds at most CHUNK_AMPLITUDES amplitudes, or one state.
+    A chunk holds at most CHUNK_AMPLITUDES amplitudes' worth of states, or one state.
     """
     if config.state_class == "file":
-        psi = _entering(config.mode, load_state(config.state_file))
-        yield 0, [0], psi.amplitudes[None], psi.labels
+        yield 0, [0], _entering(config.mode, load_state(config.state_file))
         return
     n = config.n_qubits
-    labels = core.default_labels(n)
     size = max(1, CHUNK_AMPLITUDES // 2**n)
     draw = _DRAWS[config.state_class]
     for start in range(0, config.n_states, size):
         stop = min(start + size, config.n_states)
         seeds = derive_seeds(config.seed, start, stop)
-        yield start, seeds.tolist(), draw(n, seeds), labels
+        yield start, seeds.tolist(), draw(n, seeds)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
@@ -614,33 +630,26 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     """
     if config.mode == "scalar":
         return _scalar_campaign(config)
-    if config.mode == "monogamy" and config.state_class == "haar" and config.n_qubits > 3:
-        raise ConfigError(
-            "haar states beyond 3 qubits have no computable ordering tails; use class=wclass"
-        )
-    if config.mode == "lemma1" and config.state_class != "file" and config.n_qubits != 3:
-        raise ConfigError(f"lemma1 campaigns need three-qubit states, got n_qubits {config.n_qubits}")
-    if config.mode == "lemma1" and min(config.mu_grid) < 2.0:
-        raise ConfigError(f"lemma1 campaigns need powers of at least 2, got {config.mu_grid}")
-
     mode, cells = config.mode, _cells(config)
+    _require_cells(mode, config.state_class, config.n_qubits, cells)
+
     indices, seeds, blocks = [], [], []
     n_sampled = 0
     decisions = []  # per chunk: states per split code, skipped states per first failed ">="
-    for start, chunk_seeds, amplitudes, labels in _sampled_chunks(config):
+    for start, chunk_seeds, feats in _sampled_chunks(config):
+        n = feats.pair_lambdas.shape[1] + 1
         n_sampled += len(chunk_seeds)
-        keep, block, orderings = _evaluate(mode, amplitudes, cells)
+        keep, block, orderings = _evaluate(mode, feats, cells)
         indices.append(start + keep)
         seeds.append(np.array(chunk_seeds, dtype=np.uint64)[keep])
         blocks.append(block)
         if orderings is not None:
             # a skipped state fails some ">=" condition; argmin finds its first
-            n = len(labels)
             skipped = orderings.ge[orderings.split == 0]
             decisions.append((np.bincount(orderings.split, minlength=n - 1),
                               np.bincount(np.argmin(skipped, axis=1), minlength=n - 2)))
     counts = [tuple(np.sum(c, axis=0).tolist()) for c in zip(*decisions)] or [None, None]
-    fields = (mode, config.state_class, len(labels))
+    fields = (mode, config.state_class, n)
     index = np.concatenate(indices)
     return CampaignResult(config, tuple((*fields, alpha, mu, None) for alpha, mu in cells),
                           np.repeat(index[:, None], len(cells), axis=1), np.concatenate(seeds),
@@ -651,17 +660,24 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 def replay_record(record: WitnessRecord, state: StateVector | None = None) -> float:
     """Recompute a witness margin from its recorded parameters.
 
-    File-class records carry no seed, so their state must be passed in.  The
-    state goes through the campaign's own path as a batch of one.
+    File-class records carry no seed, so their state must be passed in and
+    enters through ``_entering``; a seeded record's state is drawn through
+    ``_DRAWS`` as a chunk of one.  The record's cell is checked as a
+    campaign's are, and its state goes through the campaign's own path.
     """
     if record.mode == "scalar":
         return _scalar_margin(record.t, record.mu)
     if record.mode not in _EVALUATORS:
         raise ConfigError(f"cannot replay mode {record.mode!r}")
+    cells = [(record.alpha, record.mu)]
+    _require_cells(record.mode, record.state_class, record.n_qubits, cells)
     if state is None:
-        state = _sample_state(record.state_class, record.n_qubits, record.state_seed)
-    psi = _entering(record.mode, state)
-    keep, block, _ = _evaluate(record.mode, psi.amplitudes[None], [(record.alpha, record.mu)])
+        _require_seeded(record.mode, record.state_class, record.n_qubits)
+        seed = np.array([record.state_seed], dtype=np.uint64)
+        feats = _DRAWS[record.state_class](record.n_qubits, seed)
+    else:
+        feats = _entering(record.mode, state)
+    keep, block, _ = _evaluate(record.mode, feats, cells)
     if not keep.size:
         raise PreconditionError("recorded state no longer satisfies the hypothesis")
     return float(block[0, 0, 2])

@@ -153,17 +153,11 @@ def _f_alpha_values(arr: np.ndarray, alpha: float) -> np.ndarray:
     return np.where((out < 0.0) & (out > -1e-12), 0.0, out) + 0.0  # also clears -0.0
 
 
-def _cut(psi: StateVector, partition) -> set:
-    """One side of a bipartition of ``psi``: a proper nonempty subset of its labels."""
+def cut_axes(psi: StateVector, partition) -> tuple[int, ...]:
+    """Tensor axes of one side of a bipartition of ``psi``: a proper nonempty subset of its labels."""
     part = {partition} if isinstance(partition, str) else set(partition)
     if not part or not part < set(psi.labels):
         raise InvalidSubsystemError(f"{sorted(part)} is not a proper nonempty subset of {psi.labels!r}")
-    return part
-
-
-def cut_axes(psi: StateVector, partition) -> tuple[int, ...]:
-    """Tensor axes of one side of a bipartition of ``psi``."""
-    part = _cut(psi, partition)
     return tuple(i for i, lab in enumerate(psi.labels) if lab in part)
 
 
@@ -180,9 +174,10 @@ def concurrence_pure(psi: StateVector, partition) -> float:
     ``partition`` names one side of the cut; it must be a proper nonempty
     subset of the labels.  Evaluated from the Schmidt probabilities as
     2 sqrt(sum_{i<j} l_i l_j), which vanishes cleanly on product states
-    instead of inheriting sqrt-of-roundoff noise from the purity.
+    instead of inheriting sqrt-of-roundoff noise from the purity.  The
+    first-qubit cut reads ``PureFeatures.of_state``, as every bound does.
     """
-    probs = schmidt_probabilities(psi.amplitudes[None], cut_axes(psi, partition))
+    probs = _cut_probabilities(psi, partition)
     return float(_cut_concurrences(probs)[0])
 
 
@@ -286,9 +281,19 @@ def renyi_entanglement_two_qubit(rho: DensityMatrix, alpha: float) -> float:
 
 
 def renyi_entanglement_pure(psi: StateVector, partition, alpha: float) -> float:
-    """Renyi entropy of the reduced state across a bipartition of a pure state."""
-    probs = schmidt_probabilities(psi.amplitudes[None], cut_axes(psi, partition))
-    return renyi_entropy(probs[0], alpha)
+    """Renyi entropy of the reduced state across a bipartition of a pure state.
+
+    The first-qubit cut reads ``PureFeatures.of_state``, as every bound does.
+    """
+    return renyi_entropy(_cut_probabilities(psi, partition)[0], alpha)
+
+
+def _cut_probabilities(psi: StateVector, partition) -> np.ndarray:
+    """(1, r) Schmidt probabilities of a cut: the features' for first qubit | rest, else one SVD."""
+    axes = cut_axes(psi, partition)
+    if axes in ((0,), tuple(range(1, psi.n_qubits))):
+        return PureFeatures.of_state(psi).cut_probs
+    return schmidt_probabilities(psi.amplitudes[None], axes)
 
 
 @dataclass(frozen=True)
@@ -308,7 +313,8 @@ class PureFeatures:
     closed form: the cut probabilities are |a|^2 and sum_i |b_i|^2, and the
     lambdas of pair i are (2|a||b_i|, 0, 0, 0), so its concurrence and its
     concurrence of assistance are both exactly 2|a||b_i|.  Such rows take no
-    SVD, no marginal and no ``eigh``.
+    SVD, no marginal and no ``eigh``, and ``of_wclass`` reads them from the
+    coefficients (a, b_1..b_{n-1}) alone, with no 2**n amplitudes.
 
     Every other row takes one SVD for the cut.  A pair's 4 x K amplitude
     block M (K = 2**(n-2)) is a factor of its marginal M M^H: up to 4 qubits
@@ -330,20 +336,20 @@ class PureFeatures:
         single = single_excitation_rows(amplitudes)
         if not single.any():
             return cls._dense(amplitudes)
-        if single.all():
-            return cls._wclass(amplitudes)
         n = int(amplitudes.shape[1]).bit_length() - 1
+        onehot = onehot_indices(n)
+        if single.all():
+            return cls.of_wclass(amplitudes[:, onehot])
         out = cls(np.empty((len(single), 2)), np.empty((len(single), n - 1, 4)))
-        for rows, route in ((single, cls._wclass), (~single, cls._dense)):
-            part = route(amplitudes[rows])
+        for rows, part in ((single, cls.of_wclass(amplitudes[single][:, onehot])),
+                           (~single, cls._dense(amplitudes[~single]))):
             out.cut_probs[rows], out.pair_lambdas[rows] = part.cut_probs, part.pair_lambdas
         return out
 
     @classmethod
-    def _wclass(cls, amplitudes: np.ndarray) -> "PureFeatures":
-        """Closed-form features of single-excitation rows (see the class docstring)."""
-        n = int(amplitudes.shape[1]).bit_length() - 1
-        coeffs = amplitudes[:, onehot_indices(n)]
+    def of_wclass(cls, coeffs: np.ndarray) -> "PureFeatures":
+        """Closed-form features of W-class states from their (B, N) coefficients (a, b_1..b_{N-1})."""
+        n = coeffs.shape[1]
         moduli = np.hypot(coeffs.real, coeffs.imag)  # libm hypot, as Python's abs(complex)
         excited, rest = _abs2(coeffs[:, 0]), np.sum(_abs2(coeffs[:, 1:]), axis=1)
         lambdas = np.zeros(coeffs.shape[:1] + (n - 1, 4))

@@ -150,17 +150,21 @@ def weight_ladder(n_parties: int, split, mu: float) -> np.ndarray:
     require_power(mu)
     if n_parties < 3:
         raise ParameterError(f"need at least 3 parties, got {n_parties}")
-    base = 2.0**mu - 1.0
-    if split == FULL:
-        return np.array([base**k for k in range(n_parties - 1)])
-    m = int(split)
-    if n_parties < 4 or not 1 <= m <= n_parties - 3:
+    if split != FULL and not 1 <= int(split) <= n_parties - 3:
         raise ParameterError(
             f"split {split!r} invalid for {n_parties} parties; need 1 <= m <= N-3 or FULL"
         )
-    head = [base**k for k in range(m)]
-    middle = [base ** (m + 1)] * (n_parties - 2 - m)
-    return np.array(head + middle + [base**m])
+    return _ladder_weights(n_parties, n_parties - 2 if split == FULL else int(split), mu)
+
+
+def _ladder_weights(n_parties: int, code: int, mu: float) -> np.ndarray:
+    """``weight_ladder`` of an ``Orderings.split`` code in [1, n-2], unchecked.
+
+    The split formula at m = n - 2 is the full ladder (no middle block).
+    """
+    base = 2.0**mu - 1.0
+    head = [base**k for k in range(code)]
+    return np.array(head + [base ** (code + 1)] * (n_parties - 2 - code) + [base**code])
 
 
 def detect_ordering(psi: StateVector, relabel: bool = True) -> OrderingProfile:
@@ -178,17 +182,7 @@ def detect_ordering(psi: StateVector, relabel: bool = True) -> OrderingProfile:
         wclass_from_state(psi)
     feats = PureFeatures.of_state(psi)
     full_cut = float(feats.cut_concurrence[0])
-    return ordering_profile(psi.labels, feats.pair_concurrences[0], full_cut, relabel)
-
-
-def ordering_profile(labels, pairs, full_cut: float, relabel: bool = True) -> OrderingProfile:
-    """The profile of a state from its measured concurrences (see ``detect_ordering``).
-
-    ``labels`` are the state's qubit labels, focus first; ``pairs`` are the
-    pair concurrences with every other qubit in label order and ``full_cut``
-    the focus-vs-rest concurrence.  The one-row case of ``Orderings.of``.
-    """
-    return Orderings.of(np.asarray(pairs, dtype=float)[None], relabel).profile(0, labels, full_cut)
+    return Orderings.of(feats.pair_concurrences, relabel).profile(0, psi.labels, full_cut)
 
 
 class Orderings(NamedTuple):
@@ -285,20 +279,20 @@ def ckw_check(psi: StateVector) -> BoundReport:
     return BoundReport.from_columns("ckw", ckw_terms(PureFeatures.of_state(psi)), upper=False)
 
 
+def require_lemma1_power(x: float) -> None:
+    """Reject a power outside the weighted concurrence inequality: below 2, or not a power."""
+    if x < 2:
+        raise ParameterError(f"the weighted concurrence inequality needs x >= 2, got {x}")
+    require_power(x, "x")
+
+
 def lemma1_terms(feats: PureFeatures, xs) -> tuple:
     """Weighted concurrence-power columns (lhs, weights, terms), one cell per power in ``xs``.
 
     Cell c of state b has lhs C_cut^x and terms (C_1^x, C_2^x) of weights
-    (1, 2^(x/2) - 1), partners ordered so that C_1 >= C_2.
+    (1, 2^(x/2) - 1), partners ordered so that C_1 >= C_2.  The states are
+    three-qubit and every x passed ``require_lemma1_power``; nothing is checked here.
     """
-    for x in xs:
-        if x < 2:
-            raise ParameterError(f"the weighted concurrence inequality needs x >= 2, got {x}")
-        require_power(x, "x")
-        if feats.pair_lambdas.shape[1] != 2:
-            raise UnsupportedStateClassError(
-                "both sides are computable only for pure three-qubit states"
-            )
     cut, pairs = feats.cut_concurrence, np.sort(feats.pair_concurrences, axis=-1)[:, ::-1]
     lhs, terms = np.empty((len(cut), len(xs))), np.empty((len(cut), len(xs), 2))
     for c, x in enumerate(xs):
@@ -314,37 +308,33 @@ def lemma1_check(psi: StateVector, x: float) -> BoundReport:
     so that C_1 >= C_2, for powers x >= 2.
     """
     require_state_vector(psi)
+    require_lemma1_power(x)
+    if psi.n_qubits != 3:
+        raise UnsupportedStateClassError("both sides are computable only for pure three-qubit states")
     columns = lemma1_terms(PureFeatures.of_state(psi), [x])
     return BoundReport.from_columns("lemma1", columns, upper=False, mu=x)
 
 
-def ladder_terms(cut_probs: np.ndarray, pairs: np.ndarray, splits: np.ndarray, cells,
-                 upper: bool) -> tuple:
+def ladder_terms(feats: PureFeatures, pairs: np.ndarray, splits: np.ndarray, cells) -> tuple:
     """Ladder-weighted columns (lhs, weights, terms), one cell per (alpha, mu) of ``cells``.
 
-    ``cut_probs`` (B, 2) are focus | rest Schmidt probabilities, ``pairs``
-    (B, n-1) pair concurrences in party order and ``splits`` (B,) each
-    state's ladder as an ``Orderings.split`` code.  The left side is the cut
-    entanglement raised to mu.  The terms are ``f_alpha`` at each squared
-    pair concurrence, raised to mu, in party order, each with the weight of
-    the state's ladder.  The cut entropy and pair ``f_alpha`` values are
-    computed once per distinct alpha, and each ladder's weights once per
-    cell.  ``upper`` selects the polygamy upper bound on assisted
-    entanglement (each pair concurrence equals the pair's concurrence of
-    assistance on W-class states) instead of the monogamy lower bound.
-    Raises PreconditionError when a state satisfies no ladder hypothesis
-    (split code 0): the bound claims nothing there.
+    ``feats`` are the states' features, of which the focus | rest Schmidt
+    probabilities are read; ``pairs`` (B, n-1) are their pair concurrences
+    in party order and ``splits`` (B,) each state's ladder as an
+    ``Orderings.split`` code.  The left side is the cut entanglement raised
+    to mu.  The terms are ``f_alpha`` at each squared pair concurrence,
+    raised to mu, in party order, each with the weight of the state's
+    ladder.  The cut entropy and pair ``f_alpha`` values are computed once
+    per distinct alpha, and each ladder's weights once per cell.  The same
+    columns serve the monogamy lower bound and the polygamy upper bound on
+    assisted entanglement: on W-class states each pair concurrence equals
+    the pair's concurrence of assistance.  Every split code is nonzero and
+    every cell inside its theorem's window; nothing is checked here.
     """
-    for alpha, mu in cells:
-        params = AlphaMu(alpha, mu)
-        (params.require_polygamy if upper else params.require_monogamy)()
-    if not splits.all():
-        which = "weighted upper bound" if upper else "weighted bound"
-        raise PreconditionError(f"ordering hypothesis unsatisfied; the {which} is not claimed")
     b, k = pairs.shape
     codes = set(splits.tolist())
     spectra = {
-        alpha: (renyi_entropy(cut_probs, alpha), f_alpha(pairs * pairs, alpha))
+        alpha: (renyi_entropy(feats.cut_probs, alpha), f_alpha(pairs * pairs, alpha))
         for alpha in dict.fromkeys(alpha for alpha, _ in cells)  # distinct, in cell order
     }
     lhs = np.empty((b, len(cells)))
@@ -354,7 +344,7 @@ def ladder_terms(cut_probs: np.ndarray, pairs: np.ndarray, splits: np.ndarray, c
         lhs[:, c], terms[:, c] = powers(cut, mu), powers(pair, mu)
         table = np.empty((k, k))  # weights per split code, n - 2 = k - 1 the full ladder
         for code in codes:
-            table[code] = weight_ladder(k + 1, FULL if code == k - 1 else code, mu)
+            table[code] = _ladder_weights(k + 1, code, mu)
         weights[:, c] = table[splits]
     return lhs, weights, terms
 
@@ -366,12 +356,13 @@ def profile_report(psi: StateVector, profile: OrderingProfile, params: AlphaMu,
     if profile.focus != psi.labels[0]:
         raise UnsupportedStateClassError("the profile's focus must be the state's first qubit")
     split, n = profile.split_index, 1 + len(profile.pair_concurrences)
-    if split is not None:
-        weight_ladder(n, split, params.mu)  # raises on a split no n-qubit profile has
-    code = np.array([n - 2 if split == FULL else split or 0])
-    cut = PureFeatures.of_state(psi).cut_probs
-    columns = ladder_terms(cut, np.array([profile.pair_concurrences]), code,
-                           [(params.alpha, params.mu)], upper)
+    if split is None:
+        which = "weighted upper bound" if upper else "weighted bound"
+        raise PreconditionError(f"ordering hypothesis unsatisfied; the {which} is not claimed")
+    weight_ladder(n, split, params.mu)  # raises on a split no n-qubit profile has
+    code = np.array([n - 2 if split == FULL else split])
+    columns = ladder_terms(PureFeatures.of_state(psi), np.array([profile.pair_concurrences]), code,
+                           [(params.alpha, params.mu)])
     prefix = "assist" if upper else "ladder"
     kind = f"{prefix}-full" if split == FULL else f"{prefix}-split-{split}"
     return BoundReport.from_columns(kind, columns, upper, params.alpha, params.mu)

@@ -123,9 +123,9 @@ def wclass_coefficients(n_parties: int, seeds) -> np.ndarray:
     The one definition of the W-class draw: normalized complex Gaussians
     from ``default_rng(seed)``, partners ordered by decreasing modulus,
     computed for a whole batch of seeds by ``core.unit_gaussian_rows`` with
-    no Generator per seed.  Returns shape (B, N); campaigns write it straight
-    into their amplitude stacks at ``onehot_indices``.  ``n_parties`` must
-    already lie in [3, MAX_QUBITS].
+    no Generator per seed.  Returns shape (B, N); campaigns and replay read
+    their features from it by ``PureFeatures.of_wclass``, without expanding
+    it to 2**N amplitudes.  ``n_parties`` must already lie in [3, MAX_QUBITS].
     """
     z = unit_gaussian_rows(seeds, n_parties)
     b = z[:, 1:]

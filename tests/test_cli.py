@@ -185,6 +185,17 @@ class TestFuzz:
         assert main(["fuzz", "--mode", mode, "--states", "2", "--mu", mu]) == 2
         assert "must be at most 100" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--mode", "polygamy", "--mu", "1.5"],
+         ["--mode", "monogamy", "--class", "wclass", "--alpha", "2.0"]],
+        ids=["polygamy-mu-1.5", "monogamy-alpha-2"],
+    )
+    def test_cell_outside_its_theorem_exits_2_without_passing_states(self, extra, capsys):
+        # no 8-qubit state of these seeds passes the hypothesis; the cell is refused anyway
+        assert main(["fuzz", "--qubits", "8", "--states", "3", "--seed", "1", *extra]) == 2
+        assert "error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["scalar", "lemma1", "monogamy"])
     def test_negative_power_exits_2(self, mode, capsys):
         # the scalar grid took 0.0**mu before rejecting mu: a divide-by-zero warning
@@ -200,10 +211,10 @@ class TestFuzz:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--qubits", "0"], ["--qubits", "11"], ["--qubits", "1000000"],
+        [["--qubits", "0"], ["--qubits", "1"], ["--qubits", "11"], ["--qubits", "1000000"],
          ["--mode", "monogamy", "--class", "wclass", "--qubits", "2"],
          ["--mode", "polygamy", "--class", "wclass", "--qubits", "11"]],
-        ids=["haar-0", "haar-11", "haar-1000000", "wclass-2", "wclass-11"],
+        ids=["haar-0", "haar-1", "haar-11", "haar-1000000", "wclass-2", "wclass-11"],
     )
     def test_qubit_count_out_of_range_exits_2(self, extra, capsys, monkeypatch):
         # the count is checked with the settings, before a seed or a 2**n stack is made
@@ -419,7 +430,9 @@ def test_console_script_installed():
 
 def test_repeated_main_calls_match_fresh_processes(w_file, tmp_path, monkeypatch, capsys):
     # the parser is built once per process, so no argument or MONOQ_SEED of
-    # one call may reach the next: each call prints what a fresh process does
+    # one call may reach the next: each call prints what a fresh process does.
+    # The fresh processes all start first and run beside the in-process calls;
+    # the one that writes a CSV writes its own copy.
     fuzz3 = ["fuzz", "--qubits", "3", "--states", "6"]
     runs = [
         (fuzz3 + ["--mode", "ckw", "--class", "wclass", "--tolerance", "1e-3",
@@ -435,15 +448,25 @@ def test_repeated_main_calls_match_fresh_processes(w_file, tmp_path, monkeypatch
         (["eval", w_file], None),
         (["fuzz", "--mode", "ckw", "--qubits", "11"], None),
     ]
+    base_env = {key: value for key, value in os.environ.items() if key != "MONOQ_SEED"}
+    fresh = []
     for argv, env_seed in runs:
-        env = {key: value for key, value in os.environ.items() if key != "MONOQ_SEED"}
-        if env_seed is None:
-            monkeypatch.delenv("MONOQ_SEED", raising=False)
-        else:
-            monkeypatch.setenv("MONOQ_SEED", env_seed)
-            env["MONOQ_SEED"] = env_seed
-        code = main(argv)
-        captured = capsys.readouterr()
-        fresh = subprocess.run([sys.executable, "-m", "monoq.cli", *argv],
-                               capture_output=True, text=True, env=env)
-        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        env = base_env if env_seed is None else {**base_env, "MONOQ_SEED": env_seed}
+        argv = [str(tmp_path / "b.csv") if arg == str(tmp_path / "a.csv") else arg for arg in argv]
+        fresh.append(subprocess.Popen([sys.executable, "-m", "monoq.cli", *argv], env=env,
+                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    try:
+        for (argv, env_seed), proc in zip(runs, fresh):
+            if env_seed is None:
+                monkeypatch.delenv("MONOQ_SEED", raising=False)
+            else:
+                monkeypatch.setenv("MONOQ_SEED", env_seed)
+            code = main(argv)
+            captured = capsys.readouterr()
+            out, err = proc.communicate()
+            assert (code, captured.out, captured.err) == (proc.returncode, out, err), argv
+    finally:
+        for proc in fresh:
+            proc.kill()
+            proc.wait()
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -12,10 +12,10 @@ pair values f_alpha(C^2) are also checked against the decomposition-search
 oracle, which never reads the analytic formula.
 
 The campaign's fast path is also held bit for bit to the public per-state
-route: its sampled amplitude stacks to ``haar_random_state`` and
-``random_wclass`` and to an inline ``default_rng(seed)`` draw, and its
-witness CSV rows to the reports of ``ckw_check``, ``lemma1_check``,
-``theorem_bound`` and ``theorem3_bound``.
+route: the features of its sampled chunks to those of ``haar_random_state``
+and ``random_wclass`` states (``tests/test_seed_streams.py`` holds the draws
+to ``default_rng``), and its witness CSV rows to the reports of
+``ckw_check``, ``lemma1_check``, ``theorem_bound`` and ``theorem3_bound``.
 """
 
 import io
@@ -50,7 +50,6 @@ from monoq import (
 )
 from monoq import harness
 from monoq.harness import derive_seeds
-from monoq.wclass import onehot_indices
 from monoq.measures import PureFeatures
 
 ALPHAS = (0.8229, 1.3027)
@@ -181,44 +180,31 @@ def test_pair_values_match_decomposition_search():
             assert -1e-9 <= excess <= 1e-3, (k, partner, excess)
 
 
-def _default_rng_amplitudes(state_class, n_qubits, seed):
-    """The documented draw, inline: one default_rng per state, two half-size normal calls."""
-    width = 2**n_qubits if state_class == "haar" else n_qubits
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=width) + 1j * rng.normal(size=width)
-    v = v / np.linalg.norm(v)
-    if state_class == "haar":
-        return v
-    b = v[1:]
-    v[1:] = b[np.argsort(-np.abs(b), kind="stable")]
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[onehot_indices(n_qubits)] = v
-    return amps
-
-
 @pytest.mark.parametrize(
     "state_class, n_qubits",
-    [("haar", n) for n in range(1, 11)] + [("wclass", n) for n in range(3, 11)],
+    [("haar", n) for n in range(2, 11)] + [("wclass", n) for n in range(3, 11)],
 )
 def test_sampled_stacks_match_public_constructors(state_class, n_qubits, monkeypatch):
-    # three states per chunk, so rows come from several stacks; the public
-    # constructors share the stack path, so rows are also held to the inline draw
+    # three states per chunk, so rows come from several chunks; W-class chunks
+    # come from coefficients, the public route from the expanded state
     monkeypatch.setattr(harness, "CHUNK_AMPLITUDES", 3 * 2**n_qubits)
     config = CampaignConfig(mode="ckw" if state_class == "haar" else "monogamy", n_states=7,
                             n_qubits=n_qubits, seed=50 + n_qubits, state_class=state_class)
     indices = []
-    for start, seeds, amplitudes, _ in harness._sampled_chunks(config):
-        assert amplitudes.shape == (len(seeds), 2**n_qubits)
-        for k, (seed, row) in enumerate(zip(seeds, amplitudes)):
+    for start, seeds, feats in harness._sampled_chunks(config):
+        assert feats.cut_probs.shape == (len(seeds), 2)
+        assert feats.pair_lambdas.shape == (len(seeds), n_qubits - 1, 4)
+        for k, seed in enumerate(seeds):
             indices.append(start + k)
             assert type(seed) is int
             assert seed == int(np.random.SeedSequence([config.seed, start + k]).generate_state(1, np.uint64)[0])
             if state_class == "haar":
-                expected = haar_random_state(n_qubits, seed).amplitudes
+                psi = haar_random_state(n_qubits, seed)
             else:
-                expected = random_wclass(n_qubits, seed).to_state_vector().amplitudes
-            assert row.tobytes() == expected.tobytes()
-            assert row.tobytes() == _default_rng_amplitudes(state_class, n_qubits, seed).tobytes()
+                psi = random_wclass(n_qubits, seed).to_state_vector()
+            expected = PureFeatures.of_state(psi)
+            assert feats.cut_probs[k].tobytes() == expected.cut_probs[0].tobytes()
+            assert feats.pair_lambdas[k].tobytes() == expected.pair_lambdas[0].tobytes()
     assert indices == list(range(7))
 
 

@@ -226,24 +226,45 @@ class TestConfig:
         with pytest.raises(ConfigError):
             run_campaign(config)
 
-    @pytest.mark.parametrize(
-        "state_class, n_qubits, mu_grid",
-        [("haar", 6, (2.0,)), ("haar", 2, (2.0, 3.0)), ("wclass", 4, (2.0,)), ("haar", 3, (1.5, 2.0))],
-        ids=["haar-q6", "haar-q2", "wclass-q4", "mu-below-2"],
-    )
-    def test_impossible_lemma1_campaign_rejected_before_any_draw(
-        self, state_class, n_qubits, mu_grid, monkeypatch
-    ):
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
         def no_draw(*args):
             raise AssertionError("a state was drawn")
 
         monkeypatch.setattr(harness, "_DRAWS", {"haar": no_draw, "wclass": no_draw})
         with pytest.raises(AssertionError, match="drawn"):  # the patch is live
             run_campaign(CampaignConfig(mode="lemma1", n_states=2, n_qubits=3))
+
+    @pytest.mark.parametrize(
+        "state_class, n_qubits, mu_grid",
+        [("haar", 6, (2.0,)), ("haar", 2, (2.0, 3.0)), ("wclass", 4, (2.0,)), ("haar", 3, (1.5, 2.0))],
+        ids=["haar-q6", "haar-q2", "wclass-q4", "mu-below-2"],
+    )
+    def test_impossible_lemma1_campaign_rejected_before_any_draw(
+        self, state_class, n_qubits, mu_grid, no_draws
+    ):
         config = CampaignConfig(mode="lemma1", n_states=2, n_qubits=n_qubits, mu_grid=mu_grid,
                                 state_class=state_class)
         with pytest.raises(ConfigError, match="lemma1"):
             run_campaign(config)
+
+    @pytest.mark.parametrize(
+        "mode, state_class, n_qubits, alpha, mu",
+        [("monogamy", "wclass", 8, 2.0, 2.0), ("monogamy", "haar", 3, 0.9, 1.0),
+         ("polygamy", "wclass", 8, 0.9, 1.5), ("polygamy", "wclass", 4, 0.5, 0.5)],
+        ids=["monogamy-alpha-2", "monogamy-mu-1", "polygamy-mu-1.5", "polygamy-alpha-0.5"],
+    )
+    def test_cell_outside_its_theorem_rejected_before_any_draw(
+        self, mode, state_class, n_qubits, alpha, mu, no_draws
+    ):
+        # refused whether or not some sampled state would pass the hypothesis
+        config = CampaignConfig(mode=mode, n_states=3, n_qubits=n_qubits, state_class=state_class,
+                                alpha_grid=(0.9, alpha), mu_grid=(mu,))
+        with pytest.raises(ConfigError, match=mode):
+            run_campaign(config)
+        record = WitnessRecord(0, mode, state_class, n_qubits, 1, alpha, mu, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ConfigError, match=mode):
+            replay_record(record)
 
 
 def _ckw_result(*margins) -> CampaignResult:

@@ -29,7 +29,7 @@ from monoq import (
 from monoq.harness import reference_schmidt_state
 from monoq.core import MAX_QUBITS
 from monoq.measures import ALPHA_WINDOW, MU_MAX, f_alpha
-from monoq.monogamy import ORDERING_ATOL, Orderings, bound_values, ordering_profile
+from monoq.monogamy import ORDERING_ATOL, Orderings, bound_values
 
 ALPHA_LO, ALPHA_HI = ALPHA_WINDOW
 SQRT6_OVER_6 = np.sqrt(6.0) / 6.0
@@ -145,7 +145,7 @@ class TestOrderingStack:
         for row, pairs in enumerate(rows):
             order, pair_vals, tails, ge, le, split = _row_by_row(labels, pairs, relabel)
             profile = orderings.profile(row, labels, 0.5)
-            assert profile == ordering_profile(labels, pairs, 0.5, relabel)
+            assert profile == Orderings.of(np.array([pairs]), relabel).profile(0, labels, 0.5)
             assert profile.party_order == order
             assert [x.hex() for x in profile.pair_concurrences] == [x.hex() for x in pair_vals]
             assert [x.hex() for x in profile.tail_concurrences] == [x.hex() for x in tails]

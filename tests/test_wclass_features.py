@@ -14,8 +14,12 @@ no pair marginal and no ``eigh``.  Here the closed form is held to:
 - the rest of its stack: in a stack that mixes W-class and Haar rows, each
   row equals that state alone, byte for byte;
 - every route that reads W-class features: campaigns, replay, the public
-  bound functions, ``eval`` and file-class campaigns call neither
-  ``np.linalg.svd``/``eigh``/``eigvalsh``/``qr`` nor ``pair_marginal_stack``.
+  bound functions, ``eval`` and file-class campaigns call none of
+  ``np.linalg.svd``/``eigh``/``eigvalsh``/``qr``;
+- seeded campaigns and their replay: features straight from the (B, n)
+  coefficients, never from a 2**n amplitude stack;
+- the public cut measures: the first-qubit cut, either side named, reads the
+  same features as ``reoa_cut`` and the bounds, bit for bit.
 """
 
 import math
@@ -26,22 +30,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoq import (
+    ALPHA_WINDOW,
     AlphaMu,
     CampaignConfig,
+    PreconditionError,
     StateVector,
     WClassState,
+    WitnessRecord,
     build_wclass,
+    concurrence_pure,
     detect_ordering,
+    haar_random_state,
     load_state,
     random_wclass,
+    renyi_entanglement_pure,
+    reoa_cut,
     replay_record,
     run_campaign,
     save_state,
     theorem3_bound,
     theorem_bound,
 )
-from monoq import core
+from monoq import measures
 from monoq.cli import main
+from monoq.harness import derive_seeds
 from monoq.core import MAX_QUBITS, haar_amplitudes, pair_blocks, schmidt_probabilities
 from monoq.measures import PureFeatures, _YY
 from monoq.wclass import onehot_indices, single_excitation_rows
@@ -148,7 +160,7 @@ def test_single_excitation_rows():
 
 @pytest.fixture
 def no_spectra(monkeypatch):
-    """Fail on any SVD, eigendecomposition, QR or pair marginal."""
+    """Fail on any SVD, eigendecomposition or QR."""
     def forbidden(name):
         def call(*args, **kwargs):
             raise AssertionError(f"{name} called on single-excitation input")
@@ -156,7 +168,6 @@ def no_spectra(monkeypatch):
 
     for name in ("svd", "eigh", "eigvalsh", "qr"):
         monkeypatch.setattr(np.linalg, name, forbidden(name))
-    monkeypatch.setattr(core, "pair_marginal_stack", forbidden("pair_marginal_stack"))
 
 
 @pytest.mark.parametrize("n", range(3, MAX_QUBITS + 1))
@@ -187,3 +198,44 @@ def test_every_route_takes_no_spectra(no_spectra, tmp_path, capsys):
         for record in result.records:
             assert replay_record(record, load_state(path)) == record.margin
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "mode, ns, mu_grid",
+    [("monogamy", range(3, 11), (2.0, 5.0)), ("polygamy", range(4, 11), (0.25, 1.0))],
+)
+def test_seeded_campaigns_and_replay_read_coefficients(mode, ns, mu_grid, monkeypatch):
+    # a seeded W-class chunk goes from its (B, n) coefficients to its features:
+    # no 2**n amplitude stack is built, so no row is tested for its support
+    def detour(*args):
+        raise AssertionError("a W-class state was expanded to 2**n amplitudes")
+
+    monkeypatch.setattr(measures, "single_excitation_rows", detour)
+    n_records = 0
+    for n in ns:
+        config = CampaignConfig(mode=mode, n_states=200, n_qubits=n, seed=1900 + n,
+                                state_class="wclass", alpha_grid=ALPHA_WINDOW, mu_grid=mu_grid)
+        result = run_campaign(config)
+        for record in result.records:
+            assert replay_record(record) == record.margin
+        n_records += result.n_records
+        if not result.n_records:  # wide states rarely pass; replay still draws the first one
+            seed = int(derive_seeds(config.seed, 0, 1)[0])
+            record = WitnessRecord(0, mode, "wclass", n, seed, ALPHA_WINDOW[0], mu_grid[0],
+                                   0.0, 0.0, 0.0, 0.0)
+            with pytest.raises(PreconditionError):
+                replay_record(record)
+    assert n_records
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_public_cut_measures_read_the_features(n):
+    # either side of the first-qubit cut gives the value every bound reads
+    states = [random_wclass(n, seed).to_state_vector() for seed in range(40)]
+    states += [haar_random_state(n, seed) for seed in range(4)]
+    for psi in states:
+        cut_c = float(PureFeatures.of_state(psi).cut_concurrence[0])
+        for part in ({psi.labels[0]}, set(psi.labels[1:])):
+            assert concurrence_pure(psi, part).hex() == cut_c.hex()
+            for alpha in (*ALPHA_WINDOW, 0.5, 1.0, 2.0):
+                assert renyi_entanglement_pure(psi, part, alpha).hex() == reoa_cut(psi, alpha).hex()
