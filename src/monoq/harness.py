@@ -369,13 +369,18 @@ def _require_cells(mode: str, state_class: str, n_qubits: int, cells) -> None:
     """Refuse, before the first draw, a campaign or record whose bound claims nothing.
 
     Haar states have no computable ordering tails beyond three qubits, a
-    seeded lemma1 state must have three qubits, and every cell must lie
-    inside its theorem: the alpha window and mu range of monogamy and
-    polygamy, x >= 2 for lemma1.  The evaluators trust all of it.
+    seeded monogamy state needs at least three qubits (its ordering compares
+    two partners), a seeded lemma1 state must have three qubits, and every
+    cell must lie inside its theorem: the alpha window and mu range of
+    monogamy and polygamy, x >= 2 for lemma1.  The evaluators trust all of it.
     """
     if mode == "monogamy" and state_class == "haar" and n_qubits > 3:
         raise ConfigError(
             "haar states beyond 3 qubits have no computable ordering tails; use class=wclass"
+        )
+    if mode == "monogamy" and state_class != "file" and n_qubits < 3:
+        raise ConfigError(
+            f"monogamy campaigns: ordering profiles need at least 3 qubits, got n_qubits {n_qubits}"
         )
     if mode == "lemma1" and state_class != "file" and n_qubits != 3:
         raise ConfigError(f"lemma1 campaigns need three-qubit states, got n_qubits {n_qubits}")

@@ -10,6 +10,7 @@ the analytic route.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -395,8 +396,12 @@ _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 def _search_basis(rho: DensityMatrix, n_trials: int) -> np.ndarray:
     """Rows sqrt(p_k) |e_k> (p_k > 1e-12) spanning the support of a checked search input."""
-    if n_trials < 1:
-        raise ParameterError(f"n_trials must be at least 1, got {n_trials}")
+    try:
+        valid = operator.index(n_trials) >= 1
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ParameterError(f"n_trials must be an integer of at least 1, got {n_trials!r}")
     if rho.dim != 4:
         raise SizeError(f"expected a two-qubit (4x4) state, got dim {rho.dim}")
     w, v = np.linalg.eigh(rho.entries)
@@ -448,23 +453,47 @@ def _decomposition_average(phi: np.ndarray, alpha: float) -> np.ndarray:
     return np.einsum("tn,tn->t", q, _f_alpha_values(np.minimum(np.maximum(c2, 0.0), 1.0), alpha))
 
 
-def _random_isometry_batch(count: int, size: int, rank: int, rng) -> np.ndarray:
-    """(count, size, rank) Haar isometries from complex-normal (count, size, size) draws.
+# Draws (and rank-2 lattice points) per block of the decomposition searches.
+# They hold one block at a time; beyond the block, their working memory grows
+# with n_trials only by the kept real halves of the draws and the lattice.
+SEARCH_BLOCK = 1024
 
-    Gram-Schmidt on the first ``rank`` columns of each draw: the Q factor of
-    its QR decomposition with R's diagonal made positive, up to rounding.
-    Both halves are drawn in full, so the stream does not depend on ``rank``.
+
+def _random_isometry_blocks(count: int, size: int, rank: int, rng):
+    """``count`` Haar isometries, yielded as (n, size, rank) blocks of n <= SEARCH_BLOCK draws.
+
+    Each draw is a complex-normal (size, size) matrix, and Gram-Schmidt on its
+    first ``rank`` columns gives the Q factor of its QR decomposition with
+    R's diagonal made positive, up to rounding.  The stream is that of
+    ``rng.normal(size=(count, size, size))`` for every real half, then the
+    same for every imaginary half, so it does not depend on ``rank`` or on
+    the block size.  The real halves are therefore drawn before the first
+    block is yielded, and only their first ``rank`` columns are kept
+    (count x size x rank floats); everything else lives one block at a time.
+    A draw's columns do not depend on the block it sits in.
     """
-    re, im = rng.normal(size=(count, size, size)), rng.normal(size=(count, size, size))
-    z = re[:, :, :rank] + 1j * im[:, :, :rank]
-    cols: list[np.ndarray] = []
-    for j in range(rank):
-        v = z[:, :, j]
-        for _ in range(2):  # the second pass restores orthogonality lost to rounding
-            for q in cols:
-                v = v - q * np.einsum("ti,ti->t", q.conj(), v)[:, None]
-        cols.append(v / np.linalg.norm(v, axis=1, keepdims=True))
-    return np.stack(cols, axis=2)
+    block = min(count, SEARCH_BLOCK)
+    buf = np.empty((block, size, size))
+    re = np.empty((rank, count, size))  # kept real columns, each contiguous
+    for lo in range(0, count, block):
+        n = min(block, count - lo)
+        rng.standard_normal(out=buf[:n])  # normal(0, 1) draws 0.0 + 1.0 * x: the same bits
+        re[:, lo:lo + n] = buf[:n, :, :rank].transpose(2, 0, 1)
+    for lo in range(0, count, block):
+        n = min(block, count - lo)
+        im = buf[:n]
+        rng.standard_normal(out=im)
+        cols: list[np.ndarray] = []
+        conjs: list[np.ndarray] = []
+        for j in range(rank):
+            v = re[j, lo:lo + n] + 1j * im[:, :, j]
+            for _ in range(2):  # the second pass restores orthogonality lost to rounding
+                for q, qc in zip(cols, conjs):
+                    v = v - q * np.einsum("ti,ti->t", qc, v)[:, None]
+            v = v / np.linalg.norm(v, axis=1, keepdims=True)
+            cols.append(v)
+            conjs.append(v.conj())
+        yield np.stack(cols, axis=2)
 
 
 # compass and diagonal moves on (u, phase); a step below POLISH_XTOL ends a
@@ -537,6 +566,13 @@ def convex_roof_oracle(rho: DensityMatrix, alpha: float, n_trials: int, seed: in
     with 100 to 4000 trials it stopped up to 1.5e-8 above a Nelder-Mead
     polish at order 0.5.  At orders 0.823, 1, 1.3027 and 2, with 100 or more
     trials, the two polishes agreed within 4.4e-16.
+
+    ``n_trials`` must be an integer of at least 1.  The lattice and the
+    random decompositions are evaluated in blocks of SEARCH_BLOCK points,
+    each block's least value folded into a running minimum, so the result
+    does not depend on the block size.  What still grows with ``n_trials``
+    is the lattice's u, phase and values, and the kept real halves of the
+    isometry draws (see ``_random_isometry_blocks``).
     """
     basis = _search_basis(rho, n_trials)
     _require_alpha(alpha)
@@ -551,7 +587,10 @@ def convex_roof_oracle(rho: DensityMatrix, alpha: float, n_trials: int, seed: in
     if rank == 2:
         count = max(1, 2 * n_trials // 3)
         u, phase = _two_term_lattice(count, rng)
-        values = _decomposition_average(_two_term_states(basis, u, phase), alpha)
+        values = np.empty(count)
+        for lo in range(0, count, SEARCH_BLOCK):
+            terms = _two_term_states(basis, u[lo:lo + SEARCH_BLOCK], phase[lo:lo + SEARCH_BLOCK])
+            values[lo:lo + SEARCH_BLOCK] = _decomposition_average(terms, alpha)
         # polish the 6 best from a step of about the lattice spacing
         top = np.argsort(values)[:6]
         best = _two_term_polish(basis, u[top], phase[top], values[top], 1.0 / np.sqrt(count), alpha)
@@ -562,10 +601,9 @@ def convex_roof_oracle(rho: DensityMatrix, alpha: float, n_trials: int, seed: in
         sizes = [3, 4]
     share = max(1, budget // len(sizes))
     for size in sizes:
-        phi = np.einsum(
-            "tnr,rd->tnd", _random_isometry_batch(share, size, rank, rng), basis
-        )
-        best = min(best, float(np.min(_decomposition_average(phi, alpha))))
+        for iso in _random_isometry_blocks(share, size, rank, rng):
+            phi = np.einsum("tnr,rd->tnd", iso, basis)
+            best = min(best, float(np.min(_decomposition_average(phi, alpha))))
     return float(best)
 
 
@@ -573,7 +611,10 @@ def coa_search(rho: DensityMatrix, n_trials: int, seed: int) -> float:
     """Best average concurrence found over random pure-state decompositions.
 
     A lower bound on the concurrence of assistance; converges quickly because
-    the maximizing set is high dimensional.
+    the maximizing set is high dimensional.  ``n_trials`` must be an integer
+    of at least 1.  The decompositions are evaluated in blocks of
+    SEARCH_BLOCK draws, each block's best folded into a running maximum, so
+    the result does not depend on the block size.
     """
     basis = _search_basis(rho, n_trials)
     rng = np.random.default_rng(seed)
@@ -583,10 +624,9 @@ def coa_search(rho: DensityMatrix, n_trials: int, seed: int) -> float:
         return float(_pure_c_times_q(psi))
     sizes = [s for s in (2, 3, 4) if s >= rank]
     best = 0.0
+    share = max(1, n_trials // len(sizes))
     for size in sizes:
-        share = max(1, n_trials // len(sizes))
-        phi = np.einsum(
-            "tnr,rd->tnd", _random_isometry_batch(share, size, rank, rng), basis
-        )
-        best = max(best, float(np.max(np.sum(_pure_c_times_q(phi), axis=1))))
+        for iso in _random_isometry_blocks(share, size, rank, rng):
+            phi = np.einsum("tnr,rd->tnd", iso, basis)
+            best = max(best, float(np.max(np.sum(_pure_c_times_q(phi), axis=1))))
     return best

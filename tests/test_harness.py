@@ -251,8 +251,10 @@ class TestConfig:
     @pytest.mark.parametrize(
         "mode, state_class, n_qubits, alpha, mu",
         [("monogamy", "wclass", 8, 2.0, 2.0), ("monogamy", "haar", 3, 0.9, 1.0),
-         ("polygamy", "wclass", 8, 0.9, 1.5), ("polygamy", "wclass", 4, 0.5, 0.5)],
-        ids=["monogamy-alpha-2", "monogamy-mu-1", "polygamy-mu-1.5", "polygamy-alpha-0.5"],
+         ("polygamy", "wclass", 8, 0.9, 1.5), ("polygamy", "wclass", 4, 0.5, 0.5),
+         ("monogamy", "haar", 2, 0.9, 2.0)],
+        ids=["monogamy-alpha-2", "monogamy-mu-1", "polygamy-mu-1.5", "polygamy-alpha-0.5",
+             "monogamy-haar-q2"],
     )
     def test_cell_outside_its_theorem_rejected_before_any_draw(
         self, mode, state_class, n_qubits, alpha, mu, no_draws

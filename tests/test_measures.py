@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,14 +28,16 @@ from monoq import (
     w_state,
     wootters_concurrence,
 )
+from monoq import measures
 from monoq.errors import InvalidSubsystemError
 from monoq.measures import (
     _COMPASS,
     ALPHA_MAX,
     MU_MAX,
     POLISH_XTOL,
+    SEARCH_BLOCK,
     _decomposition_average,
-    _random_isometry_batch,
+    _random_isometry_blocks,
     _search_basis,
     _two_term_lattice,
     _two_term_polish,
@@ -360,6 +364,78 @@ class TestConvexRoofOracle:
         with pytest.raises(ParameterError):
             convex_roof_oracle(bell_projector(), float("inf"), n_trials=10, seed=0)
 
+    @pytest.mark.parametrize("n_trials", [10.5, 1e4, "100", None, -3, np.int64(0)])
+    def test_trial_count_must_be_a_positive_integer(self, n_trials):
+        for search in (lambda rho: convex_roof_oracle(rho, ALPHA_LO, n_trials, seed=0),
+                       lambda rho: coa_search(rho, n_trials, seed=0)):
+            for rank in (1, 2):
+                with pytest.raises(ParameterError, match="n_trials"):
+                    search(random_mixed_state(2, rank, seed=rank))
+
+    def test_numpy_integer_trial_counts_accepted(self):
+        rho = random_mixed_state(2, 2, seed=11)
+        assert convex_roof_oracle(rho, ALPHA_LO, np.int64(400), seed=7) == \
+            convex_roof_oracle(rho, ALPHA_LO, 400, seed=7)
+        assert coa_search(rho, np.int32(400), seed=7) == coa_search(rho, 400, seed=7)
+
+    # (rank, n_trials): roofs at alpha 0.5, 0.823, 1, 1.3 and the CoA search
+    # of random_mixed_state(2, rank, seed=60 + rank) with seed=n_trials, as
+    # computed when each search drew all its isometries at once
+    BLOCK_PINNED = {
+        (1, 1): ['0x1.650f7ed33cd17p-1', '0x1.1c459b83b5500p-1', '0x1.fab2012f0e37fp-2',
+                 '0x1.a9ef96739867ap-2', '0x1.3e3d53072899bp-1'],
+        (1, 400): ['0x1.650f7ed33cd17p-1', '0x1.1c459b83b5500p-1', '0x1.fab2012f0e37fp-2',
+                   '0x1.a9ef96739867ap-2', '0x1.3e3d53072899bp-1'],
+        (1, 3073): ['0x1.650f7ed33cd17p-1', '0x1.1c459b83b5500p-1', '0x1.fab2012f0e37fp-2',
+                    '0x1.a9ef96739867ap-2', '0x1.3e3d53072899bp-1'],
+        (2, 1): ['0x1.747082f70c8fcp-2', '0x1.ecb2975bb2a72p-3', '0x1.7e32211486c9fp-3',
+                 '0x1.0e263a7ba9f19p-3', '0x1.9ee2fd9abee25p-1'],
+        (2, 400): ['0x1.747082f73cb99p-2', '0x1.ecb2975bb2a5ap-3', '0x1.7e32211486ca0p-3',
+                   '0x1.0e263a7ba9f12p-3', '0x1.a25f972554999p-1'],
+        (2, 3073): ['0x1.747082f680a39p-2', '0x1.ecb2975bb2a6bp-3', '0x1.7e32211486ca1p-3',
+                    '0x1.0e263a7ba9f0cp-3', '0x1.a2668dfbc2b52p-1'],
+        (3, 1): ['0x1.d4986242bce3ep-2', '0x1.4105945745047p-2', '0x1.10da0cbdc7607p-2',
+                 '0x1.b631704a60d4ap-3', '0x1.b5cd67b56df78p-1'],
+        (3, 400): ['0x1.2c6000ded1320p-2', '0x1.3eb291e09aba2p-3', '0x1.e4a65b38d149cp-4',
+                   '0x1.5256c07985478p-4', '0x1.c18cc48c23292p-1'],
+        (3, 3073): ['0x1.1f08943b70b34p-2', '0x1.1d393bcd01812p-3', '0x1.9b9f22f71e010p-4',
+                    '0x1.0d5b0e97b9e5cp-4', '0x1.c453553ff6ad6p-1'],
+        (4, 1): ['0x1.57e4bf1ae4dd3p-1', '0x1.20e636733b987p-1', '0x1.0d8667a9348a7p-1',
+                 '0x1.ed1293c878fefp-2', '0x1.3cccc24dea628p-1'],
+        (4, 400): ['0x1.b2b2019d88d8fp-2', '0x1.137966db1f5b3p-2', '0x1.b477caeab7769p-3',
+                   '0x1.3cbc56f871115p-3', '0x1.902cd06a11643p-1'],
+        (4, 3073): ['0x1.5aac97f6a6221p-2', '0x1.8a7b214587f22p-3', '0x1.332410a6b7a06p-3',
+                    '0x1.b71b9fe10b609p-4', '0x1.909723d84a558p-1'],
+    }
+
+    @pytest.mark.parametrize("block, trials", [(1, (1, 400)), (7, (1, 400, 3073)),
+                                               (SEARCH_BLOCK, (1, 400, 3073))])
+    def test_values_do_not_depend_on_the_block_size(self, block, trials, monkeypatch):
+        monkeypatch.setattr(measures, "SEARCH_BLOCK", block)
+        for (rank, n_trials), expected in self.BLOCK_PINNED.items():
+            if n_trials not in trials:
+                continue
+            rho = random_mixed_state(2, rank, seed=60 + rank)
+            got = [convex_roof_oracle(rho, alpha, n_trials, seed=n_trials).hex()
+                   for alpha in (0.5, 0.823, 1.0, 1.3)]
+            assert got + [coa_search(rho, n_trials, seed=n_trials).hex()] == expected, (rank, n_trials)
+
+    def test_traced_peak_at_100k_trials(self):
+        # with the draws in blocks, only the kept real halves and the rank-2
+        # lattice grow with n_trials: peaks of about 4.4e6 bytes on rank 2 and
+        # 6.2e6 on rank 3, against 22e6 to 54e6 with every draw held at once
+        for rank in (2, 3):
+            rho = random_mixed_state(2, rank, seed=11)
+            for search in (lambda: convex_roof_oracle(rho, 0.823, 100_000, seed=1),
+                           lambda: coa_search(rho, 100_000, seed=1)):
+                tracemalloc.start()
+                try:
+                    search()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 8e6, (rank, peak)
+
 
 def sequential_polish(basis, u, phase, values, step, alpha):
     """The compass search polling one step per round: the reference for the rung ladder."""
@@ -453,34 +529,45 @@ class TestRungLadderPolish:
                 assert _two_term_polish(*one) == sequential_polish(*one)
 
 
+def random_isometries(count, size, rank, rng):
+    """The blocks of ``_random_isometry_blocks`` joined into one (count, size, rank) array."""
+    return np.concatenate(list(_random_isometry_blocks(count, size, rank, rng)))
+
+
 class TestRandomIsometries:
     SHAPES = [(size, rank) for size in (2, 3, 4) for rank in range(1, size + 1)]
 
     @pytest.mark.parametrize("size, rank", SHAPES)
     def test_isometry(self, size, rank):
-        v = _random_isometry_batch(500, size, rank, np.random.default_rng(size * 10 + rank))
+        v = random_isometries(500, size, rank, np.random.default_rng(size * 10 + rank))
         assert v.shape == (500, size, rank)
         gram = np.swapaxes(v.conj(), -1, -2) @ v
         assert np.max(np.abs(gram - np.eye(rank))) <= 1e-12
 
+    @pytest.mark.parametrize("count", [500, 2 * SEARCH_BLOCK + 3])
     @pytest.mark.parametrize("size, rank", SHAPES)
-    def test_matches_qr_of_the_same_draws(self, size, rank):
+    def test_matches_qr_of_the_same_draws(self, size, rank, count):
         # the Q factor with R's diagonal made positive, on the same generator stream
         rng = np.random.default_rng(rank)
-        z = rng.normal(size=(500, size, size)) + 1j * rng.normal(size=(500, size, size))
+        z = rng.normal(size=(count, size, size)) + 1j * rng.normal(size=(count, size, size))
         q, r = np.linalg.qr(z)
         d = np.einsum("tii->ti", r)
         expected = (q * (d / np.abs(d))[:, None, :])[:, :, :rank]
-        v = _random_isometry_batch(500, size, rank, np.random.default_rng(rank))
+        v = random_isometries(count, size, rank, np.random.default_rng(rank))
+        assert v.shape == (count, size, rank)
         assert np.max(np.abs(v - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("count", [7, 2 * SEARCH_BLOCK + 3])
     @pytest.mark.parametrize("size, rank", SHAPES)
-    def test_draws_full_blocks_whatever_the_rank(self, size, rank):
-        # only `rank` columns are assembled, but both normal blocks are drawn
-        # in full, so the generator ends where a full draw leaves it
+    def test_draws_full_blocks_whatever_the_rank(self, size, rank, count):
+        # only `rank` columns are assembled, but both normal halves are drawn
+        # in full, block by block, so the generator ends where two full
+        # draws leave it
         rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-        _random_isometry_batch(7, size, rank, rng)
-        ref.normal(size=(7, size, size)), ref.normal(size=(7, size, size))
+        blocks = list(_random_isometry_blocks(count, size, rank, rng))
+        assert [len(b) for b in blocks] == [min(SEARCH_BLOCK, count - lo)
+                                            for lo in range(0, count, SEARCH_BLOCK)]
+        ref.normal(size=(count, size, size)), ref.normal(size=(count, size, size))
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
