@@ -2,17 +2,12 @@
 
 Everything here is deterministic under a master seed.  State ``index`` has
 the seed ``numpy.random.SeedSequence([master_seed, index])``'s first uint64
-and is drawn from ``default_rng(seed)``, so any witness record can be
-replayed bit-for-bit from its own fields.  Campaigns compute that contract a
-chunk at a time (``derive_seeds``, then the class's entry in ``_DRAWS``),
-with no SeedSequence or Generator per state; ``tests/test_seed_streams.py``
-pins it against numpy.  ``_DRAWS`` hands ``_evaluate`` a chunk's
-``PureFeatures``: Haar chunks from their amplitudes, W-class chunks in
-closed form from their coefficients, never expanded to 2**n amplitudes.
-The replay of a seeded record draws through the same table, and a state
-from outside (a state file, or a state passed to replay) enters through
-``_entering``.  Every check runs at that boundary, once per campaign or
-record and before the first draw; the evaluators trust their input.  CSV
+and is drawn from ``default_rng(seed)``, so any witness record replays
+bit-for-bit from its own fields.  Campaigns and the replay of a seeded
+record compute that contract a chunk at a time (``derive_seeds``, then
+``_DRAWS``); a state from outside (a state file, or a state passed to
+replay) enters through ``monogamy.enter``.  Every check runs there, or on
+the config before the first draw; the evaluators trust their input.  CSV
 output prints floats with 12 significant digits and no locale dependence.
 """
 
@@ -26,20 +21,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MAX_QUBITS, StateVector, load_state, require_state_vector
-from .errors import (
-    ConfigError,
-    IoError,
-    ParameterError,
-    PreconditionError,
-    UnsupportedStateClassError,
-)
+from .core import MAX_QUBITS, StateVector, load_state
+from .errors import ConfigError, IoError, ParameterError, PreconditionError
 from .measures import ALPHA_MAX, ALPHA_WINDOW, MU_MAX, AlphaMu, PureFeatures
 from .monogamy import (
     FULL,
     Orderings,
     bound_values,
     ckw_terms,
+    enter,
+    ladder_base,
     ladder_terms,
     lemma1_terms,
     powers,
@@ -47,7 +38,7 @@ from .monogamy import (
     scalar_weight_inequality,
     weight_ladder,
 )
-from .wclass import build_wclass, wclass_coefficients, wclass_from_state
+from .wclass import build_wclass, wclass_coefficients
 from . import core, measures
 
 # Order at which the six-decimal reference values of the worked examples are
@@ -341,10 +332,8 @@ def derive_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
 
 
 # The features of a chunk of a seeded state class, one row per seed: Haar
-# chunks from their (B, 2**n) amplitudes, W-class chunks in closed form from
-# their (B, n) coefficients, never expanded to 2**n.  Campaigns and the replay
-# of a seeded record both draw here, after ``_require_seeded`` checked the
-# class and qubit count; no state object is built per state.
+# chunks from their (B, 2**n) amplitudes, W-class chunks from their (B, n)
+# coefficients.  No state object is built per state.
 _DRAWS = {
     "haar": lambda n, seeds: PureFeatures.of(core.haar_amplitudes(n, seeds)),
     "wclass": lambda n, seeds: PureFeatures.of_wclass(wclass_coefficients(n, seeds)),
@@ -368,11 +357,10 @@ def _require_seeded(mode: str, state_class: str, n_qubits: int) -> None:
 def _require_cells(mode: str, state_class: str, n_qubits: int, cells) -> None:
     """Refuse, before the first draw, a campaign or record whose bound claims nothing.
 
-    Haar states have no computable ordering tails beyond three qubits, a
-    seeded monogamy state needs at least three qubits (its ordering compares
-    two partners), a seeded lemma1 state must have three qubits, and every
-    cell must lie inside its theorem: the alpha window and mu range of
-    monogamy and polygamy, x >= 2 for lemma1.  The evaluators trust all of it.
+    The seeded counterparts of the rules of ``monogamy.enter`` (Haar
+    monogamy has no ordering tails beyond three qubits), and every cell
+    inside its theorem: the alpha window and mu range of monogamy and
+    polygamy, x >= 2 for lemma1.  The evaluators trust all of it.
     """
     if mode == "monogamy" and state_class == "haar" and n_qubits > 3:
         raise ConfigError(
@@ -395,22 +383,6 @@ def _require_cells(mode: str, state_class: str, n_qubits: int, cells) -> None:
                 (params.require_polygamy if mode == "polygamy" else params.require_monogamy)()
     except ParameterError as exc:
         raise ConfigError(f"{mode} campaigns: {exc}") from exc
-
-
-def _entering(mode: str, psi: StateVector) -> PureFeatures:
-    """The features of a state from outside (a state file, or a state passed to replay), checked.
-
-    The polygamy pair terms are assisted values, and the ordering tails
-    beyond three qubits root sums of squared pair concurrences, only on
-    W-class states; ``wclass_from_state`` raises on any other state.  The
-    lemma1 inequality has both sides only on three-qubit states.
-    """
-    require_state_vector(psi)
-    if mode == "polygamy" or (mode == "monogamy" and psi.n_qubits > 3):
-        wclass_from_state(psi)
-    if mode == "lemma1" and psi.n_qubits != 3:
-        raise UnsupportedStateClassError("both sides are computable only for pure three-qubit states")
-    return PureFeatures.of_state(psi)
 
 
 def _csv_template(mode, state_class, n_qubits, alpha, mu, t) -> str:
@@ -526,17 +498,18 @@ class CampaignResult:
         """Header, then the records as ``to_csv_row`` prints them, CSV_CHUNK_ROWS lines per write.
 
         Each line fills its cell's template (see ``_csv_template``), made once
-        per cell, with the record's index, seed and four values.
+        per cell, with the record's index, seed and four values, read from the
+        columns one chunk at a time.
         """
         stream.write(",".join(WitnessRecord.CSV_COLUMNS) + "\n")
-        if not self.n_records:
-            return
-        templates = [_csv_template(*cell) for cell in self.cells]
-        fields = zip(self.indices.ravel().tolist(), np.repeat(self.seeds, len(templates)).tolist(),
-                     *self.block.reshape(-1, 4).T.tolist())
-        rows = zip(itertools.cycle(templates), fields)
-        while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
-            stream.write("".join([template % values for template, values in chunk]))
+        templates = itertools.cycle([_csv_template(*cell) for cell in self.cells])
+        indices, values = self.indices.ravel(), self.block.reshape(-1, 4)
+        for lo in range(0, self.n_records, CSV_CHUNK_ROWS):
+            hi = min(lo + CSV_CHUNK_ROWS, self.n_records)
+            seeds = self.seeds[np.arange(lo, hi) // len(self.cells)]
+            fields = zip(indices[lo:hi].tolist(), seeds.tolist(), *values[lo:hi].T.tolist())
+            # fields first: zip stops on them without taking a template
+            stream.write("".join([template % line for line, template in zip(fields, templates)]))
 
 
 def _scalar_margin(t: float, x: float) -> float:
@@ -550,7 +523,7 @@ def _scalar_campaign(config: CampaignConfig) -> CampaignResult:
     cells, values = [], []
     for x in config.mu_grid:
         for t in np.linspace(0.0, 1.0, 200):
-            rhs = 1.0 + (2.0**x - 1.0) * t**x
+            rhs = 1.0 + ladder_base(x) * t**x
             values.append(((1.0 + t) ** x, rhs, _scalar_margin(float(t), float(x)), rhs))
             cells.append(("scalar", "grid", 0, None, float(x), float(t)))
     n = len(cells)
@@ -559,12 +532,9 @@ def _scalar_campaign(config: CampaignConfig) -> CampaignResult:
 
 
 # Per-mode evaluators (features, pairs, splits, cells) -> (lhs, weights,
-# terms) columns of the passed states in every cell, shared by campaigns and
-# replay so that a record and its replay cannot drift apart.  ``pairs`` holds
-# the pair concurrences in party order and ``splits`` the ``Orderings.split``
-# codes, both None in modes without a hypothesis.  The public per-state
-# functions build their reports from the same ``*_terms`` functions and
-# ``bound_values``.
+# terms) columns of the passed states in every cell, shared by campaigns,
+# replay and (through the same ``*_terms``) the public per-state functions.
+# ``pairs`` and ``splits`` are None in modes without a hypothesis.
 _EVALUATORS = {
     "ckw": lambda feats, pairs, splits, cells: ckw_terms(feats),
     "lemma1": lambda feats, pairs, splits, cells: lemma1_terms(feats, [mu for _, mu in cells]),
@@ -616,7 +586,7 @@ def _sampled_chunks(config: CampaignConfig):
     A chunk holds at most CHUNK_AMPLITUDES amplitudes' worth of states, or one state.
     """
     if config.state_class == "file":
-        yield 0, [0], _entering(config.mode, load_state(config.state_file))
+        yield 0, [0], enter(load_state(config.state_file), config.mode)
         return
     n = config.n_qubits
     size = max(1, CHUNK_AMPLITUDES // 2**n)
@@ -665,10 +635,9 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 def replay_record(record: WitnessRecord, state: StateVector | None = None) -> float:
     """Recompute a witness margin from its recorded parameters.
 
-    File-class records carry no seed, so their state must be passed in and
-    enters through ``_entering``; a seeded record's state is drawn through
-    ``_DRAWS`` as a chunk of one.  The record's cell is checked as a
-    campaign's are, and its state goes through the campaign's own path.
+    A file-class record's state must be passed in, and enters through
+    ``monogamy.enter``; a seeded record's is drawn as a chunk of one.  The
+    cell is checked, and the state evaluated, as in a campaign.
     """
     if record.mode == "scalar":
         return _scalar_margin(record.t, record.mu)
@@ -681,7 +650,7 @@ def replay_record(record: WitnessRecord, state: StateVector | None = None) -> fl
         seed = np.array([record.state_seed], dtype=np.uint64)
         feats = _DRAWS[record.state_class](record.n_qubits, seed)
     else:
-        feats = _entering(record.mode, state)
+        feats = enter(state, record.mode)
     keep, block, _ = _evaluate(record.mode, feats, cells)
     if not keep.size:
         raise PreconditionError("recorded state no longer satisfies the hypothesis")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, StateVector, pair_blocks, schmidt_probabilities
+from .core import DensityMatrix, StateVector, pair_blocks, require_state_vector, schmidt_probabilities
 from .errors import DomainError, InvalidSubsystemError, ParameterError, SizeError
 from .wclass import onehot_indices, single_excitation_rows
 
@@ -175,11 +175,9 @@ def concurrence_pure(psi: StateVector, partition) -> float:
     ``partition`` names one side of the cut; it must be a proper nonempty
     subset of the labels.  Evaluated from the Schmidt probabilities as
     2 sqrt(sum_{i<j} l_i l_j), which vanishes cleanly on product states
-    instead of inheriting sqrt-of-roundoff noise from the purity.  The
-    first-qubit cut reads ``PureFeatures.of_state``, as every bound does.
+    instead of inheriting sqrt-of-roundoff noise from the purity.
     """
-    probs = _cut_probabilities(psi, partition)
-    return float(_cut_concurrences(probs)[0])
+    return float(_cut_concurrences(cut_probabilities(psi, partition))[0])
 
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -282,48 +280,44 @@ def renyi_entanglement_two_qubit(rho: DensityMatrix, alpha: float) -> float:
 
 
 def renyi_entanglement_pure(psi: StateVector, partition, alpha: float) -> float:
-    """Renyi entropy of the reduced state across a bipartition of a pure state.
+    """Renyi entropy of the reduced state across a bipartition of a pure state (``cut_probabilities``)."""
+    return renyi_entropy(cut_probabilities(psi, partition)[0], alpha)
 
-    The first-qubit cut reads ``PureFeatures.of_state``, as every bound does.
+
+def cut_probabilities(psi: StateVector, partition=None) -> np.ndarray:
+    """(1, r) Schmidt probabilities of a cut of a ``StateVector`` (checked); None is the first qubit.
+
+    The first-qubit cut, named by either side, takes ``PureFeatures.cut_probs``'s
+    code alone, with no pair lambdas; any other cut one SVD.
     """
-    return renyi_entropy(_cut_probabilities(psi, partition)[0], alpha)
-
-
-def _cut_probabilities(psi: StateVector, partition) -> np.ndarray:
-    """(1, r) Schmidt probabilities of a cut: the features' for first qubit | rest, else one SVD."""
-    axes = cut_axes(psi, partition)
+    require_state_vector(psi)
+    axes = (0,) if partition is None else cut_axes(psi, partition)
     if axes in ((0,), tuple(range(1, psi.n_qubits))):
-        return PureFeatures.of_state(psi).cut_probs
+        return _by_route(psi.amplitudes[None], _CUT_READ)[0]
     return schmidt_probabilities(psi.amplitudes[None], axes)
 
 
 @dataclass(frozen=True)
 class PureFeatures:
-    """What every bound reads from a stack of pure states around their first qubit.
+    """What every bound reads from a stack of pure states around their first qubit (the focus).
 
-    The first qubit is the focus of every bound; another focus is a
-    permutation of the state.  ``cut_probs`` (B, 2) holds the descending
-    Schmidt probabilities of focus | rest and ``pair_lambdas`` (B, n-1, 4)
-    the spin-flip lambdas of the marginal on the focus and each other qubit,
-    in tensor order.  Both come straight from the amplitudes, once per
-    state; every (alpha, mu) cell is evaluated from them.  Row b of a stack
-    equals the features of state b alone.
+    ``cut_probs`` (B, 2) holds the descending Schmidt probabilities of
+    focus | rest and ``pair_lambdas`` (B, n-1, 4) the spin-flip lambdas of
+    the marginal on the focus and each other qubit, in tensor order, once
+    per state; every (alpha, mu) cell is evaluated from them.  Row b of a
+    stack equals the features of state b alone.
 
-    A row of n >= 3 qubits that is exactly 0 off the one-hot indices is a
-    W-class state a|10..0> + sum_i b_i |0..1_i..0>, and its features are
-    closed form: the cut probabilities are |a|^2 and sum_i |b_i|^2, and the
-    lambdas of pair i are (2|a||b_i|, 0, 0, 0), so its concurrence and its
-    concurrence of assistance are both exactly 2|a||b_i|.  Such rows take no
-    SVD, no marginal and no ``eigh``, and ``of_wclass`` reads them from the
-    coefficients (a, b_1..b_{n-1}) alone, with no 2**n amplitudes.
+    A row of n >= 3 qubits exactly 0 off the one-hot indices is a W-class
+    state a|10..0> + sum_i b_i |0..1_i..0> with closed-form features: cut
+    probabilities |a|^2 and sum_i |b_i|^2, and pair i's lambdas
+    (2|a||b_i|, 0, 0, 0), its concurrence and concurrence of assistance
+    alike.  ``of_wclass`` reads them from the coefficients alone.
 
     Every other row takes one SVD for the cut.  A pair's 4 x K amplitude
-    block M (K = 2**(n-2)) is a factor of its marginal M M^H: up to 4 qubits
-    (K <= 4) the lambdas are the singular values of M^T (YY) M.  Beyond that
-    the K rows of M^H would make the overlap larger than the marginal, so
-    they are replaced by the 4 rows of R from the thin QR M^H = QR, which
-    factors the same marginal (Q^H Q = 1).  No pure state builds a marginal
-    or calls ``eigh``.
+    block M (K = 2**(n-2)) factors its marginal M M^H: up to 4 qubits the
+    lambdas are the singular values of M^T (YY) M; beyond, M^H is replaced
+    by the 4 rows of R from its thin QR, which factor the same marginal.  No
+    pure state builds a marginal or calls ``eigh``.
     """
 
     cut_probs: np.ndarray
@@ -332,39 +326,12 @@ class PureFeatures:
     @classmethod
     def of(cls, amplitudes: np.ndarray) -> "PureFeatures":
         """Features of a (B, 2**n) amplitude stack, n >= 2."""
-        if amplitudes.shape[1] < 4:
-            raise InvalidSubsystemError("the first qubit has no partner in a one-qubit state")
-        single = single_excitation_rows(amplitudes)
-        if not single.any():
-            return cls._dense(amplitudes)
-        n = int(amplitudes.shape[1]).bit_length() - 1
-        onehot = onehot_indices(n)
-        if single.all():
-            return cls.of_wclass(amplitudes[:, onehot])
-        out = cls(np.empty((len(single), 2)), np.empty((len(single), n - 1, 4)))
-        for rows, part in ((single, cls.of_wclass(amplitudes[single][:, onehot])),
-                           (~single, cls._dense(amplitudes[~single]))):
-            out.cut_probs[rows], out.pair_lambdas[rows] = part.cut_probs, part.pair_lambdas
-        return out
+        return cls(*_by_route(amplitudes, _CUT_READ, _PAIR_READ))
 
     @classmethod
     def of_wclass(cls, coeffs: np.ndarray) -> "PureFeatures":
         """Closed-form features of W-class states from their (B, N) coefficients (a, b_1..b_{N-1})."""
-        n = coeffs.shape[1]
-        moduli = np.hypot(coeffs.real, coeffs.imag)  # libm hypot, as Python's abs(complex)
-        excited, rest = _abs2(coeffs[:, 0]), np.sum(_abs2(coeffs[:, 1:]), axis=1)
-        lambdas = np.zeros(coeffs.shape[:1] + (n - 1, 4))
-        lambdas[..., 0] = 2.0 * moduli[:, :1] * moduli[:, 1:]
-        cut = np.stack([np.maximum(excited, rest), np.minimum(excited, rest)], axis=1)
-        return cls(cut, lambdas)
-
-    @classmethod
-    def _dense(cls, amplitudes: np.ndarray) -> "PureFeatures":
-        """Features of any rows: one SVD for the cut, a factor of each pair's marginal for the pairs."""
-        factors = np.swapaxes(np.stack(list(pair_blocks(amplitudes)), axis=1), -1, -2).conj()
-        if factors.shape[-2] > 4:
-            factors = np.linalg.qr(factors, mode="r")
-        return cls(schmidt_probabilities(amplitudes, (0,)), _basis_lambdas(factors))
+        return cls(_wclass_cut(coeffs), _wclass_pair_lambdas(coeffs))
 
     @classmethod
     def of_state(cls, psi: StateVector) -> "PureFeatures":
@@ -385,6 +352,53 @@ class PureFeatures:
     @property
     def pair_coas(self) -> np.ndarray:
         return self.pair_lambdas.sum(axis=-1)
+
+
+def _by_route(amplitudes: np.ndarray, *reads) -> list:
+    """One array per read of a (B, 2**n) stack, n >= 2, a row per state.
+
+    A read is a pair (closed, dense): closed maps the one-hot coefficients of
+    the rows ``single_excitation_rows`` picks, dense the other rows.
+    """
+    if amplitudes.shape[1] < 4:
+        raise InvalidSubsystemError("the first qubit has no partner in a one-qubit state")
+    single = single_excitation_rows(amplitudes)
+    if not single.any():
+        return [dense(amplitudes) for _, dense in reads]
+    onehot = onehot_indices(int(amplitudes.shape[1]).bit_length() - 1)
+    if single.all():
+        return [closed(amplitudes[:, onehot]) for closed, _ in reads]
+    coeffs, others = amplitudes[single][:, onehot], amplitudes[~single]
+    out = []
+    for closed, dense in reads:
+        part = closed(coeffs)
+        whole = np.empty((len(single),) + part.shape[1:])
+        whole[single], whole[~single] = part, dense(others)
+        out.append(whole)
+    return out
+
+
+def _wclass_cut(coeffs: np.ndarray) -> np.ndarray:
+    excited, rest = _abs2(coeffs[:, 0]), np.sum(_abs2(coeffs[:, 1:]), axis=1)
+    return np.stack([np.maximum(excited, rest), np.minimum(excited, rest)], axis=1)
+
+
+def _wclass_pair_lambdas(coeffs: np.ndarray) -> np.ndarray:
+    moduli = np.hypot(coeffs.real, coeffs.imag)  # libm hypot, as Python's abs(complex)
+    lambdas = np.zeros(coeffs.shape[:1] + (coeffs.shape[1] - 1, 4))
+    lambdas[..., 0] = 2.0 * moduli[:, :1] * moduli[:, 1:]
+    return lambdas
+
+
+def _dense_pair_lambdas(amplitudes: np.ndarray) -> np.ndarray:
+    factors = np.swapaxes(np.stack(list(pair_blocks(amplitudes)), axis=1), -1, -2).conj()
+    if factors.shape[-2] > 4:
+        factors = np.linalg.qr(factors, mode="r")
+    return _basis_lambdas(factors)
+
+
+_CUT_READ = (_wclass_cut, lambda amplitudes: schmidt_probabilities(amplitudes, (0,)))
+_PAIR_READ = (_wclass_pair_lambdas, _dense_pair_lambdas)
 
 
 # ---------------------------------------------------------------------------

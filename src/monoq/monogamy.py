@@ -18,12 +18,48 @@ import numpy as np
 from .core import StateVector, require_state_vector
 from .errors import DomainError, ParameterError, PreconditionError, UnsupportedStateClassError
 from .measures import AlphaMu, PureFeatures, f_alpha, renyi_entropy, require_power
-from .wclass import wclass_from_state
+from .wclass import require_wclass
 
 #: Sentinel split index for the fully ordered ladder.
 FULL = "full"
 
 ORDERING_ATOL = 1e-12
+
+
+def enter(psi, mode: str | None = None, xs=()) -> PureFeatures:
+    """The features of a pure state from outside, checked for ``mode``: the one door of such states.
+
+    The public bounds, ``detect_ordering``, state files and states passed to
+    ``harness.replay_record`` enter here.  Checks, in order: a ``StateVector``;
+    each lemma1 power in ``xs``; the rule of ``mode``.  lemma1 needs three
+    qubits.  Monogamy and polygamy need three or more (an ordering compares a
+    pair with a tail), and W-class states for polygamy, whose pair terms are
+    assisted values, and for monogamy beyond three qubits, whose tails are
+    root sums of squared pair concurrences only there.  Those two modes' rules
+    run after the features, so a one-qubit state raises the features' error.
+    """
+    require_state_vector(psi)
+    for x in xs:
+        require_lemma1_power(x)
+    if mode == "lemma1" and psi.n_qubits != 3:
+        raise UnsupportedStateClassError("both sides are computable only for pure three-qubit states")
+    feats = PureFeatures.of_state(psi)
+    if mode in ("monogamy", "polygamy"):
+        _require_partners(psi.n_qubits)
+        if mode == "polygamy" or psi.n_qubits > 3:
+            require_wclass(psi)
+    return feats
+
+
+def _require_partners(n_qubits: int) -> None:
+    """Refuse fewer than three qubits, where no ordering profile exists."""
+    if n_qubits < 3:
+        raise ParameterError(f"ordering profiles need at least 3 qubits, got {n_qubits}")
+
+
+def ladder_base(x: float) -> float:
+    """2^x - 1: the ratio of the weight ladders, and the scalar inequality's coefficient."""
+    return 2.0**x - 1.0
 
 
 def bound_values(lhs: np.ndarray, weights: np.ndarray, terms: np.ndarray,
@@ -162,7 +198,7 @@ def _ladder_weights(n_parties: int, code: int, mu: float) -> np.ndarray:
 
     The split formula at m = n - 2 is the full ladder (no middle block).
     """
-    base = 2.0**mu - 1.0
+    base = ladder_base(mu)
     head = [base**k for k in range(code)]
     return np.array(head + [base ** (code + 1)] * (n_parties - 2 - code) + [base**code])
 
@@ -177,10 +213,7 @@ def detect_ordering(psi: StateVector, relabel: bool = True) -> OrderingProfile:
     order of decreasing pair concurrence, the labeling under which the
     hypotheses are most likely to hold.
     """
-    require_state_vector(psi)
-    if psi.n_qubits > 3:
-        wclass_from_state(psi)
-    feats = PureFeatures.of_state(psi)
+    feats = enter(psi, "monogamy")
     full_cut = float(feats.cut_concurrence[0])
     return Orderings.of(feats.pair_concurrences, relabel).profile(0, psi.labels, full_cut)
 
@@ -215,8 +248,7 @@ class Orderings(NamedTuple):
         from m on; m = n - 2 asks every ">=" condition, the full ladder.
         """
         b, n = pairs.shape[0], pairs.shape[1] + 1
-        if n < 3:
-            raise ParameterError(f"ordering profiles need at least 3 qubits, got {n}")
+        _require_partners(n)
         if relabel:
             order = np.argsort(-pairs, axis=1, kind="stable")
         else:
@@ -275,8 +307,7 @@ def ckw_terms(feats: PureFeatures) -> tuple:
 
 def ckw_check(psi: StateVector) -> BoundReport:
     """Squared-concurrence monogamy: C^2 first qubit vs rest >= sum of pair C^2."""
-    require_state_vector(psi)
-    return BoundReport.from_columns("ckw", ckw_terms(PureFeatures.of_state(psi)), upper=False)
+    return BoundReport.from_columns("ckw", ckw_terms(enter(psi)), upper=False)
 
 
 def require_lemma1_power(x: float) -> None:
@@ -297,7 +328,7 @@ def lemma1_terms(feats: PureFeatures, xs) -> tuple:
     lhs, terms = np.empty((len(cut), len(xs))), np.empty((len(cut), len(xs), 2))
     for c, x in enumerate(xs):
         lhs[:, c], terms[:, c] = powers(cut, x), powers(pairs, x)
-    weights = np.array([(1.0, 2.0 ** (x / 2.0) - 1.0) for x in xs])
+    weights = np.array([(1.0, ladder_base(x / 2.0)) for x in xs])
     return lhs, np.broadcast_to(weights, terms.shape), terms
 
 
@@ -307,11 +338,7 @@ def lemma1_check(psi: StateVector, x: float) -> BoundReport:
     Checks C_cut^x >= C_1^x + (2^(x/2) - 1) C_2^x with the partners ordered
     so that C_1 >= C_2, for powers x >= 2.
     """
-    require_state_vector(psi)
-    require_lemma1_power(x)
-    if psi.n_qubits != 3:
-        raise UnsupportedStateClassError("both sides are computable only for pure three-qubit states")
-    columns = lemma1_terms(PureFeatures.of_state(psi), [x])
+    columns = lemma1_terms(enter(psi, "lemma1", [x]), [x])
     return BoundReport.from_columns("lemma1", columns, upper=False, mu=x)
 
 
@@ -352,7 +379,7 @@ def ladder_terms(feats: PureFeatures, pairs: np.ndarray, splits: np.ndarray, cel
 def profile_report(psi: StateVector, profile: OrderingProfile, params: AlphaMu,
                    upper: bool) -> BoundReport:
     """The ladder report of one state and its profile (``theorem_bound``, ``theorem3_bound``)."""
-    require_state_vector(psi)
+    feats = enter(psi, "polygamy" if upper else "monogamy")
     if profile.focus != psi.labels[0]:
         raise UnsupportedStateClassError("the profile's focus must be the state's first qubit")
     split, n = profile.split_index, 1 + len(profile.pair_concurrences)
@@ -361,8 +388,7 @@ def profile_report(psi: StateVector, profile: OrderingProfile, params: AlphaMu,
         raise PreconditionError(f"ordering hypothesis unsatisfied; the {which} is not claimed")
     weight_ladder(n, split, params.mu)  # raises on a split no n-qubit profile has
     code = np.array([n - 2 if split == FULL else split])
-    columns = ladder_terms(PureFeatures.of_state(psi), np.array([profile.pair_concurrences]), code,
-                           [(params.alpha, params.mu)])
+    columns = ladder_terms(feats, np.array([profile.pair_concurrences]), code, [(params.alpha, params.mu)])
     prefix = "assist" if upper else "ladder"
     kind = f"{prefix}-full" if split == FULL else f"{prefix}-split-{split}"
     return BoundReport.from_columns(kind, columns, upper, params.alpha, params.mu)
@@ -376,8 +402,7 @@ def theorem_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) -
     (see ``ladder_terms``), each ``f_alpha`` at the squared pair concurrence
     that ``profile`` measured on ``psi``.
     """
-    params.require_monogamy()
-    return profile_report(psi, profile, params, upper=False)
+    return profile_report(psi, profile, params.require_monogamy(), upper=False)
 
 
 @dataclass(frozen=True)
@@ -399,7 +424,7 @@ def scalar_weight_inequality(t: float, x: float) -> ScalarCheck:
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must lie in [0, 1], got {t}")
     require_power(x, "x")
-    margin = (1.0 + t) ** x - 1.0 - (2.0**x - 1.0) * t**x
+    margin = (1.0 + t) ** x - 1.0 - ladder_base(x) * t**x
     regime = "lower" if x >= 1.0 else "upper"
     ok = margin >= -1e-12 if regime == "lower" else margin <= 1e-12
     return ScalarCheck(t=t, x=x, margin=float(margin), regime=regime, ok=ok)

@@ -11,44 +11,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import StateVector, require_state_vector
+from .core import StateVector
 from .errors import SizeError
-from .measures import AlphaMu, PureFeatures, renyi_entropy
-from .monogamy import BoundReport, OrderingProfile, powers, profile_report
-from .wclass import wclass_from_state
-
-__all__ = [
-    "reoa_cut",
-    "theorem3_bound",
-    "coa_polygamy_check",
-]
+from .measures import AlphaMu, cut_probabilities, renyi_entropy
+from .monogamy import BoundReport, OrderingProfile, enter, powers, profile_report
 
 
 def reoa_cut(psi: StateVector, alpha: float) -> float:
     """Assisted entanglement across the focus-vs-rest cut of a pure state.
 
-    For a pure global state the assisted value across the cut equals the
-    plain entanglement of the cut, read from the state's ``PureFeatures``
-    like the left side of ``theorem3_bound``.  Mixed inputs are rejected: no
-    analytic route exists for them here.
+    It equals the plain entanglement of the cut, read like the left side of
+    ``theorem3_bound``; mixed inputs, with no analytic route here, are rejected.
     """
-    require_state_vector(psi)
-    return renyi_entropy(PureFeatures.of_state(psi).cut_probs[0], alpha)
+    return renyi_entropy(cut_probabilities(psi)[0], alpha)
 
 
 def theorem3_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) -> BoundReport:
     """Weighted upper bound on the mu-th power of assisted entanglement.
 
-    ``psi`` must be W-class (``wclass_from_state`` raises otherwise).  The
-    pairwise assisted terms are evaluated through ``f_alpha`` at the squared
-    pair concurrences that ``profile`` measured, which equal the
-    concurrences of assistance 2|a||b_i| on W-class marginals, and weighted
-    by the ladder of the profile's split (see ``ladder_terms``).  The left
-    side is the focus-vs-rest entanglement of ``psi`` raised to mu.
+    ``psi`` must be W-class.  The pairwise assisted terms are ``f_alpha`` at
+    the squared pair concurrences that ``profile`` measured, equal on W-class
+    marginals to the concurrences of assistance, weighted by the profile's
+    ladder (see ``ladder_terms``); the left side is the cut entanglement to mu.
     """
-    params.require_polygamy()
-    wclass_from_state(psi)
-    return profile_report(psi, profile, params, upper=True)
+    return profile_report(psi, profile, params.require_polygamy(), upper=True)
 
 
 def coa_polygamy_check(psi: StateVector) -> BoundReport:
@@ -56,10 +42,9 @@ def coa_polygamy_check(psi: StateVector) -> BoundReport:
 
     Holds for every pure multi-qubit state; the margin is rhs - lhs.
     """
-    require_state_vector(psi)
+    feats = enter(psi)
     if psi.n_qubits > 6:
         raise SizeError(f"capped at 6 qubits, got {psi.n_qubits}")
-    feats = PureFeatures.of_state(psi)
     terms = powers(feats.pair_coas, 2)[:, None]
     columns = powers(feats.cut_concurrence, 2)[:, None], np.ones_like(terms), terms
     return BoundReport.from_columns("coa-polygamy", columns, upper=True)

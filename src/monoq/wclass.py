@@ -94,26 +94,32 @@ def build_wclass(a, b_list, labels=()) -> tuple[WClassState, StateVector]:
     return w, w.to_state_vector()
 
 
-def wclass_from_state(psi: StateVector) -> WClassState:
-    """Recognize a state vector with single-excitation support.
+def require_wclass(psi: StateVector) -> None:
+    """Raise UnsupportedStateClassError on amplitude above WCLASS_SUPPORT_ATOL off the one-hot indices.
 
-    Raises UnsupportedStateClassError when any amplitude outside the one-hot
-    basis states exceeds WCLASS_SUPPORT_ATOL, and on anything but a
-    ``StateVector``.
+    One of two W-class decisions, kept apart on purpose.  This one lets a
+    bound that needs a W-class state read ``psi``, so a state file with 1e-11
+    of noise is accepted.  ``single_excitation_rows`` picks closed-form
+    features, which read the one-hot amplitudes alone, so it needs exact
+    zeros; an accepted noisy state takes the dense route.  Builds no object.
     """
-    require_state_vector(psi)
-    amps = psi.amplitudes
-    onehot = onehot_indices(psi.n_qubits)
-    mask = np.ones(amps.size, dtype=bool)
-    mask[onehot] = False
-    worst = float(np.max(np.abs(amps[mask]))) if np.any(mask) else 0.0
+    worst = float(np.max(np.abs(np.delete(psi.amplitudes, onehot_indices(psi.n_qubits)))))
     if worst > WCLASS_SUPPORT_ATOL:
         raise UnsupportedStateClassError(
             f"state has weight {worst:.3e} outside the single-excitation subspace"
         )
-    coeffs = amps[onehot]
-    norm = float(np.linalg.norm(coeffs))
-    coeffs = coeffs / norm
+
+
+def wclass_from_state(psi: StateVector) -> WClassState:
+    """The coefficient form of a state vector with single-excitation support.
+
+    Raises UnsupportedStateClassError on anything but a ``StateVector`` and,
+    by ``require_wclass``, on weight outside the one-hot basis states.
+    """
+    require_state_vector(psi)
+    require_wclass(psi)
+    coeffs = psi.amplitudes[onehot_indices(psi.n_qubits)]
+    coeffs = coeffs / float(np.linalg.norm(coeffs))
     return WClassState(coeffs[0], tuple(coeffs[1:]), psi.labels)
 
 

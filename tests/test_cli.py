@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -9,9 +10,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from monoq import haar_random_state, save_state, w_state
+from monoq import (
+    AlphaMu,
+    MonoqError,
+    ParameterError,
+    UnsupportedStateClassError,
+    WitnessRecord,
+    ckw_check,
+    detect_ordering,
+    haar_random_state,
+    lemma1_check,
+    random_wclass,
+    replay_record,
+    save_state,
+    theorem3_bound,
+    theorem_bound,
+    w_state,
+)
 from monoq.cli import main
-from monoq.harness import reference_schmidt_state
+from monoq.harness import fmt12, reference_schmidt_state
 from monoq.core import StateVector
 
 
@@ -409,6 +426,91 @@ def test_state_files_never_crash(command, data, tmp_path, capsys):
         argv = ["fuzz", f"--mode={mode}", "--class=file", f"--state={path}"]
     code = main(argv)
     assert code in (0, 1, 2), capsys.readouterr().err
+
+
+def _noisy_wclass(seed: int, weight: float) -> StateVector:
+    """A 4-qubit W-class state with ``weight`` of amplitude on |0000>, off its support."""
+    amps = random_wclass(4, seed).to_state_vector().amplitudes.copy()
+    amps[0] = weight
+    return StateVector(amps / np.linalg.norm(amps))
+
+
+def _first_ordered(states) -> StateVector:
+    """The first state whose ordering hypothesis holds, so every accepting route gives a margin."""
+    return next(psi for psi in states if detect_ordering(psi).satisfied)
+
+
+# Edge states for the entry check: Haar states at and beyond three qubits,
+# W-class states with off-support weight below and above the 1e-10 permission,
+# and two-qubit states, one of them single-excitation.
+EDGE_STATES = {
+    "haar-3": lambda: _first_ordered(haar_random_state(3, seed) for seed in range(50)),
+    "haar-4": lambda: haar_random_state(4, seed=1),
+    "wclass-4-noise-1e-11": lambda: _first_ordered(_noisy_wclass(seed, 1e-11) for seed in range(50)),
+    "wclass-4-noise-5e-10": lambda: _noisy_wclass(3, 5e-10),
+    "two-qubit": lambda: haar_random_state(2, seed=1),
+    "two-qubit-single-excitation": lambda: StateVector(np.array([0, 1, 1, 0]) / np.sqrt(2)),
+}
+
+# The refusals the state rules give; every other (mode, state) is accepted.
+# Off-support weight up to 1e-10 is allowed, so only the 5e-10 state is not W-class.
+REFUSALS = {
+    **{("monogamy", state): UnsupportedStateClassError for state in ("haar-4", "wclass-4-noise-5e-10")},
+    **{("polygamy", state): UnsupportedStateClassError
+       for state in ("haar-3", "haar-4", "wclass-4-noise-5e-10")},
+    **{(mode, state): ParameterError
+       for mode in ("monogamy", "polygamy") for state in ("two-qubit", "two-qubit-single-excitation")},
+    **{("lemma1", state): UnsupportedStateClassError for state in EDGE_STATES if state != "haar-3"},
+}
+
+# The public bound of each mode on one state, and its cell as (alpha, mu).
+PUBLIC_BOUNDS = {
+    "monogamy": ((0.9, 2.0), lambda psi: theorem_bound(psi, detect_ordering(psi), AlphaMu(0.9, 2.0))),
+    "polygamy": ((0.9, 0.5), lambda psi: theorem3_bound(psi, detect_ordering(psi), AlphaMu(0.9, 0.5))),
+    "lemma1": ((None, 2.0), lambda psi: lemma1_check(psi, 2.0)),
+    "ckw": ((None, None), ckw_check),
+}
+
+
+@pytest.mark.parametrize("state", sorted(EDGE_STATES))
+@pytest.mark.parametrize("mode", sorted(PUBLIC_BOUNDS))
+def test_every_door_gives_the_public_verdict(mode, state, tmp_path, capsys):
+    # a state from outside gets one verdict, whichever way it comes in: the
+    # public bound, eval, a file-class fuzz and the replay of a file record
+    # all accept it with the same margin, or all refuse it with the same error
+    psi = EDGE_STATES[state]()
+    refusal = REFUSALS.get((mode, state))
+    path = str(tmp_path / "state.json")
+    save_state(psi, path)
+    (alpha, mu), bound = PUBLIC_BOUNDS[mode]
+    cell = [] if alpha is None else ["--alpha", str(alpha)]
+    cell += [] if mu is None else ["--mu", str(mu)]
+    record = WitnessRecord(0, mode, "file", psi.n_qubits, 0, alpha, mu, 0.0, 0.0, 0.0, 0.0)
+    try:
+        margin = bound(psi).margin
+    except MonoqError as exc:
+        assert type(exc) is refusal, exc
+        with pytest.raises(type(exc)) as replayed:
+            replay_record(record, psi)
+        assert str(replayed.value) == str(exc)
+        commands = [["fuzz", "--mode", mode, "--class", "file", "--state", path, *cell]]
+        if mode in ("monogamy", "polygamy"):
+            commands.append(["eval", path, "--mode", mode, *cell])
+        for argv in commands:
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == f"error: {exc}\n", argv
+        return
+    assert refusal is None
+    assert replay_record(record, psi) == margin
+    out = str(tmp_path / "w.csv")
+    assert main(["fuzz", "--mode", mode, "--class", "file", "--state", path, *cell, "--out", out]) in (0, 1)
+    with open(out, encoding="utf-8") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["margin"] == fmt12(margin)
+    if mode in ("monogamy", "polygamy"):
+        capsys.readouterr()
+        assert main(["eval", path, "--mode", mode, *cell]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["margin"] == margin
 
 
 def test_cli_imports_no_scipy():

@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import io
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -343,6 +345,32 @@ class TestCampaigns:
         a.write_records_csv(out_a)
         b.write_records_csv(out_b)
         assert out_a.getvalue() == out_b.getvalue()
+
+    def test_witness_csv_is_converted_a_chunk_at_a_time(self):
+        # 12,000 records in six cells, so chunks of 1024 lines end mid-state.
+        # The traced peak of the write stays near one chunk (0.5 MB); turning
+        # every record into Python values at once peaked at 3.1 MB.
+        config = CampaignConfig(mode="monogamy", n_states=2000, seed=3,
+                                alpha_grid=(0.8229, 1.3027), mu_grid=(2.0, 3.0, 5.0))
+        result = run_campaign(config)
+        assert result.n_records == 12000 and harness.CSV_CHUNK_ROWS % len(result.cells)
+        expected = hashlib.sha256((",".join(WitnessRecord.CSV_COLUMNS) + "\n").encode())
+        for record in result.records:
+            expected.update((",".join(record.to_csv_row()) + "\n").encode())
+        written = hashlib.sha256()
+
+        class Sink:
+            def write(self, text):
+                written.update(text.encode())
+
+        tracemalloc.start()
+        try:
+            result.write_records_csv(Sink())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written.hexdigest() == expected.hexdigest()
+        assert peak < 1.5e6, peak
 
     def test_nan_margin_is_a_violation(self):
         assert _ckw_result(0.5, float("nan")).n_violations == 1

@@ -300,6 +300,11 @@ class TestLemma1:
     def test_power_below_two_rejected(self):
         with pytest.raises(ParameterError):
             lemma1_check(w_state(), 1.5)
+        # checked after the type and before the qubit count
+        with pytest.raises(ParameterError):
+            lemma1_check(haar_random_state(4, seed=2), 1.5)
+        with pytest.raises(UnsupportedStateClassError, match="StateVector, got WClassState"):
+            lemma1_check(random_wclass(3, seed=2), 1.5)
 
     def test_four_qubits_rejected(self):
         with pytest.raises(UnsupportedStateClassError):

@@ -17,12 +17,14 @@ from monoq import (
     ckw_check,
     coa_polygamy_check,
     coa_two_qubit,
+    concurrence_pure,
     detect_ordering,
     haar_random_state,
     lemma1_check,
     partial_trace,
     pure_to_density,
     random_wclass,
+    renyi_entanglement_pure,
     reoa_cut,
     replay_record,
     theorem3_bound,
@@ -275,14 +277,20 @@ def test_theorem3_rejects_non_wclass_input():
         coa_polygamy_check,
         ckw_check,
         lambda w: lemma1_check(w, 2.0),
+        lambda w: renyi_entanglement_pure(w, {"A"}, 0.9),
+        lambda w: concurrence_pure(w, {"A"}),
+        lambda w: reoa_cut(w, 0.9),
     ],
     ids=["theorem_bound", "theorem3_bound", "detect_ordering", "wclass_from_state",
-         "coa_polygamy_check", "ckw_check", "lemma1_check"],
+         "coa_polygamy_check", "ckw_check", "lemma1_check", "renyi_entanglement_pure",
+         "concurrence_pure", "reoa_cut"],
 )
 def test_the_coefficient_form_is_rejected(call):
-    # a WClassState used to fail with AttributeError on a missing field
-    with pytest.raises(UnsupportedStateClassError, match="StateVector, got WClassState"):
-        call(wclass_from_state(w_state()))
+    # neither the coefficient form nor a density matrix is the pure global
+    # state; either used to fail with AttributeError on a missing field
+    for state in (wclass_from_state(w_state()), pure_to_density(w_state())):
+        with pytest.raises(UnsupportedStateClassError, match=f"StateVector, got {type(state).__name__}"):
+            call(state)
 
 
 def test_assisted_terms_match_f_alpha_route():

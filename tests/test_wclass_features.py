@@ -239,3 +239,21 @@ def test_public_cut_measures_read_the_features(n):
             assert concurrence_pure(psi, part).hex() == cut_c.hex()
             for alpha in (*ALPHA_WINDOW, 0.5, 1.0, 2.0):
                 assert renyi_entanglement_pure(psi, part, alpha).hex() == reoa_cut(psi, alpha).hex()
+
+
+def test_public_cut_measures_build_no_pair_lambdas(monkeypatch):
+    # the cut reads take the features' cut code alone: no pair lambdas, no QR
+    states = [haar_random_state(n, seed=n) for n in range(2, MAX_QUBITS + 1)]
+    states += [random_wclass(n, seed=n).to_state_vector() for n in range(3, MAX_QUBITS + 1)]
+    expected = [PureFeatures.of_state(psi) for psi in states]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cut read built pair lambdas")
+
+    monkeypatch.setattr(measures, "_basis_lambdas", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    for psi, feats in zip(states, expected):
+        for part in ({psi.labels[0]}, set(psi.labels[1:])):
+            assert concurrence_pure(psi, part) == feats.cut_concurrence[0]
+            assert renyi_entanglement_pure(psi, part, 0.9) == measures.renyi_entropy(feats.cut_probs[0], 0.9)
+        assert reoa_cut(psi, 0.9) == measures.renyi_entropy(feats.cut_probs[0], 0.9)
