@@ -31,8 +31,7 @@ from .harness import (
     write_csv,
 )
 from .measures import AlphaMu
-from .monogamy import detect_ordering, theorem_bound
-from .polygamy import theorem3_bound
+from .monogamy import BOUNDS, detect_ordering, ladder_report
 
 
 def _env_seed() -> int | None:
@@ -86,12 +85,8 @@ def cmd_eval(args) -> int:
         "mu": args.mu,
         "profile": profile.to_dict(),
     }
-    params = AlphaMu(args.alpha, args.mu)
     try:
-        if mode == "monogamy":
-            out["report"] = theorem_bound(psi, profile, params).to_dict()
-        else:
-            out["report"] = theorem3_bound(psi, profile, params).to_dict()
+        out["report"] = ladder_report(psi, profile, AlphaMu(args.alpha, args.mu), mode).to_dict()
     except PreconditionError as exc:
         out["report"] = None
         out["skipped"] = str(exc)
@@ -147,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--alpha", type=float, default=REFERENCE_ALPHA)
     p_eval.add_argument("--mu", type=float, default=2.0)
     p_eval.add_argument("--focus", default=None, help="focus qubit label (default: the file's first)")
-    p_eval.add_argument("--mode", choices=("auto", "monogamy", "polygamy"), default="auto")
+    p_eval.add_argument("--mode", choices=("auto", *(m for m, b in BOUNDS.items() if b.hypothesis)), default="auto")
     p_eval.add_argument("--out", default=None, help="output path (default stdout)")
     p_eval.set_defaults(func=cmd_eval)
 

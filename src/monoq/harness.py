@@ -7,8 +7,9 @@ bit-for-bit from its own fields.  Campaigns and the replay of a seeded
 record compute that contract a chunk at a time (``derive_seeds``, then
 ``_DRAWS``); a state from outside (a state file, or a state passed to
 replay) enters through ``monogamy.enter``.  Every check runs there, or on
-the config before the first draw; the evaluators trust their input.  CSV
-output prints floats with 12 significant digits and no locale dependence.
+the config (or a replayed record) before the first draw, by the mode's entry
+in ``monogamy.BOUNDS``; the evaluators trust their input.  CSV output prints
+floats with 12 significant digits and no locale dependence.
 """
 
 from __future__ import annotations
@@ -22,19 +23,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import MAX_QUBITS, StateVector, load_state
-from .errors import ConfigError, IoError, ParameterError, PreconditionError
-from .measures import ALPHA_MAX, ALPHA_WINDOW, MU_MAX, AlphaMu, PureFeatures
+from .errors import ConfigError, IoError, ParameterError, PreconditionError, UnsupportedStateClassError
+from .measures import ALPHA_MAX, ALPHA_WINDOW, MU_MAX, PureFeatures
 from .monogamy import (
+    BOUNDS,
     FULL,
     Orderings,
     bound_values,
-    ckw_terms,
     enter,
     ladder_base,
-    ladder_terms,
-    lemma1_terms,
     powers,
-    require_lemma1_power,
     scalar_weight_inequality,
     weight_ladder,
 )
@@ -45,7 +43,7 @@ from . import core, measures
 # quoted.  The exact window endpoint (sqrt(7)-1)/2 shifts them by ~5e-5.
 REFERENCE_ALPHA = 0.823
 
-MODES = ("monogamy", "polygamy", "lemma1", "ckw", "scalar")
+MODES = (*BOUNDS, "scalar")
 STATE_CLASSES = ("haar", "wclass", "file")
 
 
@@ -134,13 +132,8 @@ def figure_csv(figure: str, alpha: float = REFERENCE_ALPHA) -> str:
 # campaign configuration
 # ---------------------------------------------------------------------------
 
-_MODE_MU_DEFAULTS = {
-    "monogamy": (2.0, 3.0, 5.0),
-    "polygamy": (0.25, 0.5, 0.75, 1.0),
-    "lemma1": (2.0, 3.0, 4.0),
-    "ckw": (2.0,),
-    "scalar": tuple(np.round(np.linspace(0.0, 6.0, 25), 10)),
-}
+# The default x grid of the scalar inequality, the one mode that reads no state.
+SCALAR_MU_GRID = tuple(np.round(np.linspace(0.0, 6.0, 25), 10))
 
 
 @dataclass(frozen=True)
@@ -148,7 +141,9 @@ class CampaignConfig:
     """Fully resolved fuzzing campaign parameters.
 
     ``mu_grid`` and ``state_class`` default by mode: the mode's mu grid, and
-    W-class states for polygamy (its bound needs them), Haar otherwise.
+    W-class states for a bound that needs them from three qubits on
+    (polygamy), Haar otherwise.  A campaign whose bound claims nothing is
+    refused here, before the first draw (see ``_require_claims``).
     """
 
     mode: str
@@ -164,14 +159,13 @@ class CampaignConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        bound = BOUNDS.get(self.mode)  # None in scalar mode
         if self.state_class is None:
-            object.__setattr__(self, "state_class", "wclass" if self.mode == "polygamy" else "haar")
+            object.__setattr__(self, "state_class", "wclass" if bound and bound.wclass_from <= 3 else "haar")
         if self.mu_grid is None:
-            object.__setattr__(self, "mu_grid", _MODE_MU_DEFAULTS[self.mode])
+            object.__setattr__(self, "mu_grid", SCALAR_MU_GRID if bound is None else bound.mu_grid)
         if self.state_class not in STATE_CLASSES:
             raise ConfigError(f"class must be one of {STATE_CLASSES}, got {self.state_class!r}")
-        if self.mode != "scalar" and self.state_class != "file":
-            _require_seeded(self.mode, self.state_class, self.n_qubits)
         if self.n_states < 1:
             raise ConfigError(f"n_states must be at least 1, got {self.n_states}")
         if self.seed < 0:
@@ -195,6 +189,9 @@ class CampaignConfig:
             raise ConfigError(f"mu values must be nonnegative, got {self.mu_grid}")
         if not all(0.0 < a <= ALPHA_MAX for a in self.alpha_grid):
             raise ConfigError(f"alpha values must be in (0, {ALPHA_MAX:g}], got {self.alpha_grid}")
+        if bound is not None:
+            seeded = None if self.state_class == "file" else self.state_class
+            _require_claims(self.mode, seeded, self.n_qubits, bound.cells(self.alpha_grid, self.mu_grid))
 
 
 def parse_config_file(path) -> dict:
@@ -340,48 +337,29 @@ _DRAWS = {
 }
 
 
-def _require_seeded(mode: str, state_class: str, n_qubits: int) -> None:
-    """Refuse a seeded class and qubit count that ``_DRAWS`` cannot draw or ``mode`` cannot read.
+def _require_claims(mode: str, state_class: str | None, n_qubits: int, cells) -> None:
+    """Refuse a campaign or a record whose bound claims nothing, before the first draw.
 
-    Checked by ``CampaignConfig`` and by the replay of a seeded record.
+    Every cell must lie inside the mode's theorem.  A seeded ``state_class``
+    must be one ``_DRAWS`` can draw at ``n_qubits``, and its states must
+    meet the mode's state rule, as ``monogamy.enter`` applies it to a state
+    from outside: a Haar draw is never W-class.  ``state_class`` is None for
+    a state from outside, which ``enter`` checks when it is read.  Checked
+    by ``CampaignConfig`` and by ``replay_record``; the evaluators trust it.
     """
-    if state_class not in _DRAWS:
-        raise ConfigError(f"{state_class!r} states have no seed; pass the state in")
-    if mode == "polygamy" and state_class == "haar":
-        raise ConfigError("polygamy campaigns need W-class states; use class wclass or file")
-    low = 3 if state_class == "wclass" else 2  # every bound needs a partner for the first qubit
-    if not low <= n_qubits <= MAX_QUBITS:
-        raise ConfigError(f"{state_class} states need n_qubits in [{low}, {MAX_QUBITS}], got {n_qubits}")
-
-
-def _require_cells(mode: str, state_class: str, n_qubits: int, cells) -> None:
-    """Refuse, before the first draw, a campaign or record whose bound claims nothing.
-
-    The seeded counterparts of the rules of ``monogamy.enter`` (Haar
-    monogamy has no ordering tails beyond three qubits), and every cell
-    inside its theorem: the alpha window and mu range of monogamy and
-    polygamy, x >= 2 for lemma1.  The evaluators trust all of it.
-    """
-    if mode == "monogamy" and state_class == "haar" and n_qubits > 3:
-        raise ConfigError(
-            "haar states beyond 3 qubits have no computable ordering tails; use class=wclass"
-        )
-    if mode == "monogamy" and state_class != "file" and n_qubits < 3:
-        raise ConfigError(
-            f"monogamy campaigns: ordering profiles need at least 3 qubits, got n_qubits {n_qubits}"
-        )
-    if mode == "lemma1" and state_class != "file" and n_qubits != 3:
-        raise ConfigError(f"lemma1 campaigns need three-qubit states, got n_qubits {n_qubits}")
-    if mode == "ckw":
-        return
+    bound = BOUNDS[mode]
     try:
-        for alpha, mu in cells:
-            if mode == "lemma1":
-                require_lemma1_power(mu)
-            else:
-                params = AlphaMu(alpha, mu)
-                (params.require_polygamy if mode == "polygamy" else params.require_monogamy)()
-    except ParameterError as exc:
+        if state_class is not None:
+            if state_class not in _DRAWS:
+                raise ConfigError(f"{state_class!r} states have no seed; pass the state in")
+            low = 3 if state_class == "wclass" else 2  # every bound needs a partner for the first qubit
+            if not low <= n_qubits <= MAX_QUBITS:
+                raise ConfigError(f"{state_class} states need n_qubits in [{low}, {MAX_QUBITS}], got {n_qubits}")
+            if bound.needs_wclass(n_qubits) and state_class != "wclass":
+                raise ConfigError(f"{mode} campaigns on {n_qubits} qubits need W-class states, not {state_class}")
+        for cell in cells:
+            bound.check_cell(*cell)
+    except (ParameterError, UnsupportedStateClassError) as exc:
         raise ConfigError(f"{mode} campaigns: {exc}") from exc
 
 
@@ -531,20 +509,6 @@ def _scalar_campaign(config: CampaignConfig) -> CampaignResult:
                           np.array([values]), n, n, 0)
 
 
-# Per-mode evaluators (features, pairs, splits, cells) -> (lhs, weights,
-# terms) columns of the passed states in every cell, shared by campaigns,
-# replay and (through the same ``*_terms``) the public per-state functions.
-# ``pairs`` and ``splits`` are None in modes without a hypothesis.
-_EVALUATORS = {
-    "ckw": lambda feats, pairs, splits, cells: ckw_terms(feats),
-    "lemma1": lambda feats, pairs, splits, cells: lemma1_terms(feats, [mu for _, mu in cells]),
-    "monogamy": ladder_terms,
-    "polygamy": ladder_terms,
-}
-
-# Modes whose bound holds without an ordering hypothesis.
-_NO_HYPOTHESIS = ("ckw", "lemma1")
-
 # A feature batch holds at most this many amplitudes (1 MiB of complex
 # numbers): 8192 three-qubit states, 64 ten-qubit states.
 CHUNK_AMPLITUDES = 2**16
@@ -555,29 +519,19 @@ def _evaluate(mode: str, feats: PureFeatures, cells) -> tuple:
 
     Returns the indices of the passing states; their (lhs, rhs, margin,
     baseline) block of shape (len(keep), len(cells), 4); and the ordering
-    decision of every state, or None for ckw and lemma1, which have no
-    hypothesis.  The hypotheses are decided for the whole chunk at once, and
-    every cell is evaluated as columns over the passing states.
+    decision of every state, or None in a mode without a hypothesis.  The
+    hypotheses are decided for the whole chunk at once, and every cell is
+    evaluated as columns over the passing states.
     """
-    if mode in _NO_HYPOTHESIS:
-        keep, orderings, pairs, splits = np.arange(len(feats.cut_probs)), None, None, None
-    else:
+    bound = BOUNDS[mode]
+    keep, orderings, pairs, splits = np.arange(len(feats.cut_probs)), None, None, None
+    if bound.hypothesis:
         orderings = Orderings.of(feats.pair_concurrences)
         keep = np.flatnonzero(orderings.split)
         if not keep.size:
             return keep, np.empty((0, len(cells), 4)), orderings
         feats, pairs, splits = feats.take(keep), orderings.pairs[keep], orderings.split[keep]
-    columns = _EVALUATORS[mode](feats, pairs, splits, cells)
-    return keep, bound_values(*columns, upper=mode == "polygamy"), orderings
-
-
-def _cells(config: CampaignConfig) -> list[tuple[float | None, float | None]]:
-    """The (alpha, mu) cells evaluated on every state of a campaign."""
-    if config.mode == "ckw":
-        return [(None, None)]
-    if config.mode == "lemma1":
-        return [(None, mu) for mu in config.mu_grid]
-    return [(alpha, mu) for alpha in config.alpha_grid for mu in config.mu_grid]
+    return keep, bound_values(*bound.columns(feats, pairs, splits, cells), upper=bound.upper), orderings
 
 
 def _sampled_chunks(config: CampaignConfig):
@@ -605,8 +559,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     """
     if config.mode == "scalar":
         return _scalar_campaign(config)
-    mode, cells = config.mode, _cells(config)
-    _require_cells(mode, config.state_class, config.n_qubits, cells)
+    mode, cells = config.mode, BOUNDS[config.mode].cells(config.alpha_grid, config.mu_grid)
 
     indices, seeds, blocks = [], [], []
     n_sampled = 0
@@ -635,20 +588,22 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 def replay_record(record: WitnessRecord, state: StateVector | None = None) -> float:
     """Recompute a witness margin from its recorded parameters.
 
-    A file-class record's state must be passed in, and enters through
-    ``monogamy.enter``; a seeded record's is drawn as a chunk of one.  The
-    cell is checked, and the state evaluated, as in a campaign.
+    A state passed in enters through ``monogamy.enter``; a file-class
+    record needs one.  A seeded record's state is drawn as a chunk of one
+    from its ``state_seed``, an int in [0, 2**64).  The record is checked by
+    ``_require_claims``, and the state evaluated, as in a campaign.
     """
     if record.mode == "scalar":
         return _scalar_margin(record.t, record.mu)
-    if record.mode not in _EVALUATORS:
+    if record.mode not in BOUNDS:
         raise ConfigError(f"cannot replay mode {record.mode!r}")
     cells = [(record.alpha, record.mu)]
-    _require_cells(record.mode, record.state_class, record.n_qubits, cells)
+    _require_claims(record.mode, None if state is not None else record.state_class, record.n_qubits, cells)
     if state is None:
-        _require_seeded(record.mode, record.state_class, record.n_qubits)
-        seed = np.array([record.state_seed], dtype=np.uint64)
-        feats = _DRAWS[record.state_class](record.n_qubits, seed)
+        seed = record.state_seed
+        if not (isinstance(seed, int) and 0 <= seed < 2**64):
+            raise ConfigError(f"state_seed must be an int in [0, 2**64), got {seed!r}")
+        feats = _DRAWS[record.state_class](record.n_qubits, np.array([seed], dtype=np.uint64))
     else:
         feats = enter(state, record.mode)
     keep, block, _ = _evaluate(record.mode, feats, cells)

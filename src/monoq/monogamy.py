@@ -10,14 +10,15 @@ margin and the gain over the unweighted baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import StateVector, require_state_vector
 from .errors import DomainError, ParameterError, PreconditionError, UnsupportedStateClassError
-from .measures import AlphaMu, PureFeatures, f_alpha, renyi_entropy, require_power
+from .measures import AlphaMu, PureFeatures, cut_probabilities, f_alpha, renyi_entropy, require_power
 from .wclass import require_wclass
 
 #: Sentinel split index for the fully ordered ladder.
@@ -26,35 +27,38 @@ FULL = "full"
 ORDERING_ATOL = 1e-12
 
 
-def enter(psi, mode: str | None = None, xs=()) -> PureFeatures:
+def admit(psi, mode: str | None = None) -> None:
+    """Refuse a pure state from outside that ``mode`` cannot read.
+
+    Checks, in order: a ``StateVector``; the mode's state rule
+    (``Bound.needs_wclass``), and a W-class state where the rule asks for
+    one.  ``enter`` runs it before it computes a state's features.
+    """
+    require_state_vector(psi)
+    if mode is not None and BOUNDS[mode].needs_wclass(psi.n_qubits):
+        require_wclass(psi)
+
+
+def enter(psi, mode: str | None = None) -> PureFeatures:
     """The features of a pure state from outside, checked for ``mode``: the one door of such states.
 
     The public bounds, ``detect_ordering``, state files and states passed to
-    ``harness.replay_record`` enter here.  Checks, in order: a ``StateVector``;
-    each lemma1 power in ``xs``; the rule of ``mode``.  lemma1 needs three
-    qubits.  Monogamy and polygamy need three or more (an ordering compares a
-    pair with a tail), and W-class states for polygamy, whose pair terms are
-    assisted values, and for monogamy beyond three qubits, whose tails are
-    root sums of squared pair concurrences only there.  Those two modes' rules
-    run after the features, so a one-qubit state raises the features' error.
+    ``harness.replay_record`` enter here, through the checks of ``admit``.
     """
-    require_state_vector(psi)
-    for x in xs:
-        require_lemma1_power(x)
-    if mode == "lemma1" and psi.n_qubits != 3:
-        raise UnsupportedStateClassError("both sides are computable only for pure three-qubit states")
-    feats = PureFeatures.of_state(psi)
-    if mode in ("monogamy", "polygamy"):
-        _require_partners(psi.n_qubits)
-        if mode == "polygamy" or psi.n_qubits > 3:
-            require_wclass(psi)
-    return feats
+    admit(psi, mode)
+    return PureFeatures.of_state(psi)
 
 
 def _require_partners(n_qubits: int) -> None:
     """Refuse fewer than three qubits, where no ordering profile exists."""
     if n_qubits < 3:
         raise ParameterError(f"ordering profiles need at least 3 qubits, got {n_qubits}")
+
+
+def _require_three(n_qubits: int) -> None:
+    """Refuse all but three qubits, where both sides of the lemma1 inequality are computable."""
+    if n_qubits != 3:
+        raise UnsupportedStateClassError("both sides are computable only for pure three-qubit states")
 
 
 def ladder_base(x: float) -> float:
@@ -295,11 +299,18 @@ def powers(values: np.ndarray, x: float) -> np.ndarray:
     return np.array([v**x for v in values.ravel().tolist()]).reshape(values.shape)
 
 
-def ckw_terms(feats: PureFeatures) -> tuple:
+def _cell_report(mode: str, feats: PureFeatures, cell) -> BoundReport:
+    """The report of a mode without a hypothesis on one entered state in one (alpha, mu) cell."""
+    bound = BOUNDS[mode]
+    return BoundReport.from_columns(bound.kind, bound.columns(feats, None, None, [cell]), bound.upper, *cell)
+
+
+def ckw_terms(feats: PureFeatures, *_) -> tuple:
     """Squared-concurrence monogamy columns (lhs, weights, terms) of every state of ``feats``.
 
     One cell: lhs (B, 1) is the squared cut concurrence and the terms
-    (B, 1, n-1) the squared pair concurrences, each of weight 1.
+    (B, 1, n-1) the squared pair concurrences, each of weight 1.  The
+    other arguments of ``Bound.columns`` are not read.
     """
     terms = powers(feats.pair_concurrences, 2)[:, None]
     return powers(feats.cut_concurrence, 2)[:, None], np.ones_like(terms), terms
@@ -307,7 +318,7 @@ def ckw_terms(feats: PureFeatures) -> tuple:
 
 def ckw_check(psi: StateVector) -> BoundReport:
     """Squared-concurrence monogamy: C^2 first qubit vs rest >= sum of pair C^2."""
-    return BoundReport.from_columns("ckw", ckw_terms(enter(psi)), upper=False)
+    return _cell_report("ckw", enter(psi, "ckw"), (None, None))
 
 
 def require_lemma1_power(x: float) -> None:
@@ -317,13 +328,15 @@ def require_lemma1_power(x: float) -> None:
     require_power(x, "x")
 
 
-def lemma1_terms(feats: PureFeatures, xs) -> tuple:
-    """Weighted concurrence-power columns (lhs, weights, terms), one cell per power in ``xs``.
+def lemma1_terms(feats: PureFeatures, _pairs, _splits, cells) -> tuple:
+    """Weighted concurrence-power columns (lhs, weights, terms), one cell per (None, x) of ``cells``.
 
     Cell c of state b has lhs C_cut^x and terms (C_1^x, C_2^x) of weights
     (1, 2^(x/2) - 1), partners ordered so that C_1 >= C_2.  The states are
-    three-qubit and every x passed ``require_lemma1_power``; nothing is checked here.
+    three-qubit and every x passed ``require_lemma1_power``; nothing is
+    checked here.  The pairs and splits of ``Bound.columns`` are not read.
     """
+    xs = [x for _, x in cells]
     cut, pairs = feats.cut_concurrence, np.sort(feats.pair_concurrences, axis=-1)[:, ::-1]
     lhs, terms = np.empty((len(cut), len(xs))), np.empty((len(cut), len(xs), 2))
     for c, x in enumerate(xs):
@@ -338,15 +351,16 @@ def lemma1_check(psi: StateVector, x: float) -> BoundReport:
     Checks C_cut^x >= C_1^x + (2^(x/2) - 1) C_2^x with the partners ordered
     so that C_1 >= C_2, for powers x >= 2.
     """
-    columns = lemma1_terms(enter(psi, "lemma1", [x]), [x])
-    return BoundReport.from_columns("lemma1", columns, upper=False, mu=x)
+    require_state_vector(psi)
+    BOUNDS["lemma1"].check_cell(None, x)  # after the type, before the qubit count
+    return _cell_report("lemma1", enter(psi, "lemma1"), (None, x))
 
 
-def ladder_terms(feats: PureFeatures, pairs: np.ndarray, splits: np.ndarray, cells) -> tuple:
+def ladder_terms(cut_probs: np.ndarray, pairs: np.ndarray, splits: np.ndarray, cells) -> tuple:
     """Ladder-weighted columns (lhs, weights, terms), one cell per (alpha, mu) of ``cells``.
 
-    ``feats`` are the states' features, of which the focus | rest Schmidt
-    probabilities are read; ``pairs`` (B, n-1) are their pair concurrences
+    ``cut_probs`` (B, 2) are the states' focus | rest Schmidt
+    probabilities; ``pairs`` (B, n-1) are their pair concurrences
     in party order and ``splits`` (B,) each state's ladder as an
     ``Orderings.split`` code.  The left side is the cut entanglement raised
     to mu.  The terms are ``f_alpha`` at each squared pair concurrence,
@@ -361,7 +375,7 @@ def ladder_terms(feats: PureFeatures, pairs: np.ndarray, splits: np.ndarray, cel
     b, k = pairs.shape
     codes = set(splits.tolist())
     spectra = {
-        alpha: (renyi_entropy(feats.cut_probs, alpha), f_alpha(pairs * pairs, alpha))
+        alpha: (renyi_entropy(cut_probs, alpha), f_alpha(pairs * pairs, alpha))
         for alpha in dict.fromkeys(alpha for alpha, _ in cells)  # distinct, in cell order
     }
     lhs = np.empty((b, len(cells)))
@@ -376,22 +390,49 @@ def ladder_terms(feats: PureFeatures, pairs: np.ndarray, splits: np.ndarray, cel
     return lhs, weights, terms
 
 
-def profile_report(psi: StateVector, profile: OrderingProfile, params: AlphaMu,
-                   upper: bool) -> BoundReport:
-    """The ladder report of one state and its profile (``theorem_bound``, ``theorem3_bound``)."""
-    feats = enter(psi, "polygamy" if upper else "monogamy")
+def ladder_report(psi: StateVector, profile: OrderingProfile, params: AlphaMu, mode: str) -> BoundReport:
+    """The report of a ladder mode on one state and a profile measured on it, which it trusts.
+
+    Checks the cell, then the state (``admit``), the profile's focus and its
+    ladder; raises PreconditionError when the profile admits none.  The pair
+    terms and the ladder come from the profile and only the state's cut is
+    read, so ``monoq eval`` computes a state's features once, in
+    ``detect_ordering``.
+    """
+    bound = BOUNDS[mode]
+    bound.check_cell(params.alpha, params.mu)
+    admit(psi, mode)
     if profile.focus != psi.labels[0]:
         raise UnsupportedStateClassError("the profile's focus must be the state's first qubit")
     split, n = profile.split_index, 1 + len(profile.pair_concurrences)
     if split is None:
-        which = "weighted upper bound" if upper else "weighted bound"
+        which = "weighted upper bound" if bound.upper else "weighted bound"
         raise PreconditionError(f"ordering hypothesis unsatisfied; the {which} is not claimed")
     weight_ladder(n, split, params.mu)  # raises on a split no n-qubit profile has
-    code = np.array([n - 2 if split == FULL else split])
-    columns = ladder_terms(feats, np.array([profile.pair_concurrences]), code, [(params.alpha, params.mu)])
-    prefix = "assist" if upper else "ladder"
-    kind = f"{prefix}-full" if split == FULL else f"{prefix}-split-{split}"
-    return BoundReport.from_columns(kind, columns, upper, params.alpha, params.mu)
+    pairs, code = np.array([profile.pair_concurrences]), np.array([n - 2 if split == FULL else split])
+    columns = ladder_terms(cut_probabilities(psi), pairs, code, [(params.alpha, params.mu)])
+    kind = f"{bound.kind}-full" if split == FULL else f"{bound.kind}-split-{split}"
+    return BoundReport.from_columns(kind, columns, bound.upper, params.alpha, params.mu)
+
+
+def profile_report(psi: StateVector, profile: OrderingProfile, params: AlphaMu, mode: str) -> BoundReport:
+    """``ladder_report`` of a profile from outside (``theorem_bound``, ``theorem3_bound``).
+
+    The profile is refused unless it is the one the state's own pair
+    concurrences give in its party order, decided by ``Orderings.of`` with
+    no relabeling: the same floats as ``detect_ordering``'s, so the
+    comparison is exact.
+    """
+    report = ladder_report(psi, profile, params, mode)
+    feats = PureFeatures.of_state(psi)
+    partners = psi.labels[1:]
+    if sorted(profile.party_order) == sorted(partners):
+        pairs = feats.pair_concurrences[:, [partners.index(label) for label in profile.party_order]]
+        own = Orderings.of(pairs, relabel=False).profile(
+            0, (psi.labels[0], *profile.party_order), float(feats.cut_concurrence[0]))
+        if own == profile:
+            return report
+    raise ParameterError("the profile was not measured on this state")
 
 
 def theorem_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) -> BoundReport:
@@ -402,7 +443,7 @@ def theorem_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) -
     (see ``ladder_terms``), each ``f_alpha`` at the squared pair concurrence
     that ``profile`` measured on ``psi``.
     """
-    return profile_report(psi, profile, params.require_monogamy(), upper=False)
+    return profile_report(psi, profile, params, "monogamy")
 
 
 @dataclass(frozen=True)
@@ -428,3 +469,61 @@ def scalar_weight_inequality(t: float, x: float) -> ScalarCheck:
     regime = "lower" if x >= 1.0 else "upper"
     ok = margin >= -1e-12 if regime == "lower" else margin <= 1e-12
     return ScalarCheck(t=t, x=x, margin=float(margin), regime=regime, ok=ok)
+
+
+class Bound(NamedTuple):
+    """Everything that depends on a mode of bound; ``BOUNDS`` holds one per mode.
+
+    ``mu_grid`` is a campaign's default mu (or power) grid.  ``kind`` names
+    the report, and a ladder report adds its split to it.  ``upper`` marks
+    an upper bound on the left side, otherwise a lower bound.
+    ``check_cell`` refuses an (alpha, mu) cell outside the theorem and
+    ``cells`` gives the cells of an alpha and a mu grid.  ``columns`` maps
+    (features, pairs, splits, cells) to the (lhs, weights, terms) columns
+    of ``bound_values``.  With a ``hypothesis``, only states whose ordering
+    profile admits a ladder are claimed, and ``pairs`` (B, n-1) and
+    ``splits`` (B,) are their party-ordered pair concurrences and
+    ``Orderings.split`` codes; otherwise both are None.  The state rule:
+    ``require_qubits`` refuses a qubit count the bound cannot read, and
+    states of ``wclass_from`` qubits or more must be W-class.
+    """
+
+    mu_grid: tuple[float, ...]
+    kind: str
+    upper: bool
+    check_cell: Callable
+    cells: Callable
+    columns: Callable
+    hypothesis: bool = False
+    require_qubits: Callable[[int], None] = lambda n_qubits: None
+    wclass_from: float = math.inf
+
+    def needs_wclass(self, n_qubits: int) -> bool:
+        """Refuse a qubit count the bound cannot read; whether its states must be W-class."""
+        self.require_qubits(n_qubits)
+        return n_qubits >= self.wclass_from
+
+
+def _ladder(mu_grid, kind: str, upper: bool, require_cell, wclass_from: int) -> Bound:
+    """The entry of a weighted ladder mode.
+
+    Every (alpha, mu) cell of the grids, on three qubits or more (an ordering
+    compares a pair with a tail), claimed where the state's ordering profile
+    admits a ladder.
+    """
+    return Bound(mu_grid, kind, upper, lambda alpha, mu: require_cell(AlphaMu(alpha, mu)),
+                 lambda alphas, mus: [(alpha, mu) for alpha in alphas for mu in mus],
+                 lambda feats, pairs, splits, cells: ladder_terms(feats.cut_probs, pairs, splits, cells),
+                 hypothesis=True, require_qubits=_require_partners, wclass_from=wclass_from)
+
+
+# Polygamy needs W-class states, whose pair terms are assisted values;
+# monogamy needs them beyond three qubits, where tails are root sums of
+# squared pair concurrences on W-class states only.
+BOUNDS = {
+    "monogamy": _ladder((2.0, 3.0, 5.0), "ladder", False, AlphaMu.require_monogamy, wclass_from=4),
+    "polygamy": _ladder((0.25, 0.5, 0.75, 1.0), "assist", True, AlphaMu.require_polygamy, wclass_from=3),
+    "lemma1": Bound((2.0, 3.0, 4.0), "lemma1", False, lambda alpha, x: require_lemma1_power(x),
+                    lambda alphas, xs: [(None, x) for x in xs], lemma1_terms, require_qubits=_require_three),
+    "ckw": Bound((2.0,), "ckw", False, lambda alpha, mu: None, lambda alphas, mus: [(None, None)], ckw_terms),
+}

@@ -34,7 +34,7 @@ def theorem3_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) 
     marginals to the concurrences of assistance, weighted by the profile's
     ladder (see ``ladder_terms``); the left side is the cut entanglement to mu.
     """
-    return profile_report(psi, profile, params.require_polygamy(), upper=True)
+    return profile_report(psi, profile, params, "polygamy")
 
 
 def coa_polygamy_check(psi: StateVector) -> BoundReport:

@@ -30,6 +30,7 @@ from monoq import (
 from monoq.cli import main
 from monoq.harness import fmt12, reference_schmidt_state
 from monoq.core import StateVector
+from monoq.measures import PureFeatures
 
 
 @pytest.fixture
@@ -115,6 +116,20 @@ class TestEval:
         out = json.loads(capsys.readouterr().out)
         assert out["profile"]["focus"] == "Y"
         assert sorted(out["profile"]["party_order"]) == ["X", "Z"]
+
+    @pytest.mark.parametrize("mu", ["2", "0.5"])
+    def test_features_are_computed_once(self, w_file, mu, monkeypatch, capsys):
+        # detect_ordering computes the state's features; the report reads its profile
+        of, calls = PureFeatures.of.__func__, []
+
+        def counted(cls, amplitudes):
+            calls.append(amplitudes.shape)
+            return of(cls, amplitudes)
+
+        monkeypatch.setattr(PureFeatures, "of", classmethod(counted))
+        assert main(["eval", w_file, "--mu", mu]) == 0
+        assert json.loads(capsys.readouterr().out)["report"] is not None
+        assert calls == [(1, 8)]
 
     def test_focus_defaults_to_first_label(self, xyz_file, capsys):
         assert main(["eval", xyz_file, "--mu", "2"]) == 0

@@ -47,6 +47,7 @@ from monoq.harness import (
     parse_config_file,
 )
 from monoq.cli import main
+from monoq.errors import MonoqError
 from monoq.measures import ALPHA_MAX, MU_MAX, PureFeatures, f_alpha
 
 
@@ -224,9 +225,8 @@ class TestConfig:
             CampaignConfig(mode="polygamy", state_class="haar")
 
     def test_haar_monogamy_beyond_three_qubits_rejected(self):
-        config = CampaignConfig(mode="monogamy", n_states=2, n_qubits=4, state_class="haar")
         with pytest.raises(ConfigError):
-            run_campaign(config)
+            CampaignConfig(mode="monogamy", n_states=2, n_qubits=4, state_class="haar")
 
     @pytest.fixture
     def no_draws(self, monkeypatch):
@@ -245,10 +245,9 @@ class TestConfig:
     def test_impossible_lemma1_campaign_rejected_before_any_draw(
         self, state_class, n_qubits, mu_grid, no_draws
     ):
-        config = CampaignConfig(mode="lemma1", n_states=2, n_qubits=n_qubits, mu_grid=mu_grid,
-                                state_class=state_class)
         with pytest.raises(ConfigError, match="lemma1"):
-            run_campaign(config)
+            CampaignConfig(mode="lemma1", n_states=2, n_qubits=n_qubits, mu_grid=mu_grid,
+                           state_class=state_class)
 
     @pytest.mark.parametrize(
         "mode, state_class, n_qubits, alpha, mu",
@@ -262,13 +261,36 @@ class TestConfig:
         self, mode, state_class, n_qubits, alpha, mu, no_draws
     ):
         # refused whether or not some sampled state would pass the hypothesis
-        config = CampaignConfig(mode=mode, n_states=3, n_qubits=n_qubits, state_class=state_class,
-                                alpha_grid=(0.9, alpha), mu_grid=(mu,))
         with pytest.raises(ConfigError, match=mode):
-            run_campaign(config)
+            CampaignConfig(mode=mode, n_states=3, n_qubits=n_qubits, state_class=state_class,
+                           alpha_grid=(0.9, alpha), mu_grid=(mu,))
         record = WitnessRecord(0, mode, state_class, n_qubits, 1, alpha, mu, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ConfigError, match=mode):
             replay_record(record)
+
+    @pytest.mark.parametrize("mode", sorted(monogamy.BOUNDS))
+    @pytest.mark.parametrize("state_class", ["haar", "wclass"])
+    def test_config_refuses_what_enter_refuses(self, mode, state_class):
+        # one state rule on every route: a seeded campaign is refused when
+        # configured exactly when monogamy.enter refuses its states from outside
+        if state_class == "haar":
+            draw, low = haar_random_state, 2
+        else:
+            draw, low = lambda n, seed: random_wclass(n, seed).to_state_vector(), 3
+        for n_qubits in range(low, 6):
+            verdicts = set()
+            for seed in range(3):
+                try:
+                    monogamy.enter(draw(n_qubits, seed), mode)
+                    verdicts.add("accepted")
+                except MonoqError:
+                    verdicts.add("refused")
+            try:
+                CampaignConfig(mode=mode, state_class=state_class, n_qubits=n_qubits)
+                configured = "accepted"
+            except ConfigError:
+                configured = "refused"
+            assert verdicts == {configured}, n_qubits
 
 
 def _ckw_result(*margins) -> CampaignResult:
@@ -553,6 +575,13 @@ class TestSkipReasons:
 
 
 class TestReplay:
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "1", None])
+    def test_a_seed_no_state_was_drawn_from_is_refused(self, seed):
+        record = WitnessRecord(0, "ckw", "haar", 3, 1, None, None, 0.0, 0.0, 0.0, 0.0)
+        replay_record(record)  # seed 1 replays
+        with pytest.raises(ConfigError, match="state_seed"):
+            replay_record(record._replace(state_seed=seed))
+
     @pytest.mark.parametrize(
         "config",
         [

@@ -337,11 +337,12 @@ class TestTheoremBound:
             theorem_bound(psi, dataclasses.replace(profile, split_index=split), AlphaMu(0.9, 2.0))
 
     def test_pair_terms_come_from_the_profile(self):
-        # the pair concurrences detect_ordering tested are the ones the bound uses
+        # the bound reads its pair terms from the profile, so it refuses a
+        # profile whose pair concurrences are not the state's own
         psi = reference_schmidt_state()
         profile = dataclasses.replace(detect_ordering(psi), pair_concurrences=(0.5, 0.25))
-        report = theorem_bound(psi, profile, AlphaMu(0.9, 3.0))
-        assert [t for _, t in report.rhs_terms] == [f_alpha(c * c, 0.9) ** 3.0 for c in (0.5, 0.25)]
+        with pytest.raises(ParameterError, match="not measured on this state"):
+            theorem_bound(psi, profile, AlphaMu(0.9, 3.0))
 
     def test_product_state_zero_bound(self):
         psi = StateVector(np.kron(np.kron([1, 0], [1, 0]), [0, 1]).astype(complex))

@@ -197,7 +197,8 @@ class TestTheorem3Bound:
                                rhs=report.rhs, margin=report.margin,
                                baseline_rhs=report.baseline_rhs)
         assert replay_record(record, psi) == report.margin
-        renormalized = theorem3_bound(wclass_from_state(psi).to_state_vector(), profile, params)
+        exact_form = wclass_from_state(psi).to_state_vector()
+        renormalized = theorem3_bound(exact_form, detect_ordering(exact_form), params)
         assert renormalized.lhs != report.lhs  # the two cuts differ, so the test can tell
 
     def test_left_side_is_reoa_cut(self):
@@ -316,3 +317,23 @@ def test_bounds_reject_a_profile_of_another_focus():
         with pytest.raises(UnsupportedStateClassError, match="focus must be the state's first"):
             bound(psi, other, AlphaMu(0.9, mu))
         bound(psi, detect_ordering(psi), AlphaMu(0.9, mu))  # its own profile is taken
+
+
+def test_bounds_reject_a_profile_of_another_state():
+    # a profile with the state's focus, measured on another state, would pair
+    # that state's pair terms with this state's cut
+    a, b = (random_wclass(4, seed).to_state_vector() for seed in (7, 5))
+    other = detect_ordering(b)
+    assert other.focus == a.labels[0] and other.satisfied
+    for bound, mu in ((theorem_bound, 2.0), (theorem3_bound, 0.5)):
+        with pytest.raises(ParameterError, match="not measured on this state"):
+            bound(a, other, AlphaMu(0.9, mu))
+    # the state's own profile is taken with or without relabeling, here in
+    # two party orders with two ladders
+    _, psi = build_wclass(np.sqrt(0.36), (np.sqrt(0.4), np.sqrt(0.09), np.sqrt(0.15)))
+    profiles = [detect_ordering(psi), detect_ordering(psi, relabel=False)]
+    assert [p.party_order for p in profiles] == [("B1", "B3", "B2"), ("B1", "B2", "B3")]
+    for bound, mu in ((theorem_bound, 2.0), (theorem3_bound, 0.5)):
+        kinds = [bound(psi, p, AlphaMu(0.9, mu)).kind.split("-", 1)[1] for p in profiles]
+        assert kinds == ["full", "split-1"]
+
