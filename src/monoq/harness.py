@@ -133,7 +133,7 @@ def figure_csv(figure: str, alpha: float = REFERENCE_ALPHA) -> str:
 # ---------------------------------------------------------------------------
 
 # The default x grid of the scalar inequality, the one mode that reads no state.
-SCALAR_MU_GRID = tuple(np.round(np.linspace(0.0, 6.0, 25), 10))
+_SCALAR_MU_GRID = tuple(np.round(np.linspace(0.0, 6.0, 25), 10))
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ class CampaignConfig:
         if self.state_class is None:
             object.__setattr__(self, "state_class", "wclass" if bound and bound.wclass_from <= 3 else "haar")
         if self.mu_grid is None:
-            object.__setattr__(self, "mu_grid", SCALAR_MU_GRID if bound is None else bound.mu_grid)
+            object.__setattr__(self, "mu_grid", _SCALAR_MU_GRID if bound is None else bound.mu_grid)
         if self.state_class not in STATE_CLASSES:
             raise ConfigError(f"class must be one of {STATE_CLASSES}, got {self.state_class!r}")
         if self.n_states < 1:

@@ -28,12 +28,7 @@ ORDERING_ATOL = 1e-12
 
 
 def admit(psi, mode: str | None = None) -> None:
-    """Refuse a pure state from outside that ``mode`` cannot read.
-
-    Checks, in order: a ``StateVector``; the mode's state rule
-    (``Bound.needs_wclass``), and a W-class state where the rule asks for
-    one.  ``enter`` runs it before it computes a state's features.
-    """
+    """Refuse anything but a ``StateVector``, then a state the rule of ``mode`` refuses (see ``Bound``)."""
     require_state_vector(psi)
     if mode is not None and BOUNDS[mode].needs_wclass(psi.n_qubits):
         require_wclass(psi)
@@ -43,7 +38,7 @@ def enter(psi, mode: str | None = None) -> PureFeatures:
     """The features of a pure state from outside, checked for ``mode``: the one door of such states.
 
     The public bounds, ``detect_ordering``, state files and states passed to
-    ``harness.replay_record`` enter here, through the checks of ``admit``.
+    ``harness.replay_record`` enter here; ``admit`` checks them first.
     """
     admit(psi, mode)
     return PureFeatures.of_state(psi)
@@ -309,8 +304,7 @@ def ckw_terms(feats: PureFeatures, *_) -> tuple:
     """Squared-concurrence monogamy columns (lhs, weights, terms) of every state of ``feats``.
 
     One cell: lhs (B, 1) is the squared cut concurrence and the terms
-    (B, 1, n-1) the squared pair concurrences, each of weight 1.  The
-    other arguments of ``Bound.columns`` are not read.
+    (B, 1, n-1) the squared pair concurrences, each of weight 1.
     """
     terms = powers(feats.pair_concurrences, 2)[:, None]
     return powers(feats.cut_concurrence, 2)[:, None], np.ones_like(terms), terms
@@ -334,7 +328,7 @@ def lemma1_terms(feats: PureFeatures, _pairs, _splits, cells) -> tuple:
     Cell c of state b has lhs C_cut^x and terms (C_1^x, C_2^x) of weights
     (1, 2^(x/2) - 1), partners ordered so that C_1 >= C_2.  The states are
     three-qubit and every x passed ``require_lemma1_power``; nothing is
-    checked here.  The pairs and splits of ``Bound.columns`` are not read.
+    checked here.
     """
     xs = [x for _, x in cells]
     cut, pairs = feats.cut_concurrence, np.sort(feats.pair_concurrences, axis=-1)[:, ::-1]
@@ -393,11 +387,10 @@ def ladder_terms(cut_probs: np.ndarray, pairs: np.ndarray, splits: np.ndarray, c
 def ladder_report(psi: StateVector, profile: OrderingProfile, params: AlphaMu, mode: str) -> BoundReport:
     """The report of a ladder mode on one state and a profile measured on it, which it trusts.
 
-    Checks the cell, then the state (``admit``), the profile's focus and its
-    ladder; raises PreconditionError when the profile admits none.  The pair
-    terms and the ladder come from the profile and only the state's cut is
-    read, so ``monoq eval`` computes a state's features once, in
-    ``detect_ordering``.
+    Checks the cell, the state (``admit``), the profile's focus and its
+    ladder (PreconditionError when it has none).  The pair terms come from
+    the profile and only the state's cut is read, so ``monoq eval``
+    computes a state's features once, in ``detect_ordering``.
     """
     bound = BOUNDS[mode]
     bound.check_cell(params.alpha, params.mu)
@@ -418,10 +411,9 @@ def ladder_report(psi: StateVector, profile: OrderingProfile, params: AlphaMu, m
 def profile_report(psi: StateVector, profile: OrderingProfile, params: AlphaMu, mode: str) -> BoundReport:
     """``ladder_report`` of a profile from outside (``theorem_bound``, ``theorem3_bound``).
 
-    The profile is refused unless it is the one the state's own pair
-    concurrences give in its party order, decided by ``Orderings.of`` with
-    no relabeling: the same floats as ``detect_ordering``'s, so the
-    comparison is exact.
+    The profile is refused unless ``Orderings.of`` gives it, without
+    relabeling, from the state's own pair concurrences in its party order:
+    the same floats as ``detect_ordering``'s, so the comparison is exact.
     """
     report = ladder_report(psi, profile, params, mode)
     feats = PureFeatures.of_state(psi)
@@ -474,18 +466,15 @@ def scalar_weight_inequality(t: float, x: float) -> ScalarCheck:
 class Bound(NamedTuple):
     """Everything that depends on a mode of bound; ``BOUNDS`` holds one per mode.
 
-    ``mu_grid`` is a campaign's default mu (or power) grid.  ``kind`` names
-    the report, and a ladder report adds its split to it.  ``upper`` marks
-    an upper bound on the left side, otherwise a lower bound.
-    ``check_cell`` refuses an (alpha, mu) cell outside the theorem and
-    ``cells`` gives the cells of an alpha and a mu grid.  ``columns`` maps
-    (features, pairs, splits, cells) to the (lhs, weights, terms) columns
-    of ``bound_values``.  With a ``hypothesis``, only states whose ordering
-    profile admits a ladder are claimed, and ``pairs`` (B, n-1) and
-    ``splits`` (B,) are their party-ordered pair concurrences and
-    ``Orderings.split`` codes; otherwise both are None.  The state rule:
-    ``require_qubits`` refuses a qubit count the bound cannot read, and
-    states of ``wclass_from`` qubits or more must be W-class.
+    A campaign's default mu grid; the report kind (a ladder report adds its
+    split); an upper bound on the left side, or a lower one; the cell check
+    and the cells of an alpha and a mu grid; and ``columns``, (features,
+    pairs, splits, cells) to the (lhs, weights, terms) of ``bound_values``.
+    With a ``hypothesis`` only states whose profile admits a ladder are
+    claimed, and pairs (B, n-1) and splits (B,) are their party-ordered pair
+    concurrences and ``Orderings.split`` codes; otherwise both are None.
+    The state rule: ``require_qubits`` refuses a qubit count, and states of
+    ``wclass_from`` qubits or more must be W-class.
     """
 
     mu_grid: tuple[float, ...]
@@ -505,12 +494,7 @@ class Bound(NamedTuple):
 
 
 def _ladder(mu_grid, kind: str, upper: bool, require_cell, wclass_from: int) -> Bound:
-    """The entry of a weighted ladder mode.
-
-    Every (alpha, mu) cell of the grids, on three qubits or more (an ordering
-    compares a pair with a tail), claimed where the state's ordering profile
-    admits a ladder.
-    """
+    """A weighted ladder mode: every (alpha, mu) cell, three qubits or more (a pair and a tail)."""
     return Bound(mu_grid, kind, upper, lambda alpha, mu: require_cell(AlphaMu(alpha, mu)),
                  lambda alphas, mus: [(alpha, mu) for alpha in alphas for mu in mus],
                  lambda feats, pairs, splits, cells: ladder_terms(feats.cut_probs, pairs, splits, cells),

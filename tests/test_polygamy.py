@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -325,9 +327,11 @@ def test_bounds_reject_a_profile_of_another_state():
     a, b = (random_wclass(4, seed).to_state_vector() for seed in (7, 5))
     other = detect_ordering(b)
     assert other.focus == a.labels[0] and other.satisfied
+    unknown = dataclasses.replace(detect_ordering(a), party_order=("B1", "B2", "Z"))
     for bound, mu in ((theorem_bound, 2.0), (theorem3_bound, 0.5)):
-        with pytest.raises(ParameterError, match="not measured on this state"):
-            bound(a, other, AlphaMu(0.9, mu))
+        for profile in (other, unknown):
+            with pytest.raises(ParameterError, match="not measured on this state"):
+                bound(a, profile, AlphaMu(0.9, mu))
     # the state's own profile is taken with or without relabeling, here in
     # two party orders with two ladders
     _, psi = build_wclass(np.sqrt(0.36), (np.sqrt(0.4), np.sqrt(0.09), np.sqrt(0.15)))
