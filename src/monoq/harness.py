@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -166,18 +167,28 @@ class CampaignConfig:
             object.__setattr__(self, "mu_grid", _SCALAR_MU_GRID if bound is None else bound.mu_grid)
         if self.state_class not in STATE_CLASSES:
             raise ConfigError(f"class must be one of {STATE_CLASSES}, got {self.state_class!r}")
+        for name in ("n_states", "n_qubits", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n_states < 1:
             raise ConfigError(f"n_states must be at least 1, got {self.n_states}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not self.alpha_grid or not self.mu_grid:
             raise ConfigError("alpha and mu grids must be nonempty")
+        if not _is_real(self.tolerance):
+            raise ConfigError(f"tolerance must be a number, got {self.tolerance!r}")
         if not self.tolerance > 0:
             raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
         if self.state_class == "file" and not self.state_file:
             raise ConfigError("state class 'file' needs a state file path")
-        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
-        object.__setattr__(self, "mu_grid", tuple(float(m) for m in self.mu_grid))
+        for name in ("alpha_grid", "mu_grid"):
+            grid = getattr(self, name)
+            if not all(map(_is_real, grid)):
+                raise ConfigError(f"{name} values must be numbers, got {grid!r}")
+            object.__setattr__(self, name, tuple(map(float, grid)))
         if not all(map(math.isfinite, (self.tolerance, *self.alpha_grid, *self.mu_grid))):
             raise ConfigError(
                 f"tolerance and grid values must be finite, got tolerance {self.tolerance}, "
@@ -336,6 +347,17 @@ _DRAWS = {
     "wclass": lambda n, seeds: PureFeatures.of_wclass(wclass_coefficients(n, seeds)),
 }
 
+# Numbers a chunk of ``_DRAWS`` holds per n-qubit state, which size the chunks.
+_DRAW_WIDTH = {"haar": lambda n: 2**n, "wclass": lambda n: n}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
 
 def _require_claims(mode: str, state_class: str | None, n_qubits: int, cells) -> None:
     """Refuse a campaign or a record whose bound claims nothing, before the first draw.
@@ -346,8 +368,16 @@ def _require_claims(mode: str, state_class: str | None, n_qubits: int, cells) ->
     from outside: a Haar draw is never W-class.  ``state_class`` is None for
     a state from outside, which ``enter`` checks when it is read.  Checked
     by ``CampaignConfig`` and by ``replay_record``; the evaluators trust it.
+    ``n_qubits`` must be an integer and a cell's alpha and mu numbers (or
+    None where the mode has none).
     """
     bound = BOUNDS[mode]
+    if not _is_int(n_qubits):
+        raise ConfigError(f"n_qubits must be an integer, got {n_qubits!r}")
+    for cell in cells:
+        for name, value in zip(("alpha", "mu"), cell):
+            if not (value is None or _is_real(value)):
+                raise ConfigError(f"{mode} campaigns: {name} must be a number, got {value!r}")
     try:
         if state_class is not None:
             if state_class not in _DRAWS:
@@ -509,8 +539,9 @@ def _scalar_campaign(config: CampaignConfig) -> CampaignResult:
                           np.array([values]), n, n, 0)
 
 
-# A feature batch holds at most this many amplitudes (1 MiB of complex
-# numbers): 8192 three-qubit states, 64 ten-qubit states.
+# A chunk's draw holds at most this many complex numbers (1 MiB): 8192
+# three-qubit or 64 ten-qubit Haar states, 21845 three-qubit or 6553
+# ten-qubit W-class states.
 CHUNK_AMPLITUDES = 2**16
 
 
@@ -537,13 +568,14 @@ def _evaluate(mode: str, feats: PureFeatures, cells) -> tuple:
 def _sampled_chunks(config: CampaignConfig):
     """(first index, seeds, features) per chunk of the campaign's states.
 
-    A chunk holds at most CHUNK_AMPLITUDES amplitudes' worth of states, or one state.
+    A chunk holds at most CHUNK_AMPLITUDES numbers' worth of draws
+    (amplitudes or W-class coefficients, ``_DRAW_WIDTH``), or one state.
     """
     if config.state_class == "file":
         yield 0, [0], enter(load_state(config.state_file), config.mode)
         return
     n = config.n_qubits
-    size = max(1, CHUNK_AMPLITUDES // 2**n)
+    size = max(1, CHUNK_AMPLITUDES // _DRAW_WIDTH[config.state_class](n))
     draw = _DRAWS[config.state_class]
     for start in range(0, config.n_states, size):
         stop = min(start + size, config.n_states)

@@ -470,7 +470,8 @@ def _decomposition_average(phi: np.ndarray, alpha: float) -> np.ndarray:
 # Draws (and rank-2 lattice points) per block of the decomposition searches.
 # They hold one block at a time; beyond the block, their working memory grows
 # with n_trials only by the kept real halves of the draws and the lattice.
-SEARCH_BLOCK = 1024
+# 512 is the smallest block that costs no time.
+SEARCH_BLOCK = 512
 
 
 def _random_isometry_blocks(count: int, size: int, rank: int, rng):
@@ -483,8 +484,9 @@ def _random_isometry_blocks(count: int, size: int, rank: int, rng):
     same for every imaginary half, so it does not depend on ``rank`` or on
     the block size.  The real halves are therefore drawn before the first
     block is yielded, and only their first ``rank`` columns are kept
-    (count x size x rank floats); everything else lives one block at a time.
-    A draw's columns do not depend on the block it sits in.
+    (count x size x rank floats); everything else lives one block at a time,
+    and a yielded block is referenced by the caller alone.  A draw's columns
+    do not depend on the block it sits in.
     """
     block = min(count, SEARCH_BLOCK)
     buf = np.empty((block, size, size))
@@ -495,19 +497,23 @@ def _random_isometry_blocks(count: int, size: int, rank: int, rng):
         re[:, lo:lo + n] = buf[:n, :, :rank].transpose(2, 0, 1)
     for lo in range(0, count, block):
         n = min(block, count - lo)
-        im = buf[:n]
-        rng.standard_normal(out=im)
-        cols: list[np.ndarray] = []
-        conjs: list[np.ndarray] = []
-        for j in range(rank):
-            v = re[j, lo:lo + n] + 1j * im[:, :, j]
-            for _ in range(2):  # the second pass restores orthogonality lost to rounding
-                for q, qc in zip(cols, conjs):
-                    v = v - q * np.einsum("ti,ti->t", qc, v)[:, None]
-            v = v / np.linalg.norm(v, axis=1, keepdims=True)
-            cols.append(v)
-            conjs.append(v.conj())
-        yield np.stack(cols, axis=2)
+        rng.standard_normal(out=buf[:n])
+        yield _gram_schmidt(re[:, lo:lo + n], buf[:n])
+
+
+def _gram_schmidt(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """(n, size, rank) orthonormal columns of the draws with real columns ``re`` (rank, n, size)."""
+    cols: list[np.ndarray] = []
+    conjs: list[np.ndarray] = []
+    for j in range(len(re)):
+        v = re[j] + 1j * im[:, :, j]
+        for _ in range(2):  # the second pass restores orthogonality lost to rounding
+            for q, qc in zip(cols, conjs):
+                v = v - q * np.einsum("ti,ti->t", qc, v)[:, None]
+        v = v / np.linalg.norm(v, axis=1, keepdims=True)
+        cols.append(v)
+        conjs.append(v.conj())
+    return np.stack(cols, axis=2)
 
 
 # compass and diagonal moves on (u, phase); a step below POLISH_XTOL ends a
@@ -585,8 +591,9 @@ def convex_roof_oracle(rho: DensityMatrix, alpha: float, n_trials: int, seed: in
     random decompositions are evaluated in blocks of SEARCH_BLOCK points,
     each block's least value folded into a running minimum, so the result
     does not depend on the block size.  What still grows with ``n_trials``
-    is the lattice's u, phase and values, and the kept real halves of the
-    isometry draws (see ``_random_isometry_blocks``).
+    is the lattice's u, phase and values, dropped once the polish has its
+    six starts, and the kept real halves of the isometry draws (see
+    ``_random_isometry_blocks``).
     """
     basis = _search_basis(rho, n_trials)
     _require_alpha(alpha)
@@ -603,11 +610,13 @@ def convex_roof_oracle(rho: DensityMatrix, alpha: float, n_trials: int, seed: in
         u, phase = _two_term_lattice(count, rng)
         values = np.empty(count)
         for lo in range(0, count, SEARCH_BLOCK):
-            terms = _two_term_states(basis, u[lo:lo + SEARCH_BLOCK], phase[lo:lo + SEARCH_BLOCK])
-            values[lo:lo + SEARCH_BLOCK] = _decomposition_average(terms, alpha)
+            values[lo:lo + SEARCH_BLOCK] = _decomposition_average(
+                _two_term_states(basis, u[lo:lo + SEARCH_BLOCK], phase[lo:lo + SEARCH_BLOCK]), alpha)
         # polish the 6 best from a step of about the lattice spacing
         top = np.argsort(values)[:6]
-        best = _two_term_polish(basis, u[top], phase[top], values[top], 1.0 / np.sqrt(count), alpha)
+        starts = u[top], phase[top], values[top]
+        del u, phase, values, top  # the polish needs only its six starts
+        best = _two_term_polish(basis, *starts, 1.0 / np.sqrt(count), alpha)
         budget = n_trials - count
 
     sizes = [s for s in (2, 3, 4) if s >= rank]
@@ -618,6 +627,7 @@ def convex_roof_oracle(rho: DensityMatrix, alpha: float, n_trials: int, seed: in
         for iso in _random_isometry_blocks(share, size, rank, rng):
             phi = np.einsum("tnr,rd->tnd", iso, basis)
             best = min(best, float(np.min(_decomposition_average(phi, alpha))))
+            del iso, phi  # before the next block is drawn
     return float(best)
 
 
@@ -643,4 +653,5 @@ def coa_search(rho: DensityMatrix, n_trials: int, seed: int) -> float:
         for iso in _random_isometry_blocks(share, size, rank, rng):
             phi = np.einsum("tnr,rd->tnd", iso, basis)
             best = max(best, float(np.max(np.sum(_pure_c_times_q(phi), axis=1))))
+            del iso, phi  # before the next block is drawn
     return best

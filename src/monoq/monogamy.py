@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -199,7 +200,9 @@ def _ladder_weights(n_parties: int, code: int, mu: float) -> np.ndarray:
     """
     base = ladder_base(mu)
     head = [base**k for k in range(code)]
-    return np.array(head + [base ** (code + 1)] * (n_parties - 2 - code) + [base**code])
+    width = n_parties - 2 - code  # the middle block's, 0 on the full ladder
+    middle = [base ** (code + 1)] * width if width else []  # its power may overflow when unused
+    return np.array(head + middle + [base**code])
 
 
 def detect_ordering(psi: StateVector, relabel: bool = True) -> OrderingProfile:
@@ -285,13 +288,15 @@ class Orderings(NamedTuple):
 
 
 def powers(values: np.ndarray, x: float) -> np.ndarray:
-    """``v ** x`` for every entry, by Python's ``**`` one value at a time.
+    """``v ** x`` for every entry, by the C ``pow`` behind Python's ``**``, one value at a time.
 
-    ``np.power`` rounds differently from the C ``pow`` behind Python's
-    ``**`` on a few percent of inputs (and ``x ** 2`` from ``x * x``), so
-    every power of a bound is taken here, the same on every route.
+    ``np.power`` rounds differently from that ``pow`` on a few percent of
+    inputs (and ``x ** 2`` from ``x * x``), so every power of a bound is
+    taken here, the same on every route.  ``math.pow`` calls the same ``pow``
+    as ``**`` without its per-value operator dispatch.
     """
-    return np.array([v**x for v in values.ravel().tolist()]).reshape(values.shape)
+    flat = values.ravel().tolist()
+    return np.fromiter(map(math.pow, flat, repeat(x)), float, len(flat)).reshape(values.shape)
 
 
 def _cell_report(mode: str, feats: PureFeatures, cell) -> BoundReport:

@@ -187,7 +187,7 @@ def test_pair_values_match_decomposition_search():
 def test_sampled_stacks_match_public_constructors(state_class, n_qubits, monkeypatch):
     # three states per chunk, so rows come from several chunks; W-class chunks
     # come from coefficients, the public route from the expanded state
-    monkeypatch.setattr(harness, "CHUNK_AMPLITUDES", 3 * 2**n_qubits)
+    monkeypatch.setattr(harness, "CHUNK_AMPLITUDES", 3 * harness._DRAW_WIDTH[state_class](n_qubits))
     config = CampaignConfig(mode="ckw" if state_class == "haar" else "monogamy", n_states=7,
                             n_qubits=n_qubits, seed=50 + n_qubits, state_class=state_class)
     indices = []

@@ -178,6 +178,23 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 build_config({"mode": "monogamy", **bad})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_states", 10.0), ("n_states", "10"), ("n_qubits", 3.0), ("n_qubits", True),
+         ("seed", 5.0), ("seed", "5"), ("alpha_grid", ("0.9",)), ("mu_grid", (None,)),
+         ("tolerance", "1e-9")],
+    )
+    def test_fields_of_the_wrong_type_are_refused(self, field, value):
+        CampaignConfig(mode="monogamy", n_states=10, n_qubits=3, seed=5)
+        with pytest.raises(ConfigError, match=field.removesuffix("_grid")):
+            CampaignConfig(**{"mode": "monogamy", "n_states": 10, "n_qubits": 3, "seed": 5, field: value})
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        config = CampaignConfig(mode="ckw", n_states=np.int64(4), n_qubits=np.int32(3), seed=np.uint8(5))
+        assert (config.n_states, config.n_qubits, config.seed) == (4, 3, 5)
+        assert all(type(v) is int for v in (config.n_states, config.n_qubits, config.seed))
+        json.dumps(run_campaign(config).summary())
+
     def test_settings_table_covers_every_config_field(self):
         assert {field for field, _ in harness._SETTINGS.values()} == {
             f.name for f in dataclasses.fields(CampaignConfig)
@@ -511,6 +528,30 @@ class TestCampaigns:
         assert result.n_sampled == 1
         assert result.n_violations == 0
 
+    def test_wclass_chunks_are_sized_by_their_coefficients(self, monkeypatch):
+        # 5,000 7-qubit W-class states are one chunk of coefficients; sized by
+        # 2**7 amplitudes they were 10 chunks of 512, with the same bytes out
+        config = CampaignConfig(mode="polygamy", n_states=5000, n_qubits=7, seed=24)
+        calls = []
+
+        def counting_derive_seeds(*args):
+            calls.append(args)
+            return derive_seeds(*args)
+
+        monkeypatch.setattr(harness, "derive_seeds", counting_derive_seeds)
+        outputs = []
+        for budget in (harness.CHUNK_AMPLITUDES, 512 * 7):
+            monkeypatch.setattr(harness, "CHUNK_AMPLITUDES", budget)
+            calls.clear()
+            result = run_campaign(config)
+            out = io.StringIO()
+            result.write_records_csv(out)
+            outputs.append((out.getvalue(), json.dumps(result.summary()), len(calls)))
+        (csv_one, summary_one, one), (csv_ten, summary_ten, ten) = outputs
+        assert (one, ten) == (1, 10)
+        assert csv_one == csv_ten and summary_one == summary_ten
+        assert result.n_records > 0
+
 
 class TestSkipReasons:
     """The split histogram and first failed conditions against per-state profiles."""
@@ -550,7 +591,7 @@ class TestSkipReasons:
         config = CampaignConfig(mode="monogamy", n_states=60, n_qubits=5, seed=9,
                                 state_class="wclass")
         whole = run_campaign(config).summary()
-        monkeypatch.setattr(harness, "CHUNK_AMPLITUDES", 7 * 2**5)
+        monkeypatch.setattr(harness, "CHUNK_AMPLITUDES", 7 * 5)  # 7 states of 5 coefficients
         chunked = run_campaign(config).summary()
         assert chunked == whole
         assert whole["skip_reasons"]["satisfied_ge[0]"] > 0
@@ -581,6 +622,13 @@ class TestReplay:
         replay_record(record)  # seed 1 replays
         with pytest.raises(ConfigError, match="state_seed"):
             replay_record(record._replace(state_seed=seed))
+
+    @pytest.mark.parametrize("field, value", [("n_qubits", 3.0), ("alpha", "0.9"), ("mu", "2")])
+    def test_fields_of_the_wrong_type_are_refused(self, field, value):
+        record = WitnessRecord(0, "monogamy", "wclass", 3, 1, 0.9, 2.0, 0.0, 0.0, 0.0, 0.0)
+        replay_record(record)
+        with pytest.raises(ConfigError, match=field):
+            replay_record(record._replace(**{field: value}))
 
     @pytest.mark.parametrize(
         "config",
@@ -706,7 +754,8 @@ class TestReplay:
         # replay computes them from that state alone
         if budget is not None:
             monkeypatch.setattr(harness, "CHUNK_AMPLITUDES", budget)
-        assert config.n_states * 2**config.n_qubits > harness.CHUNK_AMPLITUDES  # two chunks or more
+        width = harness._DRAW_WIDTH[config.state_class](config.n_qubits)
+        assert config.n_states * width > harness.CHUNK_AMPLITUDES  # two chunks or more
         result = run_campaign(config)
         assert result.records
         for record in result.records:

@@ -409,7 +409,7 @@ class TestConvexRoofOracle:
     }
 
     @pytest.mark.parametrize("block, trials", [(1, (1, 400)), (7, (1, 400, 3073)),
-                                               (SEARCH_BLOCK, (1, 400, 3073))])
+                                               (1024, (1, 400, 3073)), (SEARCH_BLOCK, (1, 400, 3073))])
     def test_values_do_not_depend_on_the_block_size(self, block, trials, monkeypatch):
         monkeypatch.setattr(measures, "SEARCH_BLOCK", block)
         for (rank, n_trials), expected in self.BLOCK_PINNED.items():
@@ -419,6 +419,22 @@ class TestConvexRoofOracle:
             got = [convex_roof_oracle(rho, alpha, n_trials, seed=n_trials).hex()
                    for alpha in (0.5, 0.823, 1.0, 1.3)]
             assert got + [coa_search(rho, n_trials, seed=n_trials).hex()] == expected, (rank, n_trials)
+
+    def test_traced_peak_holds_one_block(self):
+        # at the benchmark's size each search holds one block of draws and
+        # decompositions at a time, and the rank-2 lattice is gone before the
+        # isometries are drawn: peaks of about 0.57e6 bytes, against 1.57e6
+        # (roof) and 1.27e6 (CoA) with blocks of 1024 that outlived their turn
+        rho = random_mixed_state(2, 2, seed=11)
+        for search in (lambda: convex_roof_oracle(rho, 0.823, 10_000, seed=1),
+                       lambda: coa_search(rho, 10_000, seed=1)):
+            tracemalloc.start()
+            try:
+                search()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.8e6, peak
 
     def test_traced_peak_at_100k_trials(self):
         # with the draws in blocks, only the kept real halves and the rank-2
@@ -544,7 +560,8 @@ class TestRandomIsometries:
         gram = np.swapaxes(v.conj(), -1, -2) @ v
         assert np.max(np.abs(gram - np.eye(rank))) <= 1e-12
 
-    @pytest.mark.parametrize("count", [500, 2 * SEARCH_BLOCK + 3])
+    # 2051 draws: several blocks of SEARCH_BLOCK and a partial one
+    @pytest.mark.parametrize("count", [500, 2051])
     @pytest.mark.parametrize("size, rank", SHAPES)
     def test_matches_qr_of_the_same_draws(self, size, rank, count):
         # the Q factor with R's diagonal made positive, on the same generator stream
@@ -557,7 +574,7 @@ class TestRandomIsometries:
         assert v.shape == (count, size, rank)
         assert np.max(np.abs(v - expected)) <= 1e-12
 
-    @pytest.mark.parametrize("count", [7, 2 * SEARCH_BLOCK + 3])
+    @pytest.mark.parametrize("count", [7, 2051])
     @pytest.mark.parametrize("size, rank", SHAPES)
     def test_draws_full_blocks_whatever_the_rank(self, size, rank, count):
         # only `rank` columns are assembled, but both normal halves are drawn

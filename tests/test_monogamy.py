@@ -29,7 +29,7 @@ from monoq import (
 from monoq.harness import reference_schmidt_state
 from monoq.core import MAX_QUBITS
 from monoq.measures import ALPHA_WINDOW, MU_MAX, f_alpha
-from monoq.monogamy import ORDERING_ATOL, Orderings, bound_values
+from monoq.monogamy import ORDERING_ATOL, Orderings, bound_values, powers
 
 ALPHA_LO, ALPHA_HI = ALPHA_WINDOW
 SQRT6_OVER_6 = np.sqrt(6.0) / 6.0
@@ -91,6 +91,10 @@ class TestWeightLadder:
             with pytest.raises(ParameterError):
                 scalar_weight_inequality(0.5, mu)
 
+    def test_full_ladder_reaches_the_largest_finite_weight(self):
+        # 31**206 is about 1e307; the unused middle weight 31**207 would overflow
+        assert weight_ladder(208, FULL, 5.0).tolist() == [31.0**k for k in range(207)]
+
     def test_monogamy_weights_at_least_one(self):
         for n in (3, 4, 5, 6):
             for mu in (2.0, 2.5, 3.0, 5.0):
@@ -130,6 +134,14 @@ def _row_by_row(labels, pairs, relabel):
 PAIR_VALUES = st.one_of(
     st.sampled_from([0.0, 0.25, 0.5, 0.5 + 1e-13, 0.5 - 1e-13, 1.0]), st.floats(0.0, 1.0)
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12), st.floats(0.0, 100.0))
+def test_powers_are_those_of_python_pow(values, x):
+    got = powers(np.array(values).reshape(-1, 1), x)
+    assert got.shape == (len(values), 1)
+    assert [v.hex() for v in got.ravel().tolist()] == [(v**x).hex() for v in values]
 
 
 class TestOrderingStack:
