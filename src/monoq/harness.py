@@ -18,6 +18,7 @@ import io
 import itertools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,14 +29,12 @@ from .errors import ConfigError, IoError, ParameterError, PreconditionError, Uns
 from .measures import ALPHA_MAX, ALPHA_WINDOW, MU_MAX, PureFeatures
 from .monogamy import (
     BOUNDS,
-    FULL,
     Orderings,
     bound_values,
     enter,
     ladder_base,
-    powers,
+    ladder_terms,
     scalar_weight_inequality,
-    weight_ladder,
 )
 from .wclass import build_wclass, wclass_coefficients
 from . import core, measures
@@ -93,10 +92,11 @@ def figure_rows(figure: str, alpha: float = REFERENCE_ALPHA):
 
     ``fig1``: the Schmidt example over mu in [2, 10] step 0.05, columns
     (mu, lhs, ours, prior) with lhs the cut entanglement power, ours the
-    pair sum weighted by ``weight_ladder(3, FULL, mu)``, prior the unweighted
-    pair sum, both as ``bound_values`` adds them.  ``fig2``: the
-    W state over mu in [0, 1] step 0.01 with assisted quantities.  Everything
-    is recomputed from the state; no tabulated constants.
+    pair sum weighted by the full three-qubit ladder, prior the unweighted
+    pair sum.  ``fig2``: the W state over mu in [0, 1] step 0.01, whose pair
+    concurrences are its assisted values.  The columns are ``ladder_terms``
+    (split code 1, one cell per mu) added by ``bound_values``, as in a
+    campaign; no tabulated constants.
     """
     if figure == "fig1":
         psi, mus = reference_schmidt_state(), [2.0 + k / 20.0 for k in range(161)]
@@ -105,13 +105,9 @@ def figure_rows(figure: str, alpha: float = REFERENCE_ALPHA):
     else:
         raise ConfigError(f"unknown figure {figure!r}; expected fig1 or fig2")
     feats = PureFeatures.of_state(psi)
-    e_cut = measures.renyi_entropy(feats.cut_probs[0], alpha)
-    pairs = (feats.pair_concurrences if figure == "fig1" else feats.pair_coas)[0]
-    e_pairs = measures.f_alpha(pairs * pairs, alpha)
-    lhs = np.array([[e_cut**mu for mu in mus]])
-    weights = np.array([[weight_ladder(3, FULL, mu) for mu in mus]])
-    terms = np.array([[powers(e_pairs, mu) for mu in mus]])
-    block = bound_values(lhs, weights, terms, upper=figure == "fig2")[0].tolist()
+    cells = [(alpha, mu) for mu in mus]
+    columns = ladder_terms(feats.cut_probs, feats.pair_concurrences, np.array([1]), cells)
+    block = bound_values(*columns, upper=figure == "fig2")[0].tolist()
     rows = [(mu, left, ours, prior) for mu, (left, ours, _, prior) in zip(mus, block)]
     return ("mu", "lhs", "ours", "prior"), rows
 
@@ -143,8 +139,10 @@ class CampaignConfig:
 
     ``mu_grid`` and ``state_class`` default by mode: the mode's mu grid, and
     W-class states for a bound that needs them from three qubits on
-    (polygamy), Haar otherwise.  A campaign whose bound claims nothing is
-    refused here, before the first draw (see ``_require_claims``).
+    (polygamy), Haar otherwise.  A ``state_file`` (a str or os.PathLike
+    path) makes the class ``file``; any other class with one is refused.  A
+    campaign whose bound claims nothing is refused here, before the first
+    draw (see ``_require_claims``).
     """
 
     mode: str
@@ -155,14 +153,15 @@ class CampaignConfig:
     seed: int = 20240823
     state_class: str | None = None
     tolerance: float = 1e-9
-    state_file: str | None = None
+    state_file: str | os.PathLike | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         bound = BOUNDS.get(self.mode)  # None in scalar mode
         if self.state_class is None:
-            object.__setattr__(self, "state_class", "wclass" if bound and bound.wclass_from <= 3 else "haar")
+            seeded = "wclass" if bound and bound.wclass_from <= 3 else "haar"
+            object.__setattr__(self, "state_class", seeded if self.state_file is None else "file")
         if self.mu_grid is None:
             object.__setattr__(self, "mu_grid", _SCALAR_MU_GRID if bound is None else bound.mu_grid)
         if self.state_class not in STATE_CLASSES:
@@ -182,6 +181,10 @@ class CampaignConfig:
             raise ConfigError(f"tolerance must be a number, got {self.tolerance!r}")
         if not self.tolerance > 0:
             raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
+        if self.state_file is not None and not isinstance(self.state_file, (str, os.PathLike)):
+            raise ConfigError(f"state_file must be a str or os.PathLike path, got {self.state_file!r}")
+        if self.state_file is not None and self.state_class != "file":
+            raise ConfigError(f"a state file is read by class 'file' only, got class {self.state_class!r}")
         if self.state_class == "file" and not self.state_file:
             raise ConfigError("state class 'file' needs a state file path")
         for name in ("alpha_grid", "mu_grid"):

@@ -9,6 +9,7 @@ the analytic route.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 from .core import DensityMatrix, StateVector, pair_blocks, require_state_vector, schmidt_probabilities
 from .errors import DomainError, InvalidSubsystemError, ParameterError, SizeError
-from .wclass import onehot_indices, single_excitation_rows
+from .wclass import single_excitation_coefficients
 
 # Order window on which the analytic two-qubit formula and the weighted
 # bounds are stated.
@@ -287,13 +288,13 @@ def renyi_entanglement_pure(psi: StateVector, partition, alpha: float) -> float:
 def cut_probabilities(psi: StateVector, partition=None) -> np.ndarray:
     """(1, r) Schmidt probabilities of a cut of a ``StateVector`` (checked); None is the first qubit.
 
-    The first-qubit cut, named by either side, takes ``PureFeatures.cut_probs``'s
-    code alone, with no pair lambdas; any other cut one SVD.
+    The first-qubit cut, named by either side, is ``PureFeatures.cut_probs``
+    (``_first_cut``) with no pair lambdas; any other cut takes one SVD.
     """
     require_state_vector(psi)
     axes = (0,) if partition is None else cut_axes(psi, partition)
     if axes in ((0,), tuple(range(1, psi.n_qubits))):
-        return _by_route(psi.amplitudes[None], _CUT_READ)[0]
+        return _first_cut(psi.amplitudes[None])[0]
     return schmidt_probabilities(psi.amplitudes[None], axes)
 
 
@@ -307,14 +308,16 @@ class PureFeatures:
     per state; every (alpha, mu) cell is evaluated from them.  Row b of a
     stack equals the features of state b alone.
 
-    A row of n >= 3 qubits exactly 0 off the one-hot indices is a W-class
-    state a|10..0> + sum_i b_i |0..1_i..0> with closed-form features: cut
+    A stack whose every row of n >= 3 qubits is exactly 0 off the one-hot
+    indices (``single_excitation_coefficients``) holds W-class states
+    a|10..0> + sum_i b_i |0..1_i..0> with closed-form features: cut
     probabilities |a|^2 and sum_i |b_i|^2, and pair i's lambdas
     (2|a||b_i|, 0, 0, 0), its concurrence and concurrence of assistance
     alike.  ``of_wclass`` reads them from the coefficients alone.
 
-    Every other row takes one SVD for the cut.  A pair's 4 x K amplitude
-    block M (K = 2**(n-2)) factors its marginal M M^H: up to 4 qubits the
+    Any other stack, a mix of W-class and other rows included, takes the
+    dense route: one SVD for the cut.  A pair's 4 x K amplitude block M
+    (K = 2**(n-2)) factors its marginal M M^H: up to 4 qubits the
     lambdas are the singular values of M^T (YY) M; beyond, M^H is replaced
     by the 4 rows of R from its thin QR, which factor the same marginal.  No
     pure state builds a marginal or calls ``eigh``.
@@ -326,7 +329,8 @@ class PureFeatures:
     @classmethod
     def of(cls, amplitudes: np.ndarray) -> "PureFeatures":
         """Features of a (B, 2**n) amplitude stack, n >= 2."""
-        return cls(*_by_route(amplitudes, _CUT_READ, _PAIR_READ))
+        cut, coeffs = _first_cut(amplitudes)
+        return cls(cut, _dense_pair_lambdas(amplitudes) if coeffs is None else _wclass_pair_lambdas(coeffs))
 
     @classmethod
     def of_wclass(cls, coeffs: np.ndarray) -> "PureFeatures":
@@ -354,28 +358,14 @@ class PureFeatures:
         return self.pair_lambdas.sum(axis=-1)
 
 
-def _by_route(amplitudes: np.ndarray, *reads) -> list:
-    """One array per read of a (B, 2**n) stack, n >= 2, a row per state.
-
-    A read is a pair (closed, dense): closed maps the one-hot coefficients of
-    the rows ``single_excitation_rows`` picks, dense the other rows.
-    """
+def _first_cut(amplitudes: np.ndarray) -> tuple:
+    """The first-qubit cut of a (B, 2**n) stack, n >= 2, and its coefficients (None: the dense route)."""
     if amplitudes.shape[1] < 4:
         raise InvalidSubsystemError("the first qubit has no partner in a one-qubit state")
-    single = single_excitation_rows(amplitudes)
-    if not single.any():
-        return [dense(amplitudes) for _, dense in reads]
-    onehot = onehot_indices(int(amplitudes.shape[1]).bit_length() - 1)
-    if single.all():
-        return [closed(amplitudes[:, onehot]) for closed, _ in reads]
-    coeffs, others = amplitudes[single][:, onehot], amplitudes[~single]
-    out = []
-    for closed, dense in reads:
-        part = closed(coeffs)
-        whole = np.empty((len(single),) + part.shape[1:])
-        whole[single], whole[~single] = part, dense(others)
-        out.append(whole)
-    return out
+    coeffs = single_excitation_coefficients(amplitudes)
+    if coeffs is None:
+        return schmidt_probabilities(amplitudes, (0,)), None
+    return _wclass_cut(coeffs), coeffs
 
 
 def _wclass_cut(coeffs: np.ndarray) -> np.ndarray:
@@ -395,10 +385,6 @@ def _dense_pair_lambdas(amplitudes: np.ndarray) -> np.ndarray:
     if factors.shape[-2] > 4:
         factors = np.linalg.qr(factors, mode="r")
     return _basis_lambdas(factors)
-
-
-_CUT_READ = (_wclass_cut, lambda amplitudes: schmidt_probabilities(amplitudes, (0,)))
-_PAIR_READ = (_wclass_pair_lambdas, _dense_pair_lambdas)
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +554,31 @@ def _two_term_polish(basis: np.ndarray, u: np.ndarray, phase: np.ndarray, values
     return float(np.min(val))
 
 
+def _pure_concurrence(basis: np.ndarray) -> float:
+    """Concurrence of a rank-1 search input from its one basis row normalized, for both searches."""
+    return float(_pure_c_times_q(basis[0] / np.linalg.norm(basis[0])))
+
+
+def _decompositions(basis: np.ndarray, budget: int, fewest: int, rng):
+    """Random decompositions of the state with rows ``basis``, as (t, size, 4) blocks of subnormalized terms.
+
+    ``budget`` draws are shared evenly by the sizes ``fewest``..4 (at least
+    one each), in that order.  ``map`` keeps no reference to a block, so a
+    caller folding them holds one at a time.
+    """
+    sizes = range(fewest, 5)
+    share = max(1, budget // len(sizes))
+    isometries = itertools.chain.from_iterable(
+        _random_isometry_blocks(share, size, len(basis), rng) for size in sizes)
+    return map(lambda iso: np.einsum("tnr,rd->tnd", iso, basis), isometries)
+
+
 def convex_roof_oracle(rho: DensityMatrix, alpha: float, n_trials: int, seed: int) -> float:
     """Decomposition-search upper bound on the convex-roof entanglement.
 
     Minimizes sum_j p_j E(|psi_j>) over random pure-state decompositions of
-    ``rho``, built by unitary mixing of a purification with 2 to 4 terms.
+    ``rho``, built by unitary mixing of a purification with 2 to 4 terms
+    (``_decompositions``, 3 or 4 from rank 2 on).
     For rank-2 input the two-term family is additionally swept with a
     stratified lattice and its 6 best points are polished by one batched
     compass search on (u, phase), because plain independent sampling
@@ -600,8 +606,7 @@ def convex_roof_oracle(rho: DensityMatrix, alpha: float, n_trials: int, seed: in
     rng = np.random.default_rng(seed)
     rank = basis.shape[0]
     if rank == 1:
-        psi = basis[0] / np.linalg.norm(basis[0])
-        return f_alpha(float(_pure_c_times_q(psi)) ** 2, alpha)
+        return f_alpha(_pure_concurrence(basis) ** 2, alpha)
 
     best = np.inf
     budget = n_trials
@@ -619,16 +624,9 @@ def convex_roof_oracle(rho: DensityMatrix, alpha: float, n_trials: int, seed: in
         best = _two_term_polish(basis, *starts, 1.0 / np.sqrt(count), alpha)
         budget = n_trials - count
 
-    sizes = [s for s in (2, 3, 4) if s >= rank]
-    if rank == 2:
-        sizes = [3, 4]
-    share = max(1, budget // len(sizes))
-    for size in sizes:
-        for iso in _random_isometry_blocks(share, size, rank, rng):
-            phi = np.einsum("tnr,rd->tnd", iso, basis)
-            best = min(best, float(np.min(_decomposition_average(phi, alpha))))
-            del iso, phi  # before the next block is drawn
-    return float(best)
+    least = map(lambda phi: float(np.min(_decomposition_average(phi, alpha))),
+                _decompositions(basis, budget, max(rank, 3), rng))
+    return min(best, *least)  # the running minimum, one block at a time
 
 
 def coa_search(rho: DensityMatrix, n_trials: int, seed: int) -> float:
@@ -636,22 +634,16 @@ def coa_search(rho: DensityMatrix, n_trials: int, seed: int) -> float:
 
     A lower bound on the concurrence of assistance; converges quickly because
     the maximizing set is high dimensional.  ``n_trials`` must be an integer
-    of at least 1.  The decompositions are evaluated in blocks of
-    SEARCH_BLOCK draws, each block's best folded into a running maximum, so
-    the result does not depend on the block size.
+    of at least 1.  The decompositions (``_decompositions``, 2 to 4 terms, at
+    least the rank) are evaluated in blocks of SEARCH_BLOCK draws, each
+    block's best folded into a running maximum, so the result does not
+    depend on the block size.
     """
     basis = _search_basis(rho, n_trials)
     rng = np.random.default_rng(seed)
     rank = basis.shape[0]
     if rank == 1:
-        psi = basis[0] / np.linalg.norm(basis[0])
-        return float(_pure_c_times_q(psi))
-    sizes = [s for s in (2, 3, 4) if s >= rank]
-    best = 0.0
-    share = max(1, n_trials // len(sizes))
-    for size in sizes:
-        for iso in _random_isometry_blocks(share, size, rank, rng):
-            phi = np.einsum("tnr,rd->tnd", iso, basis)
-            best = max(best, float(np.max(np.sum(_pure_c_times_q(phi), axis=1))))
-            del iso, phi  # before the next block is drawn
-    return best
+        return _pure_concurrence(basis)
+    most = map(lambda phi: float(np.max(np.sum(_pure_c_times_q(phi), axis=1))),
+               _decompositions(basis, n_trials, rank, rng))
+    return max(0.0, *most)  # the running maximum, one block at a time

@@ -181,7 +181,8 @@ def weight_ladder(n_parties: int, split, mu: float) -> np.ndarray:
     For the fully ordered case the ladder is (2^mu - 1)^(i-1), i = 1..N-1.
     For a split at m (1 <= m <= N-3, N >= 4) the first m parties carry
     (2^mu - 1)^(i-1), the middle block carries (2^mu - 1)^(m+1), and the last
-    party carries (2^mu - 1)^m.
+    party carries (2^mu - 1)^m.  A ladder whose largest weight is not a
+    finite float raises ParameterError.
     """
     require_power(mu)
     if n_parties < 3:
@@ -190,7 +191,10 @@ def weight_ladder(n_parties: int, split, mu: float) -> np.ndarray:
         raise ParameterError(
             f"split {split!r} invalid for {n_parties} parties; need 1 <= m <= N-3 or FULL"
         )
-    return _ladder_weights(n_parties, n_parties - 2 if split == FULL else int(split), mu)
+    try:
+        return _ladder_weights(n_parties, n_parties - 2 if split == FULL else int(split), mu)
+    except OverflowError:
+        raise ParameterError(f"the weights of {n_parties} parties at mu {mu} overflow") from None
 
 
 def _ladder_weights(n_parties: int, code: int, mu: float) -> np.ndarray:
@@ -305,13 +309,15 @@ def _cell_report(mode: str, feats: PureFeatures, cell) -> BoundReport:
     return BoundReport.from_columns(bound.kind, bound.columns(feats, None, None, [cell]), bound.upper, *cell)
 
 
-def ckw_terms(feats: PureFeatures, *_) -> tuple:
-    """Squared-concurrence monogamy columns (lhs, weights, terms) of every state of ``feats``.
+def squared_terms(feats: PureFeatures, pairs: np.ndarray) -> tuple:
+    """Squared-concurrence columns (lhs, weights, terms) of every state of ``feats``, one cell.
 
-    One cell: lhs (B, 1) is the squared cut concurrence and the terms
-    (B, 1, n-1) the squared pair concurrences, each of weight 1.
+    lhs (B, 1) is the squared cut concurrence and the terms (B, 1, n-1) the
+    squared pair values ``pairs`` (B, n-1), each of weight 1: the ``ckw``
+    columns given the pair concurrences, ``coa_polygamy_check``'s given the
+    concurrences of assistance.
     """
-    terms = powers(feats.pair_concurrences, 2)[:, None]
+    terms = powers(pairs, 2)[:, None]
     return powers(feats.cut_concurrence, 2)[:, None], np.ones_like(terms), terms
 
 
@@ -514,5 +520,6 @@ BOUNDS = {
     "polygamy": _ladder((0.25, 0.5, 0.75, 1.0), "assist", True, AlphaMu.require_polygamy, wclass_from=3),
     "lemma1": Bound((2.0, 3.0, 4.0), "lemma1", False, lambda alpha, x: require_lemma1_power(x),
                     lambda alphas, xs: [(None, x) for x in xs], lemma1_terms, require_qubits=_require_three),
-    "ckw": Bound((2.0,), "ckw", False, lambda alpha, mu: None, lambda alphas, mus: [(None, None)], ckw_terms),
+    "ckw": Bound((2.0,), "ckw", False, lambda alpha, mu: None, lambda alphas, mus: [(None, None)],
+                 lambda feats, *_: squared_terms(feats, feats.pair_concurrences)),
 }

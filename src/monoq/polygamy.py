@@ -9,12 +9,10 @@ analytic and the hypotheses are decidable.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .core import StateVector
 from .errors import SizeError
-from .measures import AlphaMu, cut_probabilities, renyi_entropy
-from .monogamy import BoundReport, OrderingProfile, enter, powers, profile_report
+from .measures import AlphaMu, PureFeatures, cut_probabilities, renyi_entropy
+from .monogamy import BoundReport, OrderingProfile, admit, profile_report, squared_terms
 
 
 def reoa_cut(psi: StateVector, alpha: float) -> float:
@@ -40,11 +38,12 @@ def theorem3_bound(psi: StateVector, profile: OrderingProfile, params: AlphaMu) 
 def coa_polygamy_check(psi: StateVector) -> BoundReport:
     """Squared-concurrence polygamy: C^2 first qubit vs rest <= sum of pair CoA^2.
 
-    Holds for every pure multi-qubit state; the margin is rhs - lhs.
+    Holds for every pure multi-qubit state; the margin is rhs - lhs.  The
+    columns are ``squared_terms`` of the pair concurrences of assistance;
+    a state above 6 qubits is refused before its features are computed.
     """
-    feats = enter(psi)
+    admit(psi)
     if psi.n_qubits > 6:
         raise SizeError(f"capped at 6 qubits, got {psi.n_qubits}")
-    terms = powers(feats.pair_coas, 2)[:, None]
-    columns = powers(feats.cut_concurrence, 2)[:, None], np.ones_like(terms), terms
-    return BoundReport.from_columns("coa-polygamy", columns, upper=True)
+    feats = PureFeatures.of_state(psi)
+    return BoundReport.from_columns("coa-polygamy", squared_terms(feats, feats.pair_coas), upper=True)

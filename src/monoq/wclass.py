@@ -70,22 +70,18 @@ def onehot_indices(n_parties: int) -> list[int]:
     return [1 << (n_parties - 1 - i) for i in range(n_parties)]
 
 
-def single_excitation_rows(amplitudes: np.ndarray) -> np.ndarray:
-    """Which rows of a (B, 2**n) stack, n >= 3, are exactly 0 off ``onehot_indices(n)``.
+def single_excitation_coefficients(amplitudes: np.ndarray) -> np.ndarray | None:
+    """The (B, n) one-hot coefficients of a (B, 2**n) stack whose every row is exactly 0 elsewhere.
 
-    Index 0 is never one-hot, so a row with a nonzero first amplitude (every
-    Haar row) is decided by that one entry.  Always False below 3 qubits.
+    None if any row has weight off ``onehot_indices(n)``, however small, and
+    below 3 qubits.  Index 0 is never one-hot, so a nonzero first column
+    (every Haar stack) decides it.
     """
-    rows = amplitudes[:, 0] == 0
     n = int(amplitudes.shape[1]).bit_length() - 1
-    if n < 3:
-        rows[:] = False
-    elif rows.any():
-        which = np.flatnonzero(rows)
-        sub = amplitudes[which]
-        onehot = np.count_nonzero(sub[:, onehot_indices(n)], axis=1)
-        rows[which] = np.count_nonzero(sub, axis=1) == onehot
-    return rows
+    if n < 3 or amplitudes[:, 0].any():
+        return None
+    coeffs = amplitudes[:, onehot_indices(n)]
+    return coeffs if np.count_nonzero(coeffs) == np.count_nonzero(amplitudes) else None
 
 
 def build_wclass(a, b_list, labels=()) -> tuple[WClassState, StateVector]:
@@ -99,9 +95,9 @@ def require_wclass(psi: StateVector) -> None:
 
     One of two W-class decisions, kept apart on purpose.  This one lets a
     bound that needs a W-class state read ``psi``, so a state file with 1e-11
-    of noise is accepted.  ``single_excitation_rows`` picks closed-form
-    features, which read the one-hot amplitudes alone, so it needs exact
-    zeros; an accepted noisy state takes the dense route.  Builds no object.
+    of noise is accepted.  ``single_excitation_coefficients`` picks the
+    closed form, which reads the one-hot amplitudes alone, so it needs exact
+    zeros; a noisy state takes the dense route.  Builds no object.
     """
     worst = float(np.max(np.abs(np.delete(psi.amplitudes, onehot_indices(psi.n_qubits)))))
     if worst > WCLASS_SUPPORT_ATOL:

@@ -4,7 +4,8 @@ Each case pins the sha256 of the witness CSV and of the JSON of every
 summary key listed in ``SUMMARY_KEYS`` (floats print as ``repr``, so a
 change in the last bit of any value shows).  A refactor of the campaign
 path must leave every line here unchanged; a new summary key is not
-hashed.
+hashed.  Two more digests pin the bounds outside campaigns: every value of
+``figure_rows`` and the ``coa_polygamy_check`` reports of a few states.
 """
 
 import hashlib
@@ -14,7 +15,15 @@ import json
 import numpy as np
 import pytest
 
-from monoq import CampaignConfig, build_wclass, run_campaign, save_state
+from monoq import (
+    CampaignConfig,
+    build_wclass,
+    coa_polygamy_check,
+    haar_random_state,
+    run_campaign,
+    save_state,
+    w_state,
+)
 from monoq import harness
 
 SUMMARY_KEYS = ["mode", "state_class", "n_qubits", "seed", "tolerance", "n_sampled",
@@ -100,3 +109,21 @@ def _outputs(case, tmp_path, monkeypatch):
 @pytest.mark.parametrize("case", list(CASES))
 def test_campaign_outputs_are_pinned(case, tmp_path, monkeypatch):
     assert _outputs(case, tmp_path, monkeypatch) == GOLDEN[case]
+
+
+# sha256 of the repr of figure_rows("fig1" and "fig2") at alpha 0.823, 1.0
+# and 1.2, and of the JSON of coa_polygamy_check(...).to_dict() on W_3 and
+# Haar states of 2-6 qubits
+FIGURES_GOLDEN = "0582d0939112a6ff32ffc17dbaf2a2188f80534e2decdeb69bd37afffdcb4657"
+COA_POLYGAMY_GOLDEN = "40b20fdd64c48d52ab61ec63f8d8417351740c90119fbdc510028a044703613b"
+
+
+def test_figure_rows_are_pinned():
+    rows = [harness.figure_rows(figure, alpha) for figure in ("fig1", "fig2") for alpha in (0.823, 1.0, 1.2)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == FIGURES_GOLDEN
+
+
+def test_coa_polygamy_reports_are_pinned():
+    states = [w_state(3)] + [haar_random_state(n, seed=n) for n in range(2, 7)]
+    reports = json.dumps([coa_polygamy_check(psi).to_dict() for psi in states])
+    assert hashlib.sha256(reports.encode()).hexdigest() == COA_POLYGAMY_GOLDEN

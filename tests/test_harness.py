@@ -189,6 +189,34 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field.removesuffix("_grid")):
             CampaignConfig(**{"mode": "monogamy", "n_states": 10, "n_qubits": 3, "seed": 5, field: value})
 
+    def test_a_state_file_means_class_file(self, tmp_path, capsys):
+        # with no class given, a state file runs a file campaign: one state,
+        # whatever the state count says
+        path = tmp_path / "w3.json"
+        save_state(w_state(3), path)
+        for state_file in (str(path), path):
+            assert CampaignConfig(mode="ckw", n_states=5, state_file=state_file).state_class == "file"
+        assert main(["fuzz", "--mode", "ckw", "--states", "5", "--state", str(path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["state_class"], summary["n_sampled"], summary["n_qubits"]) == ("file", 1, 3)
+
+    @pytest.mark.parametrize("state_class", ["haar", "wclass"])
+    def test_a_seeded_class_with_a_state_file_is_refused(self, state_class, tmp_path, capsys):
+        path = tmp_path / "w3.json"
+        save_state(w_state(3), path)
+        with pytest.raises(ConfigError, match=f"class 'file' only, got class '{state_class}'"):
+            CampaignConfig(mode="monogamy", state_class=state_class, state_file=str(path))
+        argv = ["fuzz", "--mode", "monogamy", "--class", state_class, "--state", str(path)]
+        assert main(argv) == 2
+        assert "class 'file' only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [3, 3.5, ("w3.json",)])
+    def test_a_state_file_that_is_no_path_is_refused(self, value):
+        # an int would be opened as a file descriptor
+        for state_class in (None, "file"):
+            with pytest.raises(ConfigError, match="state_file must be a str or os.PathLike path"):
+                CampaignConfig(mode="ckw", state_class=state_class, state_file=value)
+
     def test_numpy_integers_are_stored_as_ints(self):
         config = CampaignConfig(mode="ckw", n_states=np.int64(4), n_qubits=np.int32(3), seed=np.uint8(5))
         assert (config.n_states, config.n_qubits, config.seed) == (4, 3, 5)

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -435,6 +436,34 @@ class TestConvexRoofOracle:
             finally:
                 tracemalloc.stop()
             assert peak < 0.8e6, peak
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_no_decomposition_block_outlives_its_fold(self, rank, monkeypatch):
+        # both searches fold the blocks of one generator; a fold that keeps
+        # a block while the next is drawn (a loop variable, a generator
+        # expression) holds two blocks at once
+        draw = measures._decompositions
+        watched = []
+
+        class Watch:
+            def __init__(self, blocks):
+                self.blocks, self.last, self.count = blocks, None, 0
+                watched.append(self)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                assert self.last is None or self.last() is None, "a block outlived its fold"
+                block = next(self.blocks)
+                self.last, self.count = weakref.ref(block), self.count + 1
+                return block
+
+        monkeypatch.setattr(measures, "_decompositions", lambda *args: Watch(draw(*args)))
+        rho = random_mixed_state(2, rank, seed=11)
+        convex_roof_oracle(rho, 0.823, 10_000, seed=1)
+        coa_search(rho, 10_000, seed=1)
+        assert len(watched) == 2 and all(w.count > 2 for w in watched)
 
     def test_traced_peak_at_100k_trials(self):
         # with the draws in blocks, only the kept real halves and the rank-2

@@ -95,6 +95,13 @@ class TestWeightLadder:
         # 31**206 is about 1e307; the unused middle weight 31**207 would overflow
         assert weight_ladder(208, FULL, 5.0).tolist() == [31.0**k for k in range(207)]
 
+    @pytest.mark.parametrize("n, mu", [(14, 100.0), (209, 5.0)])
+    def test_an_overflowing_ladder_is_refused(self, n, mu):
+        # (2**100 - 1)**12 and 31**207 are beyond the largest float; the
+        # refusal names the party count and the power
+        with pytest.raises(ParameterError, match=f"of {n} parties at mu {mu}"):
+            weight_ladder(n, FULL, mu)
+
     def test_monogamy_weights_at_least_one(self):
         for n in (3, 4, 5, 6):
             for mu in (2.0, 2.5, 3.0, 5.0):

@@ -243,6 +243,20 @@ class TestCoaPolygamyCheck:
         with pytest.raises(SizeError):
             coa_polygamy_check(haar_random_state(7, seed=0))
 
+    def test_size_cap_comes_before_the_features(self, monkeypatch):
+        # from 5 qubits on every pair's lambdas take a QR; a refused state
+        # must not get that far, while the type check still comes first
+        psi, wide = haar_random_state(7, seed=0), random_wclass(7, seed=0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("features computed before the size cap")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        with pytest.raises(SizeError, match="capped at 6 qubits, got 7"):
+            coa_polygamy_check(psi)
+        with pytest.raises(UnsupportedStateClassError):
+            coa_polygamy_check(wide)
+
 
 def test_wclass_state_validation():
     with pytest.raises(SizeError):

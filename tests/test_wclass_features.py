@@ -11,8 +11,9 @@ no pair marginal and no ``eigh``.  Here the closed form is held to:
   T = M^T (YY) M of its full 4 x K amplitude block M;
 - one value 2|a||b_i| for each pair's concurrence and concurrence of
   assistance, bit for bit the value of ``WClassState.pair_concurrence``;
-- the rest of its stack: in a stack that mixes W-class and Haar rows, each
-  row equals that state alone, byte for byte;
+- one route per stack: a stack with any row off the single-excitation
+  support takes the dense route for every row, and each row equals the
+  dense route of that state alone, byte for byte;
 - every route that reads W-class features: campaigns, replay, the public
   bound functions, ``eval`` and file-class campaigns call none of
   ``np.linalg.svd``/``eigh``/``eigvalsh``/``qr``;
@@ -56,7 +57,7 @@ from monoq.cli import main
 from monoq.harness import derive_seeds
 from monoq.core import MAX_QUBITS, haar_amplitudes, pair_blocks, schmidt_probabilities
 from monoq.measures import PureFeatures, _YY
-from monoq.wclass import onehot_indices, single_excitation_rows
+from monoq.wclass import onehot_indices, single_excitation_coefficients
 
 # moduli with exact zeros and near-product values next to ordinary ones
 MODULI = st.one_of(st.just(0.0), st.floats(1e-10, 1e-8), st.floats(1e-3, 1.0))
@@ -98,7 +99,7 @@ def _dense_lambdas(amplitudes) -> np.ndarray:
 @given(coeffs=w_coefficients())
 def test_closed_form_matches_dense_route(coeffs):
     amps = _amplitudes(coeffs)
-    assert single_excitation_rows(amps).tolist() == [True]
+    assert single_excitation_coefficients(amps).tobytes() == coeffs[None].tobytes()
     feats = PureFeatures.of(amps)
     dense_cut = schmidt_probabilities(amps, (0,))
     np.testing.assert_allclose(feats.cut_probs, dense_cut, rtol=0, atol=1e-12)
@@ -127,22 +128,23 @@ def test_pair_values_are_exactly_two_a_b(coeffs):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n=st.integers(3, 8))
-def test_mixed_stack_rows_equal_batches_of_one(data, n):
-    # the closed-form rows and the dense rows of one stack are computed apart,
-    # and neither depends on the other rows
-    kinds = data.draw(st.lists(st.booleans(), min_size=1, max_size=7))
+def test_mixed_stack_rows_equal_the_dense_route(data, n):
+    # one Haar row sends the whole stack to the dense route, W-class rows
+    # included, and no row depends on the other rows
+    kinds = data.draw(st.lists(st.booleans(), max_size=6))
+    kinds.insert(data.draw(st.integers(0, len(kinds))), False)
     rows = [
         _amplitudes(data.draw(w_coefficients(n)))[0] if wclass
         else haar_amplitudes(n, [data.draw(st.integers(0, 2**64 - 1))])[0]
         for wclass in kinds
     ]
     stack = np.array(rows)
-    assert single_excitation_rows(stack).tolist() == kinds
+    assert single_excitation_coefficients(stack) is None
     feats = PureFeatures.of(stack)
     for row in range(len(rows)):
-        alone = PureFeatures.of(stack[row:row + 1])
-        assert alone.cut_probs[0].tobytes() == feats.cut_probs[row].tobytes()
-        assert alone.pair_lambdas[0].tobytes() == feats.pair_lambdas[row].tobytes()
+        alone = stack[row:row + 1]
+        assert schmidt_probabilities(alone, (0,)).tobytes() == feats.cut_probs[row].tobytes()
+        assert measures._dense_pair_lambdas(alone).tobytes() == feats.pair_lambdas[row].tobytes()
 
 
 def test_single_excitation_rows():
@@ -151,11 +153,16 @@ def test_single_excitation_rows():
     off[3] = 1e-300  # any weight off the one-hot indices, however small, is not W-class
     first = w.copy()
     first[0] = 1e-300
-    stack = np.array([w, off, first, haar_amplitudes(4, [5])[0]])
-    assert single_excitation_rows(stack).tolist() == [True, False, False, False]
+    haar = haar_amplitudes(4, [5])[0]
+    pair = np.array([w, random_wclass(4, seed=2).to_state_vector().amplitudes])
+    assert single_excitation_coefficients(pair).tobytes() == pair[:, onehot_indices(4)].tobytes()
+    for other in (off, first, haar):
+        assert single_excitation_coefficients(other[None]) is None
+        assert single_excitation_coefficients(np.array([w, other])) is None
+        assert single_excitation_coefficients(np.array([other, w])) is None
     # two qubits: a|10> + b|01> is no W-class state of the bounds
     bell = np.array([[0.0, 1.0, 1.0, 0.0]]) / np.sqrt(2.0)
-    assert single_excitation_rows(bell).tolist() == [False]
+    assert single_excitation_coefficients(bell) is None
 
 
 @pytest.fixture
@@ -210,7 +217,7 @@ def test_seeded_campaigns_and_replay_read_coefficients(mode, ns, mu_grid, monkey
     def detour(*args):
         raise AssertionError("a W-class state was expanded to 2**n amplitudes")
 
-    monkeypatch.setattr(measures, "single_excitation_rows", detour)
+    monkeypatch.setattr(measures, "single_excitation_coefficients", detour)
     n_records = 0
     for n in ns:
         config = CampaignConfig(mode=mode, n_states=200, n_qubits=n, seed=1900 + n,
