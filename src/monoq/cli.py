@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--alpha", type=float, default=REFERENCE_ALPHA)
     p_eval.add_argument("--mu", type=float, default=2.0)
     p_eval.add_argument("--focus", default=None, help="focus qubit label (default: the file's first)")
-    p_eval.add_argument("--mode", choices=("auto", *(m for m, b in BOUNDS.items() if b.hypothesis)), default="auto")
+    p_eval.add_argument("--mode", choices=("auto", *(m for m, b in BOUNDS.items() if b.ordered_by)), default="auto")
     p_eval.add_argument("--out", default=None, help="output path (default stdout)")
     p_eval.set_defaults(func=cmd_eval)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,11 @@ class StateVector:
         n = self.n_qubits
         amps = self.amplitudes.reshape([2] * n).transpose(perm).reshape(-1)
         return StateVector(amps.copy(), new_labels)
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer; a ``bool`` is not one here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def require_state_vector(psi) -> None:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MAX_QUBITS, StateVector, load_state
+from .core import MAX_QUBITS, StateVector, is_int, load_state
 from .errors import ConfigError, IoError, ParameterError, PreconditionError, UnsupportedStateClassError
 from .measures import ALPHA_MAX, ALPHA_WINDOW, MU_MAX, PureFeatures
 from .monogamy import (
@@ -33,7 +33,6 @@ from .monogamy import (
     bound_values,
     enter,
     ladder_base,
-    ladder_terms,
     scalar_weight_inequality,
 )
 from .wclass import build_wclass, wclass_coefficients
@@ -94,20 +93,22 @@ def figure_rows(figure: str, alpha: float = REFERENCE_ALPHA):
     (mu, lhs, ours, prior) with lhs the cut entanglement power, ours the
     pair sum weighted by the full three-qubit ladder, prior the unweighted
     pair sum.  ``fig2``: the W state over mu in [0, 1] step 0.01, whose pair
-    concurrences are its assisted values.  The columns are ``ladder_terms``
-    (split code 1, one cell per mu) added by ``bound_values``, as in a
-    campaign; no tabulated constants.
+    concurrences are its assisted values.  The columns are the ``columns``
+    of the figure's mode in ``monogamy.BOUNDS`` (monogamy, then polygamy),
+    read with the entry's ``ordered_by`` pair column in label order and split
+    code 1, one cell per mu, and added by ``bound_values``, as in a campaign;
+    no tabulated constants.
     """
     if figure == "fig1":
-        psi, mus = reference_schmidt_state(), [2.0 + k / 20.0 for k in range(161)]
+        psi, mus, bound = reference_schmidt_state(), [2.0 + k / 20.0 for k in range(161)], BOUNDS["monogamy"]
     elif figure == "fig2":
-        psi, mus = w_state(3), [k / 100.0 for k in range(101)]
+        psi, mus, bound = w_state(3), [k / 100.0 for k in range(101)], BOUNDS["polygamy"]
     else:
         raise ConfigError(f"unknown figure {figure!r}; expected fig1 or fig2")
     feats = PureFeatures.of_state(psi)
     cells = [(alpha, mu) for mu in mus]
-    columns = ladder_terms(feats.cut_probs, feats.pair_concurrences, np.array([1]), cells)
-    block = bound_values(*columns, upper=figure == "fig2")[0].tolist()
+    columns = bound.columns(feats.cut_probs, bound.ordered_by(feats), np.array([1]), cells)
+    block = bound_values(*columns, upper=bound.upper)[0].tolist()
     rows = [(mu, left, ours, prior) for mu, (left, ours, _, prior) in zip(mus, block)]
     return ("mu", "lhs", "ours", "prior"), rows
 
@@ -168,7 +169,7 @@ class CampaignConfig:
             raise ConfigError(f"class must be one of {STATE_CLASSES}, got {self.state_class!r}")
         for name in ("n_states", "n_qubits", "seed"):
             value = getattr(self, name)
-            if not _is_int(value):
+            if not is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.n_states < 1:
@@ -354,10 +355,6 @@ _DRAWS = {
 _DRAW_WIDTH = {"haar": lambda n: 2**n, "wclass": lambda n: n}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
@@ -375,7 +372,7 @@ def _require_claims(mode: str, state_class: str | None, n_qubits: int, cells) ->
     None where the mode has none).
     """
     bound = BOUNDS[mode]
-    if not _is_int(n_qubits):
+    if not is_int(n_qubits):
         raise ConfigError(f"n_qubits must be an integer, got {n_qubits!r}")
     for cell in cells:
         for name, value in zip(("alpha", "mu"), cell):
@@ -553,19 +550,23 @@ def _evaluate(mode: str, feats: PureFeatures, cells) -> tuple:
 
     Returns the indices of the passing states; their (lhs, rhs, margin,
     baseline) block of shape (len(keep), len(cells), 4); and the ordering
-    decision of every state, or None in a mode without a hypothesis.  The
-    hypotheses are decided for the whole chunk at once, and every cell is
-    evaluated as columns over the passing states.
+    decision of every state, or None in a mode without an ordering.  The
+    mode's ``BOUNDS`` entry decides the ordering of its ``ordered_by`` pair
+    column for the whole chunk at once, and its ``columns`` evaluate every
+    cell over the passing states.  A chunk with no passing state returns
+    before the columns, which cost about 150 us even on no states.
     """
     bound = BOUNDS[mode]
-    keep, orderings, pairs, splits = np.arange(len(feats.cut_probs)), None, None, None
-    if bound.hypothesis:
-        orderings = Orderings.of(feats.pair_concurrences)
+    if bound.ordered_by is None:
+        keep, orderings = np.arange(len(feats.cut_probs)), None
+        columns = bound.columns(feats.cut_probs, feats.pair_concurrences, None, cells)
+    else:
+        orderings = Orderings.of(bound.ordered_by(feats))
         keep = np.flatnonzero(orderings.split)
         if not keep.size:
             return keep, np.empty((0, len(cells), 4)), orderings
-        feats, pairs, splits = feats.take(keep), orderings.pairs[keep], orderings.split[keep]
-    return keep, bound_values(*bound.columns(feats, pairs, splits, cells), upper=bound.upper), orderings
+        columns = bound.columns(feats.cut_probs[keep], orderings.pairs[keep], orderings.split[keep], cells)
+    return keep, bound_values(*columns, upper=bound.upper), orderings
 
 
 def _sampled_chunks(config: CampaignConfig):

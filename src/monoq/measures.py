@@ -103,7 +103,7 @@ def renyi_entropy(spectrum, alpha: float):
     non-finite entry, or a spectrum whose sum is not 1 within 1e-9, raises
     DomainError.  Entries <= 0 contribute nothing, within 1e-6 of alpha = 1
     the von Neumann entropy -sum p log2 p is returned as the continuity
-    limit, and results in (-1e-12, 0) are clipped to 0.
+    limit, and results in (-1e-12, 0], -0.0 included, are 0.0.
     """
     _require_alpha(alpha)
     vals = np.asarray(spectrum, dtype=float)
@@ -119,7 +119,7 @@ def renyi_entropy(spectrum, alpha: float):
         out = -np.sum(probs * np.log2(np.where(pos, vals, 1.0)), axis=-1, keepdims=True)
     else:
         out = np.log2(np.sum(probs**alpha, axis=-1, keepdims=True)) / (1.0 - alpha)
-    out = np.where((out < 0.0) & (out > -1e-12), 0.0, out)[..., 0]
+    out = np.where((out < 0.0) & (out > -1e-12), 0.0, out)[..., 0] + 0.0  # also clears -0.0
     return float(out) if vals.ndim == 1 else out
 
 
@@ -163,7 +163,7 @@ def cut_axes(psi: StateVector, partition) -> tuple[int, ...]:
     return tuple(i for i, lab in enumerate(psi.labels) if lab in part)
 
 
-def _cut_concurrences(probs: np.ndarray) -> np.ndarray:
+def cut_concurrences(probs: np.ndarray) -> np.ndarray:
     """Pure-state concurrences 2 sqrt(sum_{i<j} p_i p_j) from Schmidt probabilities (..., r)."""
     tails = np.cumsum(probs[..., ::-1], axis=-1)[..., ::-1]
     pair_sum = np.sum(probs[..., :-1] * tails[..., 1:], axis=-1)
@@ -178,7 +178,7 @@ def concurrence_pure(psi: StateVector, partition) -> float:
     2 sqrt(sum_{i<j} l_i l_j), which vanishes cleanly on product states
     instead of inheriting sqrt-of-roundoff noise from the purity.
     """
-    return float(_cut_concurrences(cut_probabilities(psi, partition))[0])
+    return float(cut_concurrences(cut_probabilities(psi, partition))[0])
 
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -342,12 +342,9 @@ class PureFeatures:
         """Features of one state, a batch of one."""
         return cls.of(psi.amplitudes[None])
 
-    def take(self, rows) -> "PureFeatures":
-        return PureFeatures(self.cut_probs[rows], self.pair_lambdas[rows])
-
     @property
     def cut_concurrence(self) -> np.ndarray:
-        return _cut_concurrences(self.cut_probs)
+        return cut_concurrences(self.cut_probs)
 
     @property
     def pair_concurrences(self) -> np.ndarray:

@@ -17,9 +17,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import StateVector, require_state_vector
+from .core import StateVector, is_int, require_state_vector
 from .errors import DomainError, ParameterError, PreconditionError, UnsupportedStateClassError
-from .measures import AlphaMu, PureFeatures, cut_probabilities, f_alpha, renyi_entropy, require_power
+from .measures import AlphaMu, PureFeatures, cut_concurrences, cut_probabilities, f_alpha, renyi_entropy, require_power
 from .wclass import require_wclass
 
 #: Sentinel split index for the fully ordered ladder.
@@ -181,18 +181,21 @@ def weight_ladder(n_parties: int, split, mu: float) -> np.ndarray:
     For the fully ordered case the ladder is (2^mu - 1)^(i-1), i = 1..N-1.
     For a split at m (1 <= m <= N-3, N >= 4) the first m parties carry
     (2^mu - 1)^(i-1), the middle block carries (2^mu - 1)^(m+1), and the last
-    party carries (2^mu - 1)^m.  A ladder whose largest weight is not a
-    finite float raises ParameterError.
+    party carries (2^mu - 1)^m.  A party count or a split that is not an
+    integer (a ``bool`` is not one), and a ladder whose largest weight is
+    not a finite float, raise ParameterError.
     """
     require_power(mu)
+    if not (is_int(n_parties) and (split == FULL or is_int(split))):
+        raise ParameterError(f"need an integer party count and an integer split or FULL, got {n_parties!r}, {split!r}")
     if n_parties < 3:
         raise ParameterError(f"need at least 3 parties, got {n_parties}")
-    if split != FULL and not 1 <= int(split) <= n_parties - 3:
+    if split != FULL and not 1 <= split <= n_parties - 3:
         raise ParameterError(
             f"split {split!r} invalid for {n_parties} parties; need 1 <= m <= N-3 or FULL"
         )
     try:
-        return _ladder_weights(n_parties, n_parties - 2 if split == FULL else int(split), mu)
+        return _ladder_weights(n_parties, n_parties - 2 if split == FULL else split, mu)
     except OverflowError:
         raise ParameterError(f"the weights of {n_parties} parties at mu {mu} overflow") from None
 
@@ -221,7 +224,7 @@ def detect_ordering(psi: StateVector, relabel: bool = True) -> OrderingProfile:
     """
     feats = enter(psi, "monogamy")
     full_cut = float(feats.cut_concurrence[0])
-    return Orderings.of(feats.pair_concurrences, relabel).profile(0, psi.labels, full_cut)
+    return Orderings.of(BOUNDS["monogamy"].ordered_by(feats), relabel).profile(0, psi.labels, full_cut)
 
 
 class Orderings(NamedTuple):
@@ -304,21 +307,23 @@ def powers(values: np.ndarray, x: float) -> np.ndarray:
 
 
 def _cell_report(mode: str, feats: PureFeatures, cell) -> BoundReport:
-    """The report of a mode without a hypothesis on one entered state in one (alpha, mu) cell."""
+    """The report of a mode without an ordering on one entered state in one (alpha, mu) cell."""
     bound = BOUNDS[mode]
-    return BoundReport.from_columns(bound.kind, bound.columns(feats, None, None, [cell]), bound.upper, *cell)
+    columns = bound.columns(feats.cut_probs, feats.pair_concurrences, None, [cell])
+    return BoundReport.from_columns(bound.kind, columns, bound.upper, *cell)
 
 
-def squared_terms(feats: PureFeatures, pairs: np.ndarray) -> tuple:
-    """Squared-concurrence columns (lhs, weights, terms) of every state of ``feats``, one cell.
+def squared_terms(cut_probs: np.ndarray, pairs: np.ndarray, _splits=None, _cells=None) -> tuple:
+    """Squared-concurrence columns (lhs, weights, terms) of a stack of states, one cell.
 
-    lhs (B, 1) is the squared cut concurrence and the terms (B, 1, n-1) the
-    squared pair values ``pairs`` (B, n-1), each of weight 1: the ``ckw``
-    columns given the pair concurrences, ``coa_polygamy_check``'s given the
-    concurrences of assistance.
+    lhs (B, 1) is the squared concurrence of the focus | rest cut whose
+    Schmidt probabilities are ``cut_probs`` (B, 2), and the terms (B, 1,
+    n-1) the squared pair values ``pairs`` (B, n-1), each of weight 1: the
+    ``ckw`` columns given the pair concurrences, ``coa_polygamy_check``'s
+    given the concurrences of assistance.
     """
     terms = powers(pairs, 2)[:, None]
-    return powers(feats.cut_concurrence, 2)[:, None], np.ones_like(terms), terms
+    return powers(cut_concurrences(cut_probs), 2)[:, None], np.ones_like(terms), terms
 
 
 def ckw_check(psi: StateVector) -> BoundReport:
@@ -333,16 +338,17 @@ def require_lemma1_power(x: float) -> None:
     require_power(x, "x")
 
 
-def lemma1_terms(feats: PureFeatures, _pairs, _splits, cells) -> tuple:
+def lemma1_terms(cut_probs: np.ndarray, pairs: np.ndarray, _splits, cells) -> tuple:
     """Weighted concurrence-power columns (lhs, weights, terms), one cell per (None, x) of ``cells``.
 
-    Cell c of state b has lhs C_cut^x and terms (C_1^x, C_2^x) of weights
-    (1, 2^(x/2) - 1), partners ordered so that C_1 >= C_2.  The states are
-    three-qubit and every x passed ``require_lemma1_power``; nothing is
-    checked here.
+    Cell c of state b has lhs C_cut^x, C_cut the concurrence of the cut with
+    Schmidt probabilities ``cut_probs`` (B, 2), and terms (C_1^x, C_2^x) of
+    weights (1, 2^(x/2) - 1), the pair concurrences ``pairs`` (B, 2)
+    ordered so that C_1 >= C_2.  The states are three-qubit and every x
+    passed ``require_lemma1_power``; nothing is checked here.
     """
     xs = [x for _, x in cells]
-    cut, pairs = feats.cut_concurrence, np.sort(feats.pair_concurrences, axis=-1)[:, ::-1]
+    cut, pairs = cut_concurrences(cut_probs), np.sort(pairs, axis=-1)[:, ::-1]
     lhs, terms = np.empty((len(cut), len(xs))), np.empty((len(cut), len(xs), 2))
     for c, x in enumerate(xs):
         lhs[:, c], terms[:, c] = powers(cut, x), powers(pairs, x)
@@ -364,9 +370,12 @@ def lemma1_check(psi: StateVector, x: float) -> BoundReport:
 def ladder_terms(cut_probs: np.ndarray, pairs: np.ndarray, splits: np.ndarray, cells) -> tuple:
     """Ladder-weighted columns (lhs, weights, terms), one cell per (alpha, mu) of ``cells``.
 
-    ``cut_probs`` (B, 2) are the states' focus | rest Schmidt
-    probabilities; ``pairs`` (B, n-1) are their pair concurrences
-    in party order and ``splits`` (B,) each state's ladder as an
+    The columns function of both ladder entries of ``BOUNDS``, and the one
+    route to their values: campaigns and replay (``harness._evaluate``),
+    ``ladder_report`` and ``harness.figure_rows`` all call it through its
+    entry.  ``cut_probs`` (B, 2) are the states' focus | rest Schmidt
+    probabilities; ``pairs`` (B, n-1) are their pair concurrences in party
+    order (``Orderings.pairs``) and ``splits`` (B,) each state's ladder as an
     ``Orderings.split`` code.  The left side is the cut entanglement raised
     to mu.  The terms are ``f_alpha`` at each squared pair concurrence,
     raised to mu, in party order, each with the weight of the state's
@@ -398,23 +407,29 @@ def ladder_terms(cut_probs: np.ndarray, pairs: np.ndarray, splits: np.ndarray, c
 def ladder_report(psi: StateVector, profile: OrderingProfile, params: AlphaMu, mode: str) -> BoundReport:
     """The report of a ladder mode on one state and a profile measured on it, which it trusts.
 
-    Checks the cell, the state (``admit``), the profile's focus and its
-    ladder (PreconditionError when it has none).  The pair terms come from
-    the profile and only the state's cut is read, so ``monoq eval``
-    computes a state's features once, in ``detect_ordering``.
+    Checks the cell, the state (``admit``) and the profile's focus.  The
+    ladder is decided again by ``Orderings.of`` from the profile's pair
+    concurrences in its party order: a profile whose ``split_index`` is not
+    that decision is refused (ParameterError), and PreconditionError means
+    no ladder applies.  The columns are the mode's entry of ``BOUNDS``, as in
+    a campaign; the pair terms come from the profile and only the state's
+    cut is read, so ``monoq eval`` computes a state's features once, in
+    ``detect_ordering``.
     """
     bound = BOUNDS[mode]
     bound.check_cell(params.alpha, params.mu)
     admit(psi, mode)
     if profile.focus != psi.labels[0]:
         raise UnsupportedStateClassError("the profile's focus must be the state's first qubit")
-    split, n = profile.split_index, 1 + len(profile.pair_concurrences)
+    orderings = Orderings.of(np.array([profile.pair_concurrences]), relabel=False)
+    split = orderings.split_index(0)
+    if split != profile.split_index:
+        raise ParameterError(f"split {profile.split_index!r} invalid for {1 + len(profile.pair_concurrences)} "
+                             f"parties; the profile's pair concurrences give {split!r}")
     if split is None:
         which = "weighted upper bound" if bound.upper else "weighted bound"
         raise PreconditionError(f"ordering hypothesis unsatisfied; the {which} is not claimed")
-    weight_ladder(n, split, params.mu)  # raises on a split no n-qubit profile has
-    pairs, code = np.array([profile.pair_concurrences]), np.array([n - 2 if split == FULL else split])
-    columns = ladder_terms(cut_probabilities(psi), pairs, code, [(params.alpha, params.mu)])
+    columns = bound.columns(cut_probabilities(psi), orderings.pairs, orderings.split, [(params.alpha, params.mu)])
     kind = f"{bound.kind}-full" if split == FULL else f"{bound.kind}-split-{split}"
     return BoundReport.from_columns(kind, columns, bound.upper, params.alpha, params.mu)
 
@@ -430,7 +445,7 @@ def profile_report(psi: StateVector, profile: OrderingProfile, params: AlphaMu, 
     feats = PureFeatures.of_state(psi)
     partners = psi.labels[1:]
     if sorted(profile.party_order) == sorted(partners):
-        pairs = feats.pair_concurrences[:, [partners.index(label) for label in profile.party_order]]
+        pairs = BOUNDS[mode].ordered_by(feats)[:, [partners.index(label) for label in profile.party_order]]
         own = Orderings.of(pairs, relabel=False).profile(
             0, (psi.labels[0], *profile.party_order), float(feats.cut_concurrence[0]))
         if own == profile:
@@ -479,11 +494,14 @@ class Bound(NamedTuple):
 
     A campaign's default mu grid; the report kind (a ladder report adds its
     split); an upper bound on the left side, or a lower one; the cell check
-    and the cells of an alpha and a mu grid; and ``columns``, (features,
-    pairs, splits, cells) to the (lhs, weights, terms) of ``bound_values``.
-    With a ``hypothesis`` only states whose profile admits a ladder are
-    claimed, and pairs (B, n-1) and splits (B,) are their party-ordered pair
-    concurrences and ``Orderings.split`` codes; otherwise both are None.
+    and the cells of an alpha and a mu grid; and ``columns``, (cut_probs,
+    pairs, splits, cells) to the (lhs, weights, terms) of ``bound_values``,
+    the one route to a mode's values.  ``ordered_by`` reads from
+    ``PureFeatures`` the (B, n-1) pair column whose ordering
+    (``Orderings.of``) decides the ladder; only states it admits are
+    claimed, and pairs and splits (B,) are their party-ordered column and
+    ``Orderings.split`` codes.  A mode without one (None) claims every state
+    and reads the pair concurrences in label order, with splits None.
     The state rule: ``require_qubits`` refuses a qubit count, and states of
     ``wclass_from`` qubits or more must be W-class.
     """
@@ -494,7 +512,7 @@ class Bound(NamedTuple):
     check_cell: Callable
     cells: Callable
     columns: Callable
-    hypothesis: bool = False
+    ordered_by: Callable | None = None
     require_qubits: Callable[[int], None] = lambda n_qubits: None
     wclass_from: float = math.inf
 
@@ -508,8 +526,7 @@ def _ladder(mu_grid, kind: str, upper: bool, require_cell, wclass_from: int) -> 
     """A weighted ladder mode: every (alpha, mu) cell, three qubits or more (a pair and a tail)."""
     return Bound(mu_grid, kind, upper, lambda alpha, mu: require_cell(AlphaMu(alpha, mu)),
                  lambda alphas, mus: [(alpha, mu) for alpha in alphas for mu in mus],
-                 lambda feats, pairs, splits, cells: ladder_terms(feats.cut_probs, pairs, splits, cells),
-                 hypothesis=True, require_qubits=_require_partners, wclass_from=wclass_from)
+                 ladder_terms, PureFeatures.pair_concurrences.fget, _require_partners, wclass_from)
 
 
 # Polygamy needs W-class states, whose pair terms are assisted values;
@@ -520,6 +537,5 @@ BOUNDS = {
     "polygamy": _ladder((0.25, 0.5, 0.75, 1.0), "assist", True, AlphaMu.require_polygamy, wclass_from=3),
     "lemma1": Bound((2.0, 3.0, 4.0), "lemma1", False, lambda alpha, x: require_lemma1_power(x),
                     lambda alphas, xs: [(None, x) for x in xs], lemma1_terms, require_qubits=_require_three),
-    "ckw": Bound((2.0,), "ckw", False, lambda alpha, mu: None, lambda alphas, mus: [(None, None)],
-                 lambda feats, *_: squared_terms(feats, feats.pair_concurrences)),
+    "ckw": Bound((2.0,), "ckw", False, lambda alpha, mu: None, lambda alphas, mus: [(None, None)], squared_terms),
 }

@@ -46,4 +46,4 @@ def coa_polygamy_check(psi: StateVector) -> BoundReport:
     if psi.n_qubits > 6:
         raise SizeError(f"capped at 6 qubits, got {psi.n_qubits}")
     feats = PureFeatures.of_state(psi)
-    return BoundReport.from_columns("coa-polygamy", squared_terms(feats, feats.pair_coas), upper=True)
+    return BoundReport.from_columns("coa-polygamy", squared_terms(feats.cut_probs, feats.pair_coas), upper=True)

@@ -141,9 +141,10 @@ def random_wclass(n_parties: int, seed: int) -> WClassState:
 
     The partner amplitudes are ordered by decreasing modulus, the labeling
     under which the ordering hypotheses are most likely to hold.  The
-    one-row case of ``wclass_coefficients``.
+    one-row case of ``wclass_coefficients``; a party count outside [3,
+    MAX_QUBITS] raises SizeError before anything is drawn.
     """
-    if n_parties < 3:
-        raise SizeError(f"need at least 3 parties, got {n_parties}")
+    if not 3 <= n_parties <= MAX_QUBITS:  # before the draw sizes its arrays
+        raise SizeError(f"need 3 to {MAX_QUBITS} parties, got {n_parties}")
     z = wclass_coefficients(n_parties, [seed])[0]
     return WClassState(z[0], tuple(z[1:]))

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -88,6 +89,17 @@ class TestEval:
         report = json.loads(capsys.readouterr().out)["report"]
         assert report["lhs"] == 0.0 and report["rhs"] == 0.0
 
+    def test_product_state_zeros_have_no_sign(self, product_file, tmp_path, capsys):
+        # above alpha = 1 the entropy of a pure cut is log2(1) / (1 - alpha) = -0.0,
+        # which printed as "-0.0" in the report and "-0" in the witness row at odd mu
+        assert main(["eval", product_file, "--alpha", "1.2", "--mu", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert [math.copysign(1.0, report[key]) for key in ("lhs", "rhs", "margin")] == [1.0] * 3
+        out = tmp_path / "witness.csv"
+        assert main(["fuzz", "--mode", "monogamy", "--class", "file", "--state", product_file,
+                     "--alpha", "1.2", "--mu", "3", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "0,monogamy,file,3,0,1.2,3,,0,0,0,0"
+
     def test_unreadable_file(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "missing.json"), "--mu", "2"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -163,6 +175,16 @@ class TestReproduce:
 
 
 class TestFuzz:
+    def test_campaign_with_every_state_skipped(self, tmp_path, capsys):
+        # no 10-qubit W-class state of these seeds has a ladder: every chunk
+        # returns before the columns, and the campaign claims nothing
+        witness = tmp_path / "witness.csv"
+        assert main(["fuzz", "--mode", "polygamy", "--class", "wclass", "--qubits", "10",
+                     "--states", "200", "--seed", "3", "--out", str(witness)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["n_records"], out["n_skipped"], out["split_histogram"]["none"]) == (0, 200, 200)
+        assert witness.read_text() == "index,mode,class,qubits,state_seed,alpha,mu,t,lhs,rhs,margin,baseline_rhs\n"
+
     def test_scalar_grid_passes(self, capsys):
         code = main(["fuzz", "--mode", "scalar", "--mu", "0.5,2,4", "--tolerance", "1e-12"])
         out = json.loads(capsys.readouterr().out)

@@ -121,6 +121,18 @@ class TestFigureData:
         with pytest.raises(ConfigError):
             figure_rows("fig3")
 
+    @pytest.mark.parametrize("alpha", [REFERENCE_ALPHA, 1.0, 1.2])
+    @pytest.mark.parametrize("figure", ["fig1", "fig2"])
+    def test_rows_equal_the_public_bounds(self, figure, alpha):
+        # every ladder route reads the mode's BOUNDS columns: a figure row is
+        # the public bound's report on the figure's state, bit for bit
+        psi, bound = (reference_schmidt_state(), theorem_bound) if figure == "fig1" else (w_state(3), theorem3_bound)
+        profile = detect_ordering(psi)
+        assert profile.split_index == "full"
+        for mu, lhs, ours, prior in figure_rows(figure, alpha)[1]:
+            report = bound(psi, profile, AlphaMu(alpha, mu))
+            assert (lhs, ours, prior) == (report.lhs, report.rhs, report.baseline_rhs)
+
     def test_csv_determinism(self):
         assert figure_csv("fig1") == figure_csv("fig1")
         first = figure_csv("fig2").splitlines()

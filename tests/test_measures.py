@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import weakref
 
@@ -69,8 +70,11 @@ def w_marginal():
 
 class TestRenyiEntropy:
     def test_pure_spectrum_is_zero(self):
-        for alpha in (0.5, ALPHA_LO, 1.0, 2.0):
+        # 0.0 without a sign: above alpha = 1, log2(1) / (1 - alpha) is -0.0
+        for alpha in (0.5, ALPHA_LO, 1.0, 1.2, 2.0):
+            assert math.copysign(1.0, renyi_entropy([1.0, 0.0], alpha)) == 1.0
             assert renyi_entropy([1.0, 0.0], alpha) == 0.0
+            assert np.signbit(renyi_entropy(np.array([[1.0, 0.0], [0.0, 1.0]]), alpha)).tolist() == [False] * 2
 
     def test_maximally_mixed_qubit(self):
         for alpha in (0.5, ALPHA_LO, 0.9999999, 2.0):

@@ -81,6 +81,12 @@ class TestWeightLadder:
         with pytest.raises(ParameterError):
             weight_ladder(4, 0, 2.0)
 
+    @pytest.mark.parametrize("n_parties, split", [(5, 1.5), (5, "1"), (5.0, FULL), (5, True), (True, FULL)])
+    def test_non_integer_counts_and_splits_are_refused(self, n_parties, split):
+        # 1.5 and "1" read as split 1, 5.0 failed in range(), True is no count
+        with pytest.raises(ParameterError, match="integer"):
+            weight_ladder(n_parties, split, 2.0)
+
     def test_power_cap_keeps_every_ladder_finite(self):
         # the largest weight is (2^mu - 1)^(N-2); past the cap, 2.0**mu overflowed
         for split in (FULL, *range(1, MAX_QUBITS - 2)):

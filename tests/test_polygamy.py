@@ -35,6 +35,8 @@ from monoq import (
     wclass_from_state,
     wootters_concurrence,
 )
+from monoq import wclass
+from monoq.core import MAX_QUBITS
 from monoq.errors import InvalidSubsystemError
 from monoq.measures import ALPHA_WINDOW, f_alpha
 
@@ -114,8 +116,10 @@ class TestReoaCut:
         assert abs(reoa_cut(w_state(), 0.823) - 0.932108) < 1e-6
 
     def test_product_state(self):
+        # 0.0 without a sign: above alpha = 1, log2(1) / (1 - alpha) is -0.0
         _, psi = build_wclass(1.0, (0.0, 0.0))
-        assert reoa_cut(psi, 0.9) == 0.0
+        for alpha in (0.9, 1.2, 1.3):
+            assert reoa_cut(psi, alpha) == 0.0 and not np.signbit(reoa_cut(psi, alpha))
 
     def test_bell_with_spectator(self):
         amps = np.zeros(8, dtype=complex)
@@ -268,6 +272,17 @@ def test_wclass_state_validation():
             WClassState(bad, (0.6, 0.8))
         with pytest.raises(NormalizationError):
             WClassState(0.6, (0.8, bad))
+
+
+@pytest.mark.parametrize("n_parties", [2, MAX_QUBITS + 1, 10**6])
+def test_random_wclass_refuses_a_size_before_drawing(n_parties, monkeypatch):
+    # the draw of N parties holds 2N floats; a refused size must not reach it
+    def no_draw(seeds, width):
+        raise AssertionError(f"drew {width} amplitudes")
+
+    monkeypatch.setattr(wclass, "unit_gaussian_rows", no_draw)
+    with pytest.raises(SizeError, match=f"got {n_parties}"):
+        random_wclass(n_parties, seed=0)
 
 
 def test_theorem3_rejects_non_wclass_input():
