@@ -95,9 +95,9 @@ def figure_rows(figure: str, alpha: float = REFERENCE_ALPHA):
     pair sum.  ``fig2``: the W state over mu in [0, 1] step 0.01, whose pair
     concurrences are its assisted values.  The columns are the ``columns``
     of the figure's mode in ``monogamy.BOUNDS`` (monogamy, then polygamy),
-    read with the entry's ``ordered_by`` pair column in label order and split
-    code 1, one cell per mu, and added by ``bound_values``, as in a campaign;
-    no tabulated constants.
+    read with the entry's ``ordered_by`` pair column in label order and the
+    full ladder (splits None), one cell per mu, and added by
+    ``bound_values``, as in a campaign; no tabulated constants.
     """
     if figure == "fig1":
         psi, mus, bound = reference_schmidt_state(), [2.0 + k / 20.0 for k in range(161)], BOUNDS["monogamy"]
@@ -107,7 +107,7 @@ def figure_rows(figure: str, alpha: float = REFERENCE_ALPHA):
         raise ConfigError(f"unknown figure {figure!r}; expected fig1 or fig2")
     feats = PureFeatures.of_state(psi)
     cells = [(alpha, mu) for mu in mus]
-    columns = bound.columns(feats.cut_probs, bound.ordered_by(feats), np.array([1]), cells)
+    columns = bound.columns(feats.cut_probs, bound.ordered_by(feats), None, cells)
     block = bound_values(*columns, upper=bound.upper)[0].tolist()
     rows = [(mu, left, ours, prior) for mu, (left, ours, _, prior) in zip(mus, block)]
     return ("mu", "lhs", "ours", "prior"), rows

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import repeat
 from typing import Callable, NamedTuple
 
@@ -195,17 +196,17 @@ def weight_ladder(n_parties: int, split, mu: float) -> np.ndarray:
             f"split {split!r} invalid for {n_parties} parties; need 1 <= m <= N-3 or FULL"
         )
     try:
-        return _ladder_weights(n_parties, n_parties - 2 if split == FULL else split, mu)
+        return _ladder_weights(n_parties, n_parties - 2 if split == FULL else split, ladder_base(mu))
     except OverflowError:
         raise ParameterError(f"the weights of {n_parties} parties at mu {mu} overflow") from None
 
 
-def _ladder_weights(n_parties: int, code: int, mu: float) -> np.ndarray:
-    """``weight_ladder`` of an ``Orderings.split`` code in [1, n-2], unchecked.
+def _ladder_weights(n_parties: int, code: int, base: float) -> np.ndarray:
+    """The ladder of ratio ``base`` for an ``Orderings.split`` code in [1, n-2], unchecked.
 
-    The split formula at m = n - 2 is the full ladder (no middle block).
+    ``weight_ladder`` at base ``ladder_base(mu)``; the split formula at
+    m = n - 2 is the full ladder (no middle block).
     """
-    base = ladder_base(mu)
     head = [base**k for k in range(code)]
     width = n_parties - 2 - code  # the middle block's, 0 on the full ladder
     middle = [base ** (code + 1)] * width if width else []  # its power may overflow when unused
@@ -338,24 +339,6 @@ def require_lemma1_power(x: float) -> None:
     require_power(x, "x")
 
 
-def lemma1_terms(cut_probs: np.ndarray, pairs: np.ndarray, _splits, cells) -> tuple:
-    """Weighted concurrence-power columns (lhs, weights, terms), one cell per (None, x) of ``cells``.
-
-    Cell c of state b has lhs C_cut^x, C_cut the concurrence of the cut with
-    Schmidt probabilities ``cut_probs`` (B, 2), and terms (C_1^x, C_2^x) of
-    weights (1, 2^(x/2) - 1), the pair concurrences ``pairs`` (B, 2)
-    ordered so that C_1 >= C_2.  The states are three-qubit and every x
-    passed ``require_lemma1_power``; nothing is checked here.
-    """
-    xs = [x for _, x in cells]
-    cut, pairs = cut_concurrences(cut_probs), np.sort(pairs, axis=-1)[:, ::-1]
-    lhs, terms = np.empty((len(cut), len(xs))), np.empty((len(cut), len(xs), 2))
-    for c, x in enumerate(xs):
-        lhs[:, c], terms[:, c] = powers(cut, x), powers(pairs, x)
-    weights = np.array([(1.0, ladder_base(x / 2.0)) for x in xs])
-    return lhs, np.broadcast_to(weights, terms.shape), terms
-
-
 def lemma1_check(psi: StateVector, x: float) -> BoundReport:
     """Weighted concurrence-power inequality on a pure three-qubit state.
 
@@ -367,29 +350,31 @@ def lemma1_check(psi: StateVector, x: float) -> BoundReport:
     return _cell_report("lemma1", enter(psi, "lemma1"), (None, x))
 
 
-def ladder_terms(cut_probs: np.ndarray, pairs: np.ndarray, splits: np.ndarray, cells) -> tuple:
-    """Ladder-weighted columns (lhs, weights, terms), one cell per (alpha, mu) of ``cells``.
+def ladder_terms(cut_probs: np.ndarray, pairs: np.ndarray, splits, cells, *, value: Callable, base: Callable) -> tuple:
+    """Weighted power-ladder columns (lhs, weights, terms), one cell per (alpha, mu) of ``cells``.
 
-    The columns function of both ladder entries of ``BOUNDS``, and the one
-    route to their values: campaigns and replay (``harness._evaluate``),
-    ``ladder_report`` and ``harness.figure_rows`` all call it through its
-    entry.  ``cut_probs`` (B, 2) are the states' focus | rest Schmidt
-    probabilities; ``pairs`` (B, n-1) are their pair concurrences in party
-    order (``Orderings.pairs``) and ``splits`` (B,) each state's ladder as an
-    ``Orderings.split`` code.  The left side is the cut entanglement raised
-    to mu.  The terms are ``f_alpha`` at each squared pair concurrence,
-    raised to mu, in party order, each with the weight of the state's
-    ladder.  The cut entropy and pair ``f_alpha`` values are computed once
-    per distinct alpha, and each ladder's weights once per cell.  The same
-    columns serve the monogamy lower bound and the polygamy upper bound on
-    assisted entanglement: on W-class states each pair concurrence equals
-    the pair's concurrence of assistance.  Every split code is nonzero and
-    every cell inside its theorem's window; nothing is checked here.
+    The one function that builds a weighted power ladder: the columns of
+    every ladder entry of ``BOUNDS``, which binds ``value`` and ``base``, and
+    the one route to their values.  Campaigns and replay
+    (``harness._evaluate``), ``ladder_report``, ``_cell_report`` and
+    ``harness.figure_rows`` all call it through its entry.  ``cut_probs``
+    (B, 2) are the states' focus | rest Schmidt probabilities; ``pairs``
+    (B, n-1) their pair concurrences, in party order (``Orderings.pairs``)
+    for a mode with an ordering; ``splits`` (B,) each state's ladder as an
+    ``Orderings.split`` code, or None for the full ladder of every state.
+    ``value(cut_probs, pairs, alpha)`` gives the (B,) cut value and the
+    (B, n-1) pair values, computed once per distinct alpha.  The left side
+    is the cut value raised to mu, the terms are the pair values raised to
+    mu, in the order ``value`` gives them, and the weights are the ladder of
+    ratio ``base(mu)`` for each state's split, built once per cell.  Every
+    split code is nonzero and every cell inside its bound's window; nothing
+    is checked here.
     """
     b, k = pairs.shape
+    splits = np.full(b, k - 1) if splits is None else splits
     codes = set(splits.tolist())
     spectra = {
-        alpha: (renyi_entropy(cut_probs, alpha), f_alpha(pairs * pairs, alpha))
+        alpha: value(cut_probs, pairs, alpha)
         for alpha in dict.fromkeys(alpha for alpha, _ in cells)  # distinct, in cell order
     }
     lhs = np.empty((b, len(cells)))
@@ -397,11 +382,26 @@ def ladder_terms(cut_probs: np.ndarray, pairs: np.ndarray, splits: np.ndarray, c
     for c, (alpha, mu) in enumerate(cells):
         cut, pair = spectra[alpha]
         lhs[:, c], terms[:, c] = powers(cut, mu), powers(pair, mu)
-        table = np.empty((k, k))  # weights per split code, n - 2 = k - 1 the full ladder
+        table, ratio = np.empty((k, k)), base(mu)  # weights per split code, k - 1 the full ladder
         for code in codes:
-            table[code] = _ladder_weights(k + 1, code, mu)
+            table[code] = _ladder_weights(k + 1, code, ratio)
         weights[:, c] = table[splits]
     return lhs, weights, terms
+
+
+def _renyi_values(cut_probs: np.ndarray, pairs: np.ndarray, alpha: float) -> tuple:
+    """The ladder modes' values: the Renyi-alpha cut entropy and ``f_alpha`` at each squared pair.
+
+    On W-class states each pair concurrence equals the pair's concurrence of
+    assistance, so the same values serve the monogamy lower bound and the
+    polygamy upper bound on assisted entanglement.
+    """
+    return renyi_entropy(cut_probs, alpha), f_alpha(pairs * pairs, alpha)
+
+
+def _lemma1_values(cut_probs: np.ndarray, pairs: np.ndarray, _alpha) -> tuple:
+    """lemma1's values: the cut concurrence, and the pair concurrences so that C_1 >= C_2."""
+    return cut_concurrences(cut_probs), np.sort(pairs, axis=-1)[:, ::-1]
 
 
 def ladder_report(psi: StateVector, profile: OrderingProfile, params: AlphaMu, mode: str) -> BoundReport:
@@ -496,13 +496,15 @@ class Bound(NamedTuple):
     split); an upper bound on the left side, or a lower one; the cell check
     and the cells of an alpha and a mu grid; and ``columns``, (cut_probs,
     pairs, splits, cells) to the (lhs, weights, terms) of ``bound_values``,
-    the one route to a mode's values.  ``ordered_by`` reads from
+    the one route to a mode's values.  A weighted ladder's ``columns`` is
+    ``ladder_terms`` with the entry's value function and ladder base bound,
+    so a ladder variant is one entry.  ``ordered_by`` reads from
     ``PureFeatures`` the (B, n-1) pair column whose ordering
     (``Orderings.of``) decides the ladder; only states it admits are
     claimed, and pairs and splits (B,) are their party-ordered column and
     ``Orderings.split`` codes.  A mode without one (None) claims every state
-    and reads the pair concurrences in label order, with splits None.
-    The state rule: ``require_qubits`` refuses a qubit count, and states of
+    and reads the pair concurrences in label order, with splits None, the
+    full ladder.  The state rule: ``require_qubits`` refuses a qubit count, and states of
     ``wclass_from`` qubits or more must be W-class.
     """
 
@@ -523,19 +525,23 @@ class Bound(NamedTuple):
 
 
 def _ladder(mu_grid, kind: str, upper: bool, require_cell, wclass_from: int) -> Bound:
-    """A weighted ladder mode: every (alpha, mu) cell, three qubits or more (a pair and a tail)."""
+    """A Renyi ladder mode: every (alpha, mu) cell, three qubits or more (a pair and a tail)."""
     return Bound(mu_grid, kind, upper, lambda alpha, mu: require_cell(AlphaMu(alpha, mu)),
                  lambda alphas, mus: [(alpha, mu) for alpha in alphas for mu in mus],
-                 ladder_terms, PureFeatures.pair_concurrences.fget, _require_partners, wclass_from)
+                 partial(ladder_terms, value=_renyi_values, base=ladder_base),
+                 PureFeatures.pair_concurrences.fget, _require_partners, wclass_from)
 
 
 # Polygamy needs W-class states, whose pair terms are assisted values;
 # monogamy needs them beyond three qubits, where tails are root sums of
-# squared pair concurrences on W-class states only.
+# squared pair concurrences on W-class states only.  lemma1 is the scalar
+# inequality at x / 2 applied to squared concurrences, hence its base.
 BOUNDS = {
     "monogamy": _ladder((2.0, 3.0, 5.0), "ladder", False, AlphaMu.require_monogamy, wclass_from=4),
     "polygamy": _ladder((0.25, 0.5, 0.75, 1.0), "assist", True, AlphaMu.require_polygamy, wclass_from=3),
     "lemma1": Bound((2.0, 3.0, 4.0), "lemma1", False, lambda alpha, x: require_lemma1_power(x),
-                    lambda alphas, xs: [(None, x) for x in xs], lemma1_terms, require_qubits=_require_three),
+                    lambda alphas, xs: [(None, x) for x in xs],
+                    partial(ladder_terms, value=_lemma1_values, base=lambda x: ladder_base(x / 2)),
+                    require_qubits=_require_three),
     "ckw": Bound((2.0,), "ckw", False, lambda alpha, mu: None, lambda alphas, mus: [(None, None)], squared_terms),
 }
