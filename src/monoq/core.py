@@ -427,18 +427,21 @@ def state_from_dict(data: dict) -> StateVector:
     """Build a StateVector from the JSON wire format.
 
     Expected keys: ``n_qubits``, ``labels`` and ``amplitudes`` as
-    ``[[re, im], ...]`` in tensor order.  Qubit counts outside
+    ``[[re, im], ...]`` in tensor order.  Qubit counts that are not
+    integers (``is_int``: not ``3.0``, ``"3"`` or ``true``) or lie outside
     [1, MAX_QUBITS], wrong-length arrays, non-finite amplitudes, real or
     imaginary parts above 1 + 1e-9 in modulus and norms outside 1 +/- 1e-9
     are rejected.  The amplitudes are divided by their norm only where
     StateVector would reject them, so a saved state loads back as itself.
     """
     try:
-        n = int(data["n_qubits"])
+        n = data["n_qubits"]
         labels = tuple(str(x) for x in data["labels"])
         pairs = np.asarray(data["amplitudes"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IoError(f"malformed state record: {exc}") from exc
+    if not is_int(n):
+        raise IoError(f"n_qubits must be an integer, got {n!r}")
     if not 1 <= n <= MAX_QUBITS:
         raise IoError(f"n_qubits must lie in [1, {MAX_QUBITS}], got {n}")
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] != 2**n:

@@ -141,7 +141,8 @@ class CampaignConfig:
     ``mu_grid`` and ``state_class`` default by mode: the mode's mu grid, and
     W-class states for a bound that needs them from three qubits on
     (polygamy), Haar otherwise.  A ``state_file`` (a str or os.PathLike
-    path) makes the class ``file``; any other class with one is refused.  A
+    path) makes the class ``file``; any other class with one, and the
+    scalar mode, which reads no state, are refused.  A
     campaign whose bound claims nothing is refused here, before the first
     draw (see ``_require_claims``).
     """
@@ -184,6 +185,8 @@ class CampaignConfig:
             raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
         if self.state_file is not None and not isinstance(self.state_file, (str, os.PathLike)):
             raise ConfigError(f"state_file must be a str or os.PathLike path, got {self.state_file!r}")
+        if self.state_file is not None and bound is None:
+            raise ConfigError("scalar campaigns read no state file")
         if self.state_file is not None and self.state_class != "file":
             raise ConfigError(f"a state file is read by class 'file' only, got class {self.state_class!r}")
         if self.state_class == "file" and not self.state_file:
@@ -214,7 +217,7 @@ def parse_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read config file {path}: {exc}") from exc
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

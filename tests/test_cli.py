@@ -312,6 +312,13 @@ class TestFuzz:
         assert out["n_sampled"] == 15  # CLI beats file
         assert out["seed"] == 9
 
+    def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        # the decode error escaped as a traceback with exit 3
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"mode=ckw\nstates=4\xff\n")
+        assert main(["fuzz", "--config", str(cfg)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("MONOQ_SEED", "777")
         main(["fuzz", "--mode", "ckw", "--states", "5", "--qubits", "3"])

@@ -282,6 +282,16 @@ class TestStateFiles:
         with pytest.raises(IoError):
             state_from_dict(data)
 
+    @pytest.mark.parametrize("n", [3.7, "3", True, 3.0], ids=["3.7", "str-3", "true", "3.0"])
+    def test_rejects_qubit_count_that_is_not_an_integer(self, n, tmp_path):
+        # int() used to truncate these, so a W_3 file with 3.7 loaded as three qubits
+        data = state_to_dict(w_state())
+        data["n_qubits"] = n
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(IoError, match="n_qubits must be an integer"):
+            load_state(path)
+
     def test_rejects_oversized_integer_in_file(self, tmp_path):
         path = tmp_path / "huge.json"
         path.write_text('{"n_qubits": ' + "9" * 5000 + "}")

@@ -168,6 +168,15 @@ class TestConfig:
             with pytest.raises(ConfigError, match="at most"):
                 CampaignConfig(mode=mode, mu_grid=(2.0, MU_MAX + 1.0))
 
+    def test_scalar_campaign_refuses_a_state_file(self):
+        # the scalar grid reads no state; the file was ignored and reported as class "file"
+        for fields in ({"state_file": "/no/such/file.json"},
+                       {"state_file": "/no/such/file.json", "state_class": "file"}):
+            with pytest.raises(ConfigError, match="scalar campaigns read no state file"):
+                CampaignConfig(mode="scalar", **fields)
+        with pytest.raises(ConfigError, match="scalar campaigns read no state file"):
+            build_config({"mode": "scalar", "state": "/no/such/file.json"})
+
     def test_grid_parsing(self):
         config = build_config({"mode": "monogamy", "alpha": "0.8229,1.3027", "mu": "2,3,5"})
         assert config.alpha_grid == (0.8229, 1.3027)

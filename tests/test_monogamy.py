@@ -28,8 +28,9 @@ from monoq import (
 )
 from monoq.harness import reference_schmidt_state
 from monoq.core import MAX_QUBITS
-from monoq.measures import ALPHA_WINDOW, MU_MAX, f_alpha
-from monoq.monogamy import ORDERING_ATOL, Orderings, bound_values, powers
+from monoq.harness import CampaignConfig, run_campaign
+from monoq.measures import ALPHA_WINDOW, MU_MAX, PureFeatures, f_alpha
+from monoq.monogamy import BOUNDS, ORDERING_ATOL, Orderings, bound_values, ladder_base, powers
 
 ALPHA_LO, ALPHA_HI = ALPHA_WINDOW
 SQRT6_OVER_6 = np.sqrt(6.0) / 6.0
@@ -334,6 +335,40 @@ class TestLemma1:
     def test_four_qubits_rejected(self):
         with pytest.raises(UnsupportedStateClassError):
             lemma1_check(haar_random_state(4, seed=2), 2.0)
+
+    @pytest.mark.parametrize("x", [2.0, 2.5, 3.0, 4.0, 7.3])
+    def test_ladder_is_the_scalar_lemma_at_half_the_power(self, x):
+        # the lemma at x / 2 on squared concurrences, not the paper's base at x
+        for psi in (w_state(), reference_schmidt_state(), haar_random_state(3, seed=5)):
+            assert [w for w, _ in lemma1_check(psi, x).rhs_terms] == [1.0, ladder_base(x / 2)]
+
+    def test_campaign_rhs_is_the_sorted_pair_ladder(self):
+        # bit for bit: 0.0 + 1.0 * C_1^x + (2^(x/2) - 1) * C_2^x with C_1 >= C_2
+        xs = (2.0, 2.5, 3.0, 4.0, 7.3)
+        result = run_campaign(CampaignConfig(mode="lemma1", n_states=40, n_qubits=3, seed=27, mu_grid=xs))
+        assert len(result.records) == 40 * len(xs)
+        unsorted = 0
+        for record in result.records:
+            pairs = PureFeatures.of_state(haar_random_state(3, record.state_seed)).pair_concurrences[0].tolist()
+            unsorted += pairs[0] < pairs[1]
+            c1, c2 = sorted(pairs, reverse=True)
+            x = record.mu
+            expected = 0.0 + 1.0 * math.pow(c1, x) + ladder_base(x / 2) * math.pow(c2, x)
+            assert record.rhs.hex() == expected.hex()
+        assert unsorted  # some states list the smaller pair first
+
+
+class TestLadderColumns:
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("mode", ["monogamy", "polygamy"])
+    def test_no_splits_is_the_full_ladder(self, mode, n):
+        # splits None reads as the full ladder at every party count, not as split 1
+        feats = PureFeatures.of(np.stack([random_wclass(n, seed).to_state_vector().amplitudes for seed in range(4)]))
+        bound, cells = BOUNDS[mode], [(0.9, 2.0), (1.2, 0.5)]
+        _, weights, _ = bound.columns(feats.cut_probs, feats.pair_concurrences, None, cells)
+        full = bound.columns(feats.cut_probs, feats.pair_concurrences, np.full(4, n - 2), cells)
+        assert weights.tobytes() == full[1].tobytes()
+        assert weights[0, 0].tolist() == weight_ladder(n, FULL, 2.0).tolist()
 
 
 class TestTheoremBound:
