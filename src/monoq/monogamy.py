@@ -504,8 +504,8 @@ class Bound(NamedTuple):
     claimed, and pairs and splits (B,) are their party-ordered column and
     ``Orderings.split`` codes.  A mode without one (None) claims every state
     and reads the pair concurrences in label order, with splits None, the
-    full ladder.  The state rule: ``require_qubits`` refuses a qubit count, and states of
-    ``wclass_from`` qubits or more must be W-class.
+    full ladder.  The state rule: ``require_qubits`` refuses a qubit count,
+    and states of ``wclass_from`` qubits or more must be W-class.
     """
 
     mu_grid: tuple[float, ...]
