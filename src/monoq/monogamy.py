@@ -362,6 +362,7 @@ def ladder_terms(cut_probs: np.ndarray, pairs: np.ndarray, splits, cells, *, val
     (B, n-1) their pair concurrences, in party order (``Orderings.pairs``)
     for a mode with an ordering; ``splits`` (B,) each state's ladder as an
     ``Orderings.split`` code, or None for the full ladder of every state.
+    lemma1's cells are (None, x): its power x plays mu.
     ``value(cut_probs, pairs, alpha)`` gives the (B,) cut value and the
     (B, n-1) pair values, computed once per distinct alpha.  The left side
     is the cut value raised to mu, the terms are the pair values raised to

@@ -26,9 +26,8 @@ from monoq import (
     w_state,
     weight_ladder,
 )
-from monoq.harness import reference_schmidt_state
 from monoq.core import MAX_QUBITS
-from monoq.harness import CampaignConfig, run_campaign
+from monoq.harness import CampaignConfig, reference_schmidt_state, run_campaign
 from monoq.measures import ALPHA_WINDOW, MU_MAX, PureFeatures, f_alpha
 from monoq.monogamy import BOUNDS, ORDERING_ATOL, Orderings, bound_values, ladder_base, powers
 

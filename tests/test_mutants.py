@@ -17,4 +17,3 @@ def test_old_text_occurs_once(mutant):
     assert (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old) == 1
     assert mutant.new != mutant.old
     assert mutant.tests and all((ROOT / test.split("::")[0]).is_file() for test in mutant.tests)
-

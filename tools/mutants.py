@@ -74,6 +74,59 @@ MUTANTS = (
            "        best = min(best, float(np.min(_decomposition_average(phi, alpha))))\n"
            "    return best",
            ("tests/test_measures.py::TestConvexRoofOracle::test_no_decomposition_block_outlives_its_fold",)),
+    Mutant("the 2x2 l2 = D / l1 unguarded at l1 = 0", "src/monoq/measures.py",
+           "l2 = np.divide(np.abs(a * d - b * b), l1, out=np.zeros_like(l1), where=l1 > 0.0)",
+           "l2 = np.abs(a * d - b * b) / l1",
+           ("tests/test_pair_lambdas.py::test_closed_form_of_zero_matrices_takes_no_division",)),
+    Mutant("the smallest admissible split, not the largest", "src/monoq/monogamy.py",
+           "last = np.argmax(admissible[:, ::-1], axis=1)\n"
+           "        split = np.where(admissible.any(axis=1), n - 2 - last, 0)",
+           "first = np.argmax(admissible, axis=1)\n"
+           "        split = np.where(admissible.any(axis=1), first + 1, 0)",
+           ("tests/test_monogamy.py::TestOrderingStack",)),
+    Mutant("lemma1_check checks x after the qubit count", "src/monoq/monogamy.py",
+           '    BOUNDS["lemma1"].check_cell(None, x)  # after the type, before the qubit count\n'
+           '    return _cell_report("lemma1", enter(psi, "lemma1"), (None, x))',
+           '    feats = enter(psi, "lemma1")\n'
+           '    BOUNDS["lemma1"].check_cell(None, x)\n'
+           '    return _cell_report("lemma1", feats, (None, x))',
+           ("tests/test_monogamy.py::TestLemma1::test_power_below_two_rejected",)),
+    Mutant("profile_report without its partner check", "src/monoq/monogamy.py",
+           "    if sorted(profile.party_order) == sorted(partners):", "    if True:",
+           ("tests/test_polygamy.py::test_bounds_reject_a_profile_of_another_state",)),
+    Mutant("the CSV writer takes a template before its fields", "src/monoq/harness.py",
+           "for line, template in zip(fields, templates)", "for template, line in zip(templates, fields)",
+           ("tests/test_harness.py::TestCampaigns::test_witness_csv_is_converted_a_chunk_at_a_time",)),
+    Mutant("W-class draws skip the mode's state rule", "src/monoq/harness.py",
+           'if bound.needs_wclass(n_qubits) and state_class != "wclass":',
+           'if state_class != "wclass" and bound.needs_wclass(n_qubits):',
+           ("tests/test_harness.py::TestConfig::test_impossible_lemma1_campaign_rejected_before_any_draw",)),
+    Mutant("a trial count need not be an integer", "src/monoq/measures.py",
+           "valid = operator.index(n_trials) >= 1", "valid = n_trials >= 1",
+           ("tests/test_measures.py::TestConvexRoofOracle::test_trial_count_must_be_a_positive_integer",)),
+    Mutant("the CoA search keeps only the last block's best", "src/monoq/measures.py",
+           "return max(0.0, *most)", "return max(0.0, list(most)[-1])",
+           ("tests/test_measures.py::TestConvexRoofOracle::test_values_do_not_depend_on_the_block_size",)),
+    Mutant("a polish rung below POLISH_XTOL counts", "src/monoq/measures.py",
+           "better = (least < val[:, None]) & (steps >= POLISH_XTOL)", "better = least < val[:, None]",
+           ("tests/test_measures.py::TestRungLadderPolish",)),
+    Mutant("the polish takes the best rung, not the first", "src/monoq/measures.py",
+           "cell = cells + better.argmax(axis=1)", "cell = cells + np.where(better, least, np.inf).argmin(axis=1)",
+           ("tests/test_measures.py::TestRungLadderPolish",)),
+    Mutant("the polish skips the clip of u to [0, 1]", "src/monoq/measures.py",
+           "poll_u = np.minimum(np.maximum(x_u[:, None, None] + moves[..., 0], 0.0), 1.0).ravel()",
+           "poll_u = (x_u[:, None, None] + moves[..., 0]).ravel()",
+           ("tests/test_measures.py::TestRungLadderPolish::test_polls_clipped_at_the_poles",)),
+    Mutant("the polish doubles h, not the winning rung's step", "src/monoq/measures.py",
+           "h = np.where(won, 2.0 * steps.ravel()[cell], 0.5 * steps[:, -1])",
+           "h = np.where(won, 2.0 * h, 0.5 * steps[:, -1])",
+           ("tests/test_measures.py::TestRungLadderPolish",)),
+    Mutant("a dropped limb carry", "src/monoq/core.py",
+           "    state_hi = product_hi + inc_hi + (state_lo < inc_lo)\n", "    state_hi = product_hi + inc_hi\n",
+           ("tests/test_seed_streams.py::test_pcg64_limbs_match_numpy_at_boundaries_and_carries",)),
+    Mutant("a swapped complex-product operand order", "src/monoq/measures.py",
+           "terms += mix * basis[::-1, :, None]", "terms += basis[::-1, :, None] * mix",
+           ("tests/test_measures.py::TestConvexRoofOracle::test_pinned_values",)),
     Mutant("a config file's decode error escapes", "src/monoq/harness.py",
            "except (OSError, UnicodeDecodeError) as exc:", "except OSError as exc:",
            ("tests/test_cli.py::TestFuzz::test_config_file_that_is_not_utf8_exits_2",)),
