@@ -87,6 +87,11 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number; a ``bool`` is not one here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def require_state_vector(psi) -> None:
     """Reject anything but a ``StateVector`` where a pure global state is read.
 

@@ -17,14 +17,13 @@ from __future__ import annotations
 import io
 import itertools
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import MAX_QUBITS, StateVector, is_int, load_state
+from .core import MAX_QUBITS, StateVector, is_int, is_real, load_state
 from .errors import ConfigError, IoError, ParameterError, PreconditionError, UnsupportedStateClassError
 from .measures import ALPHA_MAX, ALPHA_WINDOW, MU_MAX, PureFeatures
 from .monogamy import (
@@ -97,7 +96,10 @@ def figure_rows(figure: str, alpha: float = REFERENCE_ALPHA):
     of the figure's mode in ``monogamy.BOUNDS`` (monogamy, then polygamy),
     read with the entry's ``ordered_by`` pair column in label order and the
     full ladder (splits None), one cell per mu, and added by
-    ``bound_values``, as in a campaign; no tabulated constants.
+    ``bound_values``, as in a campaign; no tabulated constants.  The cells
+    are built here, not by the entry's ``cells``, so ``alpha`` need not lie
+    in the theorem's window: ``monoq reproduce --alpha`` takes any order
+    that ``f_alpha`` takes.
     """
     if figure == "fig1":
         psi, mus, bound = reference_schmidt_state(), [2.0 + k / 20.0 for k in range(161)], BOUNDS["monogamy"]
@@ -142,7 +144,8 @@ class CampaignConfig:
     W-class states for a bound that needs them from three qubits on
     (polygamy), Haar otherwise.  A ``state_file`` (a str or os.PathLike
     path) makes the class ``file``; any other class with one, and the
-    scalar mode, which reads no state, are refused.  A
+    scalar mode, which reads no state, are refused.  Each grid is a
+    nonempty tuple or list of numbers, stored as a tuple of floats.  A
     campaign whose bound claims nothing is refused here, before the first
     draw (see ``_require_claims``).
     """
@@ -177,9 +180,7 @@ class CampaignConfig:
             raise ConfigError(f"n_states must be at least 1, got {self.n_states}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if not self.alpha_grid or not self.mu_grid:
-            raise ConfigError("alpha and mu grids must be nonempty")
-        if not _is_real(self.tolerance):
+        if not is_real(self.tolerance):
             raise ConfigError(f"tolerance must be a number, got {self.tolerance!r}")
         if not self.tolerance > 0:
             raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
@@ -193,8 +194,8 @@ class CampaignConfig:
             raise ConfigError("state class 'file' needs a state file path")
         for name in ("alpha_grid", "mu_grid"):
             grid = getattr(self, name)
-            if not all(map(_is_real, grid)):
-                raise ConfigError(f"{name} values must be numbers, got {grid!r}")
+            if not (isinstance(grid, (tuple, list)) and grid and all(map(is_real, grid))):
+                raise ConfigError(f"{name} must be a nonempty tuple or list of numbers, got {grid!r}")
             object.__setattr__(self, name, tuple(map(float, grid)))
         if not all(map(math.isfinite, (self.tolerance, *self.alpha_grid, *self.mu_grid))):
             raise ConfigError(
@@ -209,7 +210,7 @@ class CampaignConfig:
             raise ConfigError(f"alpha values must be in (0, {ALPHA_MAX:g}], got {self.alpha_grid}")
         if bound is not None:
             seeded = None if self.state_class == "file" else self.state_class
-            _require_claims(self.mode, seeded, self.n_qubits, bound.cells(self.alpha_grid, self.mu_grid))
+            _require_claims(self.mode, seeded, self.n_qubits, self.alpha_grid, self.mu_grid)
 
 
 def parse_config_file(path) -> dict:
@@ -236,11 +237,9 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def parse_grid(text) -> tuple[float, ...]:
-    if isinstance(text, (tuple, list)):
-        return tuple(float(x) for x in text)
+def parse_grid(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in str(text).split(",") if part.strip())
+        return tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(f"bad numeric grid {text!r}: {exc}") from exc
 
@@ -263,14 +262,22 @@ def build_config(settings: dict) -> CampaignConfig:
     """Resolve a key=value mapping (file and/or CLI overrides) into a config.
 
     Unknown keys and None values are ignored; defaults come from
-    CampaignConfig.
+    CampaignConfig.  A ``str`` value is parsed by its key's parser (a
+    ValueError becomes a ConfigError naming the key); any other value goes
+    to ``CampaignConfig`` as it is, which checks its type.
     """
     if settings.get("mode") is None:
         raise ConfigError("campaign mode is required")
     kwargs = {}
     for key, (field, parse) in _SETTINGS.items():
-        if settings.get(key) is not None:
-            kwargs[field] = parse(settings[key])
+        value = settings.get(key)
+        if isinstance(value, str):
+            try:
+                value = parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {exc}") from exc
+        if value is not None:
+            kwargs[field] = value
     return CampaignConfig(**kwargs)
 
 
@@ -358,29 +365,22 @@ _DRAWS = {
 _DRAW_WIDTH = {"haar": lambda n: 2**n, "wclass": lambda n: n}
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _require_claims(mode: str, state_class: str | None, n_qubits: int, alphas, mus) -> list:
+    """The checked cells of a campaign's or a record's grids; ConfigError where its bound claims nothing.
 
-
-def _require_claims(mode: str, state_class: str | None, n_qubits: int, cells) -> None:
-    """Refuse a campaign or a record whose bound claims nothing, before the first draw.
-
-    Every cell must lie inside the mode's theorem.  A seeded ``state_class``
-    must be one ``_DRAWS`` can draw at ``n_qubits``, and its states must
-    meet the mode's state rule, as ``monogamy.enter`` applies it to a state
-    from outside: a Haar draw is never W-class.  ``state_class`` is None for
-    a state from outside, which ``enter`` checks when it is read.  Checked
-    by ``CampaignConfig`` and by ``replay_record``; the evaluators trust it.
-    ``n_qubits`` must be an integer and a cell's alpha and mu numbers (or
-    None where the mode has none).
+    Checked before the first draw, by ``CampaignConfig`` and by
+    ``replay_record``; the evaluators trust it.  ``n_qubits`` must be an
+    integer.  A seeded ``state_class`` must be one ``_DRAWS`` can draw at
+    ``n_qubits``, and its states must meet the mode's state rule, as
+    ``monogamy.enter`` applies it to a state from outside: a Haar draw is
+    never W-class.  ``state_class`` is None for a state from outside, which
+    ``enter`` checks when it is read.  Then the mode's entry builds the
+    cells (``Bound.cells``), each inside the mode's theorem, its alpha and
+    mu numbers where the mode reads them.
     """
     bound = BOUNDS[mode]
     if not is_int(n_qubits):
         raise ConfigError(f"n_qubits must be an integer, got {n_qubits!r}")
-    for cell in cells:
-        for name, value in zip(("alpha", "mu"), cell):
-            if not (value is None or _is_real(value)):
-                raise ConfigError(f"{mode} campaigns: {name} must be a number, got {value!r}")
     try:
         if state_class is not None:
             if state_class not in _DRAWS:
@@ -390,8 +390,7 @@ def _require_claims(mode: str, state_class: str | None, n_qubits: int, cells) ->
                 raise ConfigError(f"{state_class} states need n_qubits in [{low}, {MAX_QUBITS}], got {n_qubits}")
             if bound.needs_wclass(n_qubits) and state_class != "wclass":
                 raise ConfigError(f"{mode} campaigns on {n_qubits} qubits need W-class states, not {state_class}")
-        for cell in cells:
-            bound.check_cell(*cell)
+        return bound.cells(alphas, mus)
     except (ParameterError, UnsupportedStateClassError) as exc:
         raise ConfigError(f"{mode} campaigns: {exc}") from exc
 
@@ -412,6 +411,11 @@ class CampaignResult:
     ``cells`` holds, per cell, the fields its records share: (mode,
     state_class, n_qubits, alpha, mu, t).  Records run state-major and
     cell-minor; ``records`` and ``worst`` build ``WitnessRecord``s on demand.
+    In a mode with an ordering, ``split_histogram`` holds the states per
+    ladder (``"full"``, each split index, then ``"none"`` for skipped
+    states) and ``skip_reasons`` the skipped states per first failed ">="
+    condition (``"satisfied_ge[i]"``), as the summary prints them; both are
+    None in other modes.
     """
 
     config: CampaignConfig
@@ -422,11 +426,8 @@ class CampaignResult:
     n_sampled: int
     n_satisfied: int
     n_skipped: int
-    # ordering decisions, None in modes without a hypothesis: states per
-    # split code (0 for none, m for a split at m, n-2 for the full ladder),
-    # and skipped states per index of their first failed ">=" condition
-    split_counts: tuple[int, ...] | None = None
-    first_failed_ge: tuple[int, ...] | None = None
+    split_histogram: dict | None = None
+    skip_reasons: dict | None = None
 
     @property
     def n_records(self) -> int:
@@ -489,21 +490,6 @@ class CampaignResult:
             "skip_reasons": self.skip_reasons,
             "n_nonfinite_margins": self.n_nonfinite_margins,
         }
-
-    @property
-    def split_histogram(self) -> dict | None:
-        """States per ladder: ``"full"``, each split index, then ``"none"`` for skipped states."""
-        if self.split_counts is None:
-            return None
-        none, *splits, full = self.split_counts
-        return {"full": full, **{str(m): c for m, c in enumerate(splits, start=1)}, "none": none}
-
-    @property
-    def skip_reasons(self) -> dict | None:
-        """Skipped states per first failed condition, keyed ``"satisfied_ge[i]"``."""
-        if self.first_failed_ge is None:
-            return None
-        return {f"satisfied_ge[{i}]": c for i, c in enumerate(self.first_failed_ge)}
 
     def write_records_csv(self, stream) -> None:
         """Header, then the records as ``to_csv_row`` prints them, CSV_CHUNK_ROWS lines per write.
@@ -615,13 +601,17 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             skipped = orderings.ge[orderings.split == 0]
             decisions.append((np.bincount(orderings.split, minlength=n - 1),
                               np.bincount(np.argmin(skipped, axis=1), minlength=n - 2)))
-    counts = [tuple(np.sum(c, axis=0).tolist()) for c in zip(*decisions)] or [None, None]
+    histogram = reasons = None
+    if decisions:  # split code 0 is none, n-2 the full ladder
+        (none, *splits, full), first_failed = (np.sum(c, axis=0).tolist() for c in zip(*decisions))
+        histogram = {"full": full, **{str(m): c for m, c in enumerate(splits, start=1)}, "none": none}
+        reasons = {f"satisfied_ge[{i}]": c for i, c in enumerate(first_failed)}
     fields = (mode, config.state_class, n)
     index = np.concatenate(indices)
     return CampaignResult(config, tuple((*fields, alpha, mu, None) for alpha, mu in cells),
                           np.repeat(index[:, None], len(cells), axis=1), np.concatenate(seeds),
                           np.concatenate(blocks), n_sampled, len(index), n_sampled - len(index),
-                          *counts)
+                          histogram, reasons)
 
 
 def replay_record(record: WitnessRecord, state: StateVector | None = None) -> float:
@@ -629,19 +619,20 @@ def replay_record(record: WitnessRecord, state: StateVector | None = None) -> fl
 
     A state passed in enters through ``monogamy.enter``; a file-class
     record needs one.  A seeded record's state is drawn as a chunk of one
-    from its ``state_seed``, an int in [0, 2**64).  The record is checked by
-    ``_require_claims``, and the state evaluated, as in a campaign.
+    from its ``state_seed``, an integer in [0, 2**64).  The record is checked
+    by ``_require_claims``, and the state evaluated in the cell it returns, as
+    in a campaign.
     """
     if record.mode == "scalar":
         return _scalar_margin(record.t, record.mu)
     if record.mode not in BOUNDS:
         raise ConfigError(f"cannot replay mode {record.mode!r}")
-    cells = [(record.alpha, record.mu)]
-    _require_claims(record.mode, None if state is not None else record.state_class, record.n_qubits, cells)
+    cells = _require_claims(record.mode, None if state is not None else record.state_class, record.n_qubits,
+                            (record.alpha,), (record.mu,))
     if state is None:
         seed = record.state_seed
-        if not (isinstance(seed, int) and 0 <= seed < 2**64):
-            raise ConfigError(f"state_seed must be an int in [0, 2**64), got {seed!r}")
+        if not (is_int(seed) and 0 <= seed < 2**64):
+            raise ConfigError(f"state_seed must be an integer in [0, 2**64), got {seed!r}")
         feats = _DRAWS[record.state_class](record.n_qubits, np.array([seed], dtype=np.uint64))
     else:
         feats = enter(state, record.mode)
@@ -656,8 +647,8 @@ def falpha_table(alphas, points: int = 101):
     alphas = tuple(float(a) for a in alphas)
     if not alphas:
         raise ConfigError("need at least one alpha")
-    if points < 2:
-        raise ConfigError(f"need at least 2 grid points, got {points}")
+    if not is_int(points) or points < 2:
+        raise ConfigError(f"need an integer count of at least 2 grid points, got {points!r}")
     xs = np.linspace(0.0, 1.0, points)
     header = ("x",) + tuple(f"f_alpha={fmt12(a)}" for a in alphas)
     rows = [(float(x),) + tuple(measures.f_alpha(float(x), a) for a in alphas) for x in xs]

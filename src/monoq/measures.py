@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, StateVector, pair_blocks, require_state_vector, schmidt_probabilities
+from .core import DensityMatrix, StateVector, is_real, pair_blocks, require_state_vector, schmidt_probabilities
 from .errors import DomainError, InvalidSubsystemError, ParameterError, SizeError
 from .wclass import single_excitation_coefficients
 
@@ -43,7 +43,9 @@ ALPHA_MAX = 100.0
 
 
 def require_power(mu: float, name: str = "mu") -> None:
-    """Reject a power that is not a finite number in [0, MU_MAX]."""
+    """Reject a power that is not a finite number in [0, MU_MAX]; a ``bool`` is not a number."""
+    if not is_real(mu):
+        raise ParameterError(f"{name} must be a number, got {mu!r}")
     if not math.isfinite(mu):
         raise ParameterError(f"{name} must be finite, got {mu}")
     if mu < 0:
@@ -53,7 +55,9 @@ def require_power(mu: float, name: str = "mu") -> None:
 
 
 def _require_alpha(alpha: float) -> None:
-    """Reject a Renyi order that is not a finite number in (0, ALPHA_MAX]."""
+    """Reject a Renyi order that is not a finite number in (0, ALPHA_MAX]; a ``bool`` is not a number."""
+    if not is_real(alpha):
+        raise ParameterError(f"alpha must be a number, got {alpha!r}")
     if not math.isfinite(alpha):
         raise ParameterError(f"alpha must be finite, got {alpha}")
     if not alpha > 0:

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import StateVector, is_int, require_state_vector
+from .core import StateVector, is_int, is_real, require_state_vector
 from .errors import DomainError, ParameterError, PreconditionError, UnsupportedStateClassError
 from .measures import AlphaMu, PureFeatures, cut_concurrences, cut_probabilities, f_alpha, renyi_entropy, require_power
 from .wclass import require_wclass
@@ -307,11 +307,18 @@ def powers(values: np.ndarray, x: float) -> np.ndarray:
     return np.fromiter(map(math.pow, flat, repeat(x)), float, len(flat)).reshape(values.shape)
 
 
-def _cell_report(mode: str, feats: PureFeatures, cell) -> BoundReport:
-    """The report of a mode without an ordering on one entered state in one (alpha, mu) cell."""
+def _cell_report(mode: str, psi: StateVector, alphas, mus) -> BoundReport:
+    """The report of a mode without an ordering on one state from outside, in its one cell of the grids.
+
+    Checks the state's type, then the cell (the entry's ``cells``), then the
+    mode's state rule (``enter``).
+    """
+    require_state_vector(psi)
     bound = BOUNDS[mode]
-    columns = bound.columns(feats.cut_probs, feats.pair_concurrences, None, [cell])
-    return BoundReport.from_columns(bound.kind, columns, bound.upper, *cell)
+    cells = bound.cells(alphas, mus)
+    feats = enter(psi, mode)
+    columns = bound.columns(feats.cut_probs, feats.pair_concurrences, None, cells)
+    return BoundReport.from_columns(bound.kind, columns, bound.upper, *cells[0])
 
 
 def squared_terms(cut_probs: np.ndarray, pairs: np.ndarray, _splits=None, _cells=None) -> tuple:
@@ -329,14 +336,15 @@ def squared_terms(cut_probs: np.ndarray, pairs: np.ndarray, _splits=None, _cells
 
 def ckw_check(psi: StateVector) -> BoundReport:
     """Squared-concurrence monogamy: C^2 first qubit vs rest >= sum of pair C^2."""
-    return _cell_report("ckw", enter(psi, "ckw"), (None, None))
+    return _cell_report("ckw", psi, (None,), (None,))
 
 
-def require_lemma1_power(x: float) -> None:
-    """Reject a power outside the weighted concurrence inequality: below 2, or not a power."""
+def require_lemma1_power(x: float) -> float:
+    """``x``, refused unless it is a power (``require_power``) of the weighted concurrence inequality: x >= 2."""
+    require_power(x, "x")
     if x < 2:
         raise ParameterError(f"the weighted concurrence inequality needs x >= 2, got {x}")
-    require_power(x, "x")
+    return x
 
 
 def lemma1_check(psi: StateVector, x: float) -> BoundReport:
@@ -345,9 +353,7 @@ def lemma1_check(psi: StateVector, x: float) -> BoundReport:
     Checks C_cut^x >= C_1^x + (2^(x/2) - 1) C_2^x with the partners ordered
     so that C_1 >= C_2, for powers x >= 2.
     """
-    require_state_vector(psi)
-    BOUNDS["lemma1"].check_cell(None, x)  # after the type, before the qubit count
-    return _cell_report("lemma1", enter(psi, "lemma1"), (None, x))
+    return _cell_report("lemma1", psi, (None,), (x,))
 
 
 def ladder_terms(cut_probs: np.ndarray, pairs: np.ndarray, splits, cells, *, value: Callable, base: Callable) -> tuple:
@@ -368,8 +374,8 @@ def ladder_terms(cut_probs: np.ndarray, pairs: np.ndarray, splits, cells, *, val
     is the cut value raised to mu, the terms are the pair values raised to
     mu, in the order ``value`` gives them, and the weights are the ladder of
     ratio ``base(mu)`` for each state's split, built once per cell.  Every
-    split code is nonzero and every cell inside its bound's window; nothing
-    is checked here.
+    split code is nonzero.  Nothing is checked here: the entry's ``cells``
+    checks the cells of every caller but ``harness.figure_rows``.
     """
     b, k = pairs.shape
     splits = np.full(b, k - 1) if splits is None else splits
@@ -408,17 +414,17 @@ def _lemma1_values(cut_probs: np.ndarray, pairs: np.ndarray, _alpha) -> tuple:
 def ladder_report(psi: StateVector, profile: OrderingProfile, params: AlphaMu, mode: str) -> BoundReport:
     """The report of a ladder mode on one state and a profile measured on it, which it trusts.
 
-    Checks the cell, the state (``admit``) and the profile's focus.  The
-    ladder is decided again by ``Orderings.of`` from the profile's pair
-    concurrences in its party order: a profile whose ``split_index`` is not
-    that decision is refused (ParameterError), and PreconditionError means
-    no ladder applies.  The columns are the mode's entry of ``BOUNDS``, as in
-    a campaign; the pair terms come from the profile and only the state's
-    cut is read, so ``monoq eval`` computes a state's features once, in
-    ``detect_ordering``.
+    Checks the cell (the entry's ``cells``), the state (``admit``) and the
+    profile's focus.  The ladder is decided again by ``Orderings.of`` from
+    the profile's pair concurrences in its party order: a profile whose
+    ``split_index`` is not that decision is refused (ParameterError), and
+    PreconditionError means no ladder applies.  The columns are the mode's
+    entry of ``BOUNDS``, as in a campaign; the pair terms come from the
+    profile and only the state's cut is read, so ``monoq eval`` computes a
+    state's features once, in ``detect_ordering``.
     """
     bound = BOUNDS[mode]
-    bound.check_cell(params.alpha, params.mu)
+    cells = bound.cells((params.alpha,), (params.mu,))
     admit(psi, mode)
     if profile.focus != psi.labels[0]:
         raise UnsupportedStateClassError("the profile's focus must be the state's first qubit")
@@ -430,9 +436,9 @@ def ladder_report(psi: StateVector, profile: OrderingProfile, params: AlphaMu, m
     if split is None:
         which = "weighted upper bound" if bound.upper else "weighted bound"
         raise PreconditionError(f"ordering hypothesis unsatisfied; the {which} is not claimed")
-    columns = bound.columns(cut_probabilities(psi), orderings.pairs, orderings.split, [(params.alpha, params.mu)])
+    columns = bound.columns(cut_probabilities(psi), orderings.pairs, orderings.split, cells)
     kind = f"{bound.kind}-full" if split == FULL else f"{bound.kind}-split-{split}"
-    return BoundReport.from_columns(kind, columns, bound.upper, params.alpha, params.mu)
+    return BoundReport.from_columns(kind, columns, bound.upper, *cells[0])
 
 
 def profile_report(psi: StateVector, profile: OrderingProfile, params: AlphaMu, mode: str) -> BoundReport:
@@ -481,7 +487,7 @@ def scalar_weight_inequality(t: float, x: float) -> ScalarCheck:
 
     Nonnegative for x >= 1, nonpositive for 0 <= x <= 1, on t in [0, 1].
     """
-    if not 0.0 <= t <= 1.0:
+    if not (is_real(t) and 0.0 <= t <= 1.0):
         raise DomainError(f"t must lie in [0, 1], got {t}")
     require_power(x, "x")
     margin = (1.0 + t) ** x - 1.0 - ladder_base(x) * t**x
@@ -494,8 +500,10 @@ class Bound(NamedTuple):
     """Everything that depends on a mode of bound; ``BOUNDS`` holds one per mode.
 
     A campaign's default mu grid; the report kind (a ladder report adds its
-    split); an upper bound on the left side, or a lower one; the cell check
-    and the cells of an alpha and a mu grid; and ``columns``, (cut_probs,
+    split); an upper bound on the left side, or a lower one; ``cells``, the
+    cells of an alpha and a mu grid, each checked to lie inside the mode's
+    theorem (ParameterError otherwise): the only code that builds a cell,
+    apart from ``harness.figure_rows``; and ``columns``, (cut_probs,
     pairs, splits, cells) to the (lhs, weights, terms) of ``bound_values``,
     the one route to a mode's values.  A weighted ladder's ``columns`` is
     ``ladder_terms`` with the entry's value function and ladder base bound,
@@ -512,7 +520,6 @@ class Bound(NamedTuple):
     mu_grid: tuple[float, ...]
     kind: str
     upper: bool
-    check_cell: Callable
     cells: Callable
     columns: Callable
     ordered_by: Callable | None = None
@@ -526,10 +533,12 @@ class Bound(NamedTuple):
 
 
 def _ladder(mu_grid, kind: str, upper: bool, require_cell, wclass_from: int) -> Bound:
-    """A Renyi ladder mode: every (alpha, mu) cell, three qubits or more (a pair and a tail)."""
-    return Bound(mu_grid, kind, upper, lambda alpha, mu: require_cell(AlphaMu(alpha, mu)),
-                 lambda alphas, mus: [(alpha, mu) for alpha in alphas for mu in mus],
-                 partial(ladder_terms, value=_renyi_values, base=ladder_base),
+    """A Renyi ladder mode: the (alpha, mu) cells ``require_cell`` admits, three qubits or more (a pair and a tail)."""
+    def cells(alphas, mus):
+        checked = [require_cell(AlphaMu(alpha, mu)) for alpha in alphas for mu in mus]
+        return [(p.alpha, p.mu) for p in checked]
+
+    return Bound(mu_grid, kind, upper, cells, partial(ladder_terms, value=_renyi_values, base=ladder_base),
                  PureFeatures.pair_concurrences.fget, _require_partners, wclass_from)
 
 
@@ -540,9 +549,9 @@ def _ladder(mu_grid, kind: str, upper: bool, require_cell, wclass_from: int) -> 
 BOUNDS = {
     "monogamy": _ladder((2.0, 3.0, 5.0), "ladder", False, AlphaMu.require_monogamy, wclass_from=4),
     "polygamy": _ladder((0.25, 0.5, 0.75, 1.0), "assist", True, AlphaMu.require_polygamy, wclass_from=3),
-    "lemma1": Bound((2.0, 3.0, 4.0), "lemma1", False, lambda alpha, x: require_lemma1_power(x),
-                    lambda alphas, xs: [(None, x) for x in xs],
+    "lemma1": Bound((2.0, 3.0, 4.0), "lemma1", False,
+                    lambda alphas, xs: [(None, require_lemma1_power(x)) for x in xs],
                     partial(ladder_terms, value=_lemma1_values, base=lambda x: ladder_base(x / 2)),
                     require_qubits=_require_three),
-    "ckw": Bound((2.0,), "ckw", False, lambda alpha, mu: None, lambda alphas, mus: [(None, None)], squared_terms),
+    "ckw": Bound((2.0,), "ckw", False, lambda alphas, mus: [(None, None)], squared_terms),
 }

@@ -199,6 +199,19 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 build_config({"mode": "monogamy", **bad})
 
+    @pytest.mark.parametrize("key, value", [("states", 2.7), ("states", True), ("seed", 5.9), ("qubits", 3.0)])
+    def test_typed_settings_are_not_parsed_again(self, key, value):
+        # int() ran 2.7 as 2 states, True as 1 state and seed 5.9 as seed 5
+        with pytest.raises(ConfigError, match="must be an integer"):
+            build_config({"mode": "ckw", key: value})
+
+    def test_text_that_does_not_parse_names_its_key(self):
+        # a raw ValueError escaped
+        with pytest.raises(ConfigError, match="bad value for states"):
+            build_config({"mode": "ckw", "states": "abc"})
+        with pytest.raises(ConfigError, match="bad value for tolerance"):
+            build_config({"mode": "ckw", "tolerance": "tiny"})
+
     @pytest.mark.parametrize(
         "field, value",
         [("n_states", 10.0), ("n_states", "10"), ("n_qubits", 3.0), ("n_qubits", True),
@@ -209,6 +222,15 @@ class TestConfig:
         CampaignConfig(mode="monogamy", n_states=10, n_qubits=3, seed=5)
         with pytest.raises(ConfigError, match=field.removesuffix("_grid")):
             CampaignConfig(**{"mode": "monogamy", "n_states": 10, "n_qubits": 3, "seed": 5, field: value})
+
+    @pytest.mark.parametrize("grid", [0.9, np.array([0.9, 1.2]), (a for a in (0.9,)), ()],
+                             ids=["float", "array", "generator", "empty"])
+    def test_a_grid_that_is_no_sequence_of_numbers_is_refused(self, grid):
+        # a float or an array raised a raw TypeError or ValueError, a generator was used up by the check
+        for make in (lambda: CampaignConfig(mode="monogamy", alpha_grid=grid),
+                     lambda: build_config({"mode": "monogamy", "alpha": grid})):
+            with pytest.raises(ConfigError, match="alpha_grid must be a nonempty tuple or list"):
+                make()
 
     def test_a_state_file_means_class_file(self, tmp_path, capsys):
         # with no class given, a state file runs a file campaign: one state,
@@ -672,6 +694,25 @@ class TestReplay:
         with pytest.raises(ConfigError, match="state_seed"):
             replay_record(record._replace(state_seed=seed))
 
+    def test_a_numpy_integer_seed_replays(self):
+        # np.uint64 was refused while an np.int64 qubit count was taken
+        record = WitnessRecord(0, "ckw", "haar", 3, 5, None, None, 0.0, 0.0, 0.0, 0.0)
+        for seed in (np.uint64(5), np.int64(5)):
+            assert replay_record(record._replace(state_seed=seed)) == replay_record(record)
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [(WitnessRecord(0, "monogamy", "wclass", 3, 1, 0.9, 2.0, 0.0, 0.0, 0.0, 0.0), "alpha"),
+         (WitnessRecord(0, "lemma1", "haar", 3, 1, None, 2.0, 0.0, 0.0, 0.0, 0.0), "mu"),
+         (WitnessRecord(0, "scalar", "grid", 0, 0, None, 2.0, 0.0, 0.0, 0.0, 0.0, 0.5), "t")],
+        ids=["monogamy-alpha", "lemma1-mu", "scalar-t"],
+    )
+    def test_a_missing_number_is_refused(self, record, field):
+        # each escaped as a raw TypeError
+        replay_record(record)
+        with pytest.raises(MonoqError):
+            replay_record(record._replace(**{field: None}))
+
     @pytest.mark.parametrize("field, value", [("n_qubits", 3.0), ("alpha", "0.9"), ("mu", "2")])
     def test_fields_of_the_wrong_type_are_refused(self, field, value):
         record = WitnessRecord(0, "monogamy", "wclass", 3, 1, 0.9, 2.0, 0.0, 0.0, 0.0, 0.0)
@@ -838,6 +879,12 @@ class TestHelpers:
             falpha_table([], points=5)
         with pytest.raises(ConfigError):
             falpha_table([0.9], points=1)
+
+    @pytest.mark.parametrize("points", [2.5, "5", True])
+    def test_falpha_table_points_must_be_an_integer(self, points):
+        # 2.5 escaped from np.linspace as a raw TypeError
+        with pytest.raises(ConfigError, match="integer"):
+            falpha_table([0.9], points)
 
     def test_reference_alpha_reproduces_printed_values(self):
         # the six-decimal reference values are quoted at order 0.823

@@ -188,6 +188,12 @@ class TestFAlpha:
         with pytest.raises(ParameterError):
             f_alpha(0.5, float("inf"))
 
+    @pytest.mark.parametrize("alpha", [None, "0.9", True])
+    def test_an_order_that_is_no_number_is_refused(self, alpha):
+        # None and "0.9" escaped as a raw TypeError; True read as order 1
+        with pytest.raises(ParameterError, match="alpha must be a number"):
+            f_alpha(0.5, alpha)
+
     @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.83, max_value=1.3))
     @settings(max_examples=200, deadline=None)
     def test_range_property(self, x, alpha):
@@ -632,6 +638,13 @@ class TestAlphaMu:
             with pytest.raises(ParameterError):
                 AlphaMu(alpha, mu)
         assert AlphaMu(0.9, MU_MAX).mu == MU_MAX
+
+    @pytest.mark.parametrize("alpha, mu", [("0.9", 2.0), (None, 2.0), (True, 2.0), (0.9, "2"), (0.9, None),
+                                           (0.9, True)])
+    def test_non_numbers_are_refused(self, alpha, mu):
+        # these escaped as a raw TypeError; a bool is no number here
+        with pytest.raises(ParameterError, match="must be a number"):
+            AlphaMu(alpha, mu)
 
     @given(st.floats(), st.floats())
     def test_any_float_constructs_or_raises_parameter_error(self, alpha, mu):

@@ -87,6 +87,12 @@ class TestWeightLadder:
         with pytest.raises(ParameterError, match="integer"):
             weight_ladder(n_parties, split, 2.0)
 
+    @pytest.mark.parametrize("mu", [None, "2", True])
+    def test_a_power_that_is_no_number_is_refused(self, mu):
+        # None and "2" escaped as a raw TypeError; True read as mu 1
+        with pytest.raises(ParameterError, match="mu must be a number"):
+            weight_ladder(5, FULL, mu)
+
     def test_power_cap_keeps_every_ladder_finite(self):
         # the largest weight is (2^mu - 1)^(N-2); past the cap, 2.0**mu overflowed
         for split in (FULL, *range(1, MAX_QUBITS - 2)):
@@ -357,6 +363,38 @@ class TestLemma1:
         assert unsorted  # some states list the smaller pair first
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestBoundCells:
+    """Each entry's ``cells`` checks every cell it builds, as the cell check it replaced did."""
+
+    # per mode: (alpha, mu) cells and the error of each, None for a claimed cell
+    CASES = {
+        "monogamy": [((0.9, 2.0), None), ((2.0, 2.0), ParameterError), ((0.9, 1.0), ParameterError),
+                     ((NAN, 2.0), ParameterError), ((0.9, NAN), ParameterError),
+                     ((INF, 2.0), ParameterError), ((0.9, INF), ParameterError)],
+        "polygamy": [((0.9, 0.5), None), ((0.9, 1.5), ParameterError), ((0.5, 0.5), ParameterError),
+                     ((NAN, 0.5), ParameterError), ((0.9, NAN), ParameterError),
+                     ((INF, 0.5), ParameterError), ((0.9, INF), ParameterError)],
+        "lemma1": [((None, 2.0), None), ((None, 1.5), ParameterError), ((None, 101.0), ParameterError),
+                   ((None, NAN), ParameterError), ((None, INF), ParameterError)],
+        "ckw": [((None, None), None), ((NAN, NAN), None), ((INF, INF), None)],
+    }
+
+    @pytest.mark.parametrize("mode, cell, error", [(m, c, e) for m, cases in CASES.items() for c, e in cases])
+    def test_refuses_exactly_the_cells_outside_the_theorem(self, mode, cell, error):
+        bound, (alpha, mu) = BOUNDS[mode], cell
+        if error is None:
+            assert bound.cells((alpha,), (mu,)) == [(None, None) if mode == "ckw" else cell]
+            return
+        with pytest.raises(error):
+            bound.cells((alpha,), (mu,))
+        (good_alpha, good_mu), _ = self.CASES[mode][0]
+        with pytest.raises(error):  # one bad cell refuses the grid
+            bound.cells((good_alpha, alpha), (good_mu, mu))
+
+
 class TestLadderColumns:
     @pytest.mark.parametrize("n", [3, 5, 7])
     @pytest.mark.parametrize("mode", ["monogamy", "polygamy"])
@@ -473,6 +511,12 @@ class TestScalarWeightInequality:
             scalar_weight_inequality(1.5, 2.0)
         with pytest.raises(ParameterError):
             scalar_weight_inequality(0.5, -1.0)
+
+    @pytest.mark.parametrize("t", [None, "0.5"])
+    def test_a_t_that_is_no_number_is_refused(self, t):
+        # a raw TypeError escaped from the comparison
+        with pytest.raises(DomainError):
+            scalar_weight_inequality(t, 2.0)
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=1.0, max_value=8.0))
     @settings(max_examples=300, deadline=None)

@@ -85,11 +85,8 @@ MUTANTS = (
            "        split = np.where(admissible.any(axis=1), first + 1, 0)",
            ("tests/test_monogamy.py::TestOrderingStack",)),
     Mutant("lemma1_check checks x after the qubit count", "src/monoq/monogamy.py",
-           '    BOUNDS["lemma1"].check_cell(None, x)  # after the type, before the qubit count\n'
-           '    return _cell_report("lemma1", enter(psi, "lemma1"), (None, x))',
-           '    feats = enter(psi, "lemma1")\n'
-           '    BOUNDS["lemma1"].check_cell(None, x)\n'
-           '    return _cell_report("lemma1", feats, (None, x))',
+           "    cells = bound.cells(alphas, mus)\n    feats = enter(psi, mode)\n",
+           "    feats = enter(psi, mode)\n    cells = bound.cells(alphas, mus)\n",
            ("tests/test_monogamy.py::TestLemma1::test_power_below_two_rejected",)),
     Mutant("profile_report without its partner check", "src/monoq/monogamy.py",
            "    if sorted(profile.party_order) == sorted(partners):", "    if True:",
@@ -136,6 +133,22 @@ MUTANTS = (
     Mutant("a state file's qubit count truncated", "src/monoq/core.py",
            '        n = data["n_qubits"]\n', '        n = int(data["n_qubits"])\n',
            ("tests/test_core.py::TestStateFiles::test_rejects_qubit_count_that_is_not_an_integer",)),
+    Mutant("a ladder entry's cells skip require_cell", "src/monoq/monogamy.py",
+           "checked = [require_cell(AlphaMu(alpha, mu)) for alpha in alphas for mu in mus]",
+           "checked = [AlphaMu(alpha, mu) for alpha in alphas for mu in mus]",
+           ("tests/test_monogamy.py::TestBoundCells",)),
+    Mutant("the split histogram with full and none swapped", "src/monoq/harness.py",
+           'histogram = {"full": full, **{str(m): c for m, c in enumerate(splits, start=1)}, "none": none}',
+           'histogram = {"full": none, **{str(m): c for m, c in enumerate(splits, start=1)}, "none": full}',
+           ("tests/test_harness.py::TestSkipReasons::test_counts_match_profiles",)),
+    Mutant("build_config parses typed values again", "src/monoq/harness.py",
+           "        if isinstance(value, str):\n            try:\n                value = parse(value)",
+           "        if value is not None:\n            try:\n                value = parse(value)",
+           ("tests/test_harness.py::TestConfig::test_typed_settings_are_not_parsed_again",)),
+    Mutant("require_power without its type check", "src/monoq/measures.py",
+           "    if not is_real(mu):\n", "    if False:\n",
+           ("tests/test_monogamy.py::TestWeightLadder::test_a_power_that_is_no_number_is_refused",
+            "tests/test_harness.py::TestReplay::test_a_missing_number_is_refused")),
 )
 
 
