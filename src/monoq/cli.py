@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from .core import load_state
 from .errors import IoError, MonoqError, ParameterError, PreconditionError
 from .harness import (
+    _SETTINGS,
     MODES,
     REFERENCE_ALPHA,
     STATE_CLASSES,
@@ -32,17 +33,6 @@ from .harness import (
 )
 from .measures import AlphaMu
 from .monogamy import BOUNDS, detect_ordering, ladder_report
-
-
-def _env_seed() -> int | None:
-    """The integer in MONOQ_SEED, or None when it is unset."""
-    raw = os.environ.get("MONOQ_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"MONOQ_SEED must be an integer, got {raw!r}") from exc
 
 
 @contextmanager
@@ -105,9 +95,7 @@ def cmd_reproduce(args) -> int:
 def cmd_fuzz(args) -> int:
     settings = parse_config_file(args.config) if args.config else {}
     settings.update((key, value) for key, value in vars(args).items() if value is not None)
-    env_seed = _env_seed()
-    if env_seed is not None:
-        settings.setdefault("seed", env_seed)
+    settings.setdefault("seed", os.environ.get("MONOQ_SEED"))
     config = build_config(settings)
     result = run_campaign(config)
     if args.out:
@@ -122,6 +110,19 @@ def cmd_falpha(args) -> int:
     with _output(args.out) as stream:
         write_csv(header, rows, stream)
     return 0
+
+
+# Help texts of the ``fuzz`` flags, one flag per key of ``harness._SETTINGS``
+# (the config file's keys).  Each flag takes text, which ``build_config``
+# parses by its key's parser.
+_FUZZ_HELP = {
+    "mode": f"one of {', '.join(MODES)}",
+    "alpha": "comma-separated alpha grid",
+    "mu": "comma-separated mu (or power) grid",
+    "seed": "defaults to MONOQ_SEED",
+    "class": f"one of {', '.join(STATE_CLASSES)}",
+    "state": "state file for class=file",
+}
 
 
 @functools.cache
@@ -154,15 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fuzz = sub.add_parser("fuzz", help="stochastic falsification campaign")
     p_fuzz.add_argument("--config", default=None, help="key=value campaign file")
-    p_fuzz.add_argument("--mode", choices=MODES)
-    p_fuzz.add_argument("--states", type=int, default=None)
-    p_fuzz.add_argument("--qubits", type=int, default=None)
-    p_fuzz.add_argument("--alpha", default=None, help="comma-separated alpha grid")
-    p_fuzz.add_argument("--mu", default=None, help="comma-separated mu (or power) grid")
-    p_fuzz.add_argument("--seed", type=int, default=None, help="defaults to MONOQ_SEED")
-    p_fuzz.add_argument("--class", choices=STATE_CLASSES)
-    p_fuzz.add_argument("--tolerance", type=float, default=None)
-    p_fuzz.add_argument("--state", default=None, help="state file for class=file")
+    for key in _SETTINGS:
+        p_fuzz.add_argument(f"--{key}", default=None, help=_FUZZ_HELP.get(key))
     p_fuzz.add_argument("--out", default=None, help="witness CSV path")
     p_fuzz.set_defaults(func=cmd_fuzz)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import MAX_QUBITS, StateVector, is_int, is_real, load_state
 from .errors import ConfigError, IoError, ParameterError, PreconditionError, UnsupportedStateClassError
-from .measures import ALPHA_MAX, ALPHA_WINDOW, MU_MAX, PureFeatures
+from .measures import ALPHA_WINDOW, PureFeatures
 from .monogamy import (
     BOUNDS,
     Orderings,
@@ -145,9 +145,12 @@ class CampaignConfig:
     (polygamy), Haar otherwise.  A ``state_file`` (a str or os.PathLike
     path) makes the class ``file``; any other class with one, and the
     scalar mode, which reads no state, are refused.  Each grid is a
-    nonempty tuple or list of numbers, stored as a tuple of floats.  A
-    campaign whose bound claims nothing is refused here, before the first
-    draw (see ``_require_claims``).
+    nonempty tuple or list of numbers, stored as a tuple of floats; every
+    alpha must pass ``measures._require_alpha`` and every mu
+    ``measures.require_power``, the checks every bound applies, and their
+    ParameterError becomes a ConfigError naming the grid.  A campaign whose
+    bound claims nothing is refused here, before the first draw (see
+    ``_require_claims``).
     """
 
     mode: str
@@ -182,8 +185,8 @@ class CampaignConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not is_real(self.tolerance):
             raise ConfigError(f"tolerance must be a number, got {self.tolerance!r}")
-        if not self.tolerance > 0:
-            raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.tolerance < math.inf:
+            raise ConfigError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.state_file is not None and not isinstance(self.state_file, (str, os.PathLike)):
             raise ConfigError(f"state_file must be a str or os.PathLike path, got {self.state_file!r}")
         if self.state_file is not None and bound is None:
@@ -192,22 +195,16 @@ class CampaignConfig:
             raise ConfigError(f"a state file is read by class 'file' only, got class {self.state_class!r}")
         if self.state_class == "file" and not self.state_file:
             raise ConfigError("state class 'file' needs a state file path")
-        for name in ("alpha_grid", "mu_grid"):
+        for name, require in (("alpha_grid", measures._require_alpha), ("mu_grid", measures.require_power)):
             grid = getattr(self, name)
             if not (isinstance(grid, (tuple, list)) and grid and all(map(is_real, grid))):
                 raise ConfigError(f"{name} must be a nonempty tuple or list of numbers, got {grid!r}")
+            try:
+                for value in grid:
+                    require(value)
+            except ParameterError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
             object.__setattr__(self, name, tuple(map(float, grid)))
-        if not all(map(math.isfinite, (self.tolerance, *self.alpha_grid, *self.mu_grid))):
-            raise ConfigError(
-                f"tolerance and grid values must be finite, got tolerance {self.tolerance}, "
-                f"alpha {self.alpha_grid}, mu {self.mu_grid}"
-            )
-        if max(self.mu_grid) > MU_MAX:
-            raise ConfigError(f"mu values must be at most {MU_MAX:g}, got {self.mu_grid}")
-        if min(self.mu_grid) < 0.0:
-            raise ConfigError(f"mu values must be nonnegative, got {self.mu_grid}")
-        if not all(0.0 < a <= ALPHA_MAX for a in self.alpha_grid):
-            raise ConfigError(f"alpha values must be in (0, {ALPHA_MAX:g}], got {self.alpha_grid}")
         if bound is not None:
             seeded = None if self.state_class == "file" else self.state_class
             _require_claims(self.mode, seeded, self.n_qubits, self.alpha_grid, self.mu_grid)
@@ -244,7 +241,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad numeric grid {text!r}: {exc}") from exc
 
 
-# Campaign settings by key (config file and CLI): (CampaignConfig field, parser).
+# Campaign settings by key: (CampaignConfig field, parser).  The config file's
+# keys and the ``fuzz`` command's flags are these keys.
 _SETTINGS = {
     "mode": ("mode", str),
     "states": ("n_states", int),
@@ -264,7 +262,8 @@ def build_config(settings: dict) -> CampaignConfig:
     Unknown keys and None values are ignored; defaults come from
     CampaignConfig.  A ``str`` value is parsed by its key's parser (a
     ValueError becomes a ConfigError naming the key); any other value goes
-    to ``CampaignConfig`` as it is, which checks its type.
+    to ``CampaignConfig`` as it is, which checks its type.  Every ``fuzz``
+    flag and ``MONOQ_SEED`` arrive here as text.
     """
     if settings.get("mode") is None:
         raise ConfigError("campaign mode is required")
@@ -643,10 +642,17 @@ def replay_record(record: WitnessRecord, state: StateVector | None = None) -> fl
 
 
 def falpha_table(alphas, points: int = 101):
-    """Rows (x, f_alpha(x) per order) on a uniform grid of [0, 1]."""
-    alphas = tuple(float(a) for a in alphas)
+    """Rows (x, f_alpha(x) per order) on a uniform grid of [0, 1].
+
+    Every order is checked by ``measures._require_alpha`` first: a
+    non-number (a ``bool`` included) or an order outside (0, ALPHA_MAX]
+    raises ParameterError.
+    """
+    alphas = tuple(alphas)
     if not alphas:
         raise ConfigError("need at least one alpha")
+    for alpha in alphas:
+        measures._require_alpha(alpha)
     if not is_int(points) or points < 2:
         raise ConfigError(f"need an integer count of at least 2 grid points, got {points!r}")
     xs = np.linspace(0.0, 1.0, points)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -28,7 +29,8 @@ from monoq import (
     theorem_bound,
     w_state,
 )
-from monoq.cli import main
+from monoq import harness
+from monoq.cli import build_parser, main
 from monoq.harness import fmt12, reference_schmidt_state
 from monoq.core import StateVector
 from monoq.measures import PureFeatures
@@ -254,14 +256,18 @@ class TestFuzz:
     def test_negative_power_exits_2(self, mode, capsys):
         # the scalar grid took 0.0**mu before rejecting mu: a divide-by-zero warning
         assert main(["fuzz", "--mode", mode, "--states", "2", "--mu", "1,-0.5"]) == 2
-        assert "mu values must be nonnegative" in capsys.readouterr().err
+        assert "mu must be nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["ckw", "scalar", "monogamy"])
-    @pytest.mark.parametrize("alpha", ["1000", "0", "-1"])
-    def test_order_outside_range_exits_2(self, mode, alpha, capsys):
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [("1000", "alpha must be at most 100"), ("0", "alpha must be positive"), ("-1", "alpha must be positive")],
+        ids=["1000", "0", "-1"],
+    )
+    def test_order_outside_range_exits_2(self, mode, alpha, message, capsys):
         # ckw and scalar campaigns read no order, and used to run on any
         assert main(["fuzz", "--mode", mode, "--states", "2", f"--alpha={alpha}"]) == 2
-        assert "alpha values must be in (0, 100]" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra",
@@ -328,6 +334,44 @@ class TestFuzz:
         for value in ("abc", "-5"):
             monkeypatch.setenv("MONOQ_SEED", value)
             assert main(["fuzz", "--mode", "ckw", "--states", "5"]) == 2
+
+    def test_env_seed_is_parsed_like_the_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("MONOQ_SEED", "abc")
+        assert main(["fuzz", "--mode", "ckw", "--states", "5"]) == 2
+        assert "bad value for seed" in capsys.readouterr().err
+
+    def test_env_seed_is_read_only_without_a_seed(self, tmp_path, capsys, monkeypatch):
+        # the variable was parsed, and refused, under --seed as well
+        monkeypatch.setenv("MONOQ_SEED", "abc")
+        assert main(["fuzz", "--mode", "ckw", "--states", "5", "--seed", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("mode=ckw\nstates=5\nseed=9\n")
+        assert main(["fuzz", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 9
+
+    def test_flags_are_the_settings_keys(self, capsys):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = [a for a in subparsers.choices["fuzz"]._actions if "--help" not in a.option_strings]
+        assert sorted(a.option_strings[0] for a in flags) == sorted(
+            [f"--{key}" for key in harness._SETTINGS] + ["--config", "--out"])
+        assert all(a.type is None and a.choices is None for a in flags)
+        with pytest.raises(SystemExit):
+            main(["fuzz", "--help"])
+        text = capsys.readouterr().out
+        assert all(name in text for name in (*harness.MODES, *harness.STATE_CLASSES))
+
+    @pytest.mark.parametrize("key, value", [("states", "abc"), ("qubits", "x"), ("seed", "1.5"),
+                                            ("tolerance", "tiny")])
+    def test_flag_text_that_does_not_parse_exits_2(self, key, value, capsys):
+        assert main(["fuzz", "--mode", "ckw", f"--{key}", value]) == 2
+        assert f"bad value for {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--mode", "nope"], ["--mode", "ckw", "--class", "nope"]],
+                             ids=["mode", "class"])
+    def test_unknown_mode_or_class_exits_2(self, extra, capsys):
+        assert main(["fuzz", *extra]) == 2
+        assert "must be one of" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "mode, psi",

@@ -47,7 +47,7 @@ from monoq.harness import (
     parse_config_file,
 )
 from monoq.cli import main
-from monoq.errors import MonoqError
+from monoq.errors import MonoqError, ParameterError
 from monoq.measures import ALPHA_MAX, MU_MAX, PureFeatures, f_alpha
 
 
@@ -885,6 +885,12 @@ class TestHelpers:
         # 2.5 escaped from np.linspace as a raw TypeError
         with pytest.raises(ConfigError, match="integer"):
             falpha_table([0.9], points)
+
+    @pytest.mark.parametrize("alpha", ["abc", None, True, float("nan"), 0], ids=["text", "none", "bool", "nan", "zero"])
+    def test_falpha_table_orders_are_checked(self, alpha):
+        # 'abc' and None raised a raw ValueError and TypeError, True tabulated order 1
+        with pytest.raises(ParameterError):
+            falpha_table([0.9, alpha], points=3)
 
     def test_reference_alpha_reproduces_printed_values(self):
         # the six-decimal reference values are quoted at order 0.823

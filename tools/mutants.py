@@ -149,6 +149,23 @@ MUTANTS = (
            "    if not is_real(mu):\n", "    if False:\n",
            ("tests/test_monogamy.py::TestWeightLadder::test_a_power_that_is_no_number_is_refused",
             "tests/test_harness.py::TestReplay::test_a_missing_number_is_refused")),
+    Mutant("build_config leaves the seed's text unparsed", "src/monoq/harness.py",
+           "        if isinstance(value, str):\n            try:",
+           '        if isinstance(value, str) and key != "seed":\n            try:',
+           ("tests/test_cli.py::TestFuzz::test_env_seed_default",
+            "tests/test_cli.py::TestFuzz::test_env_seed_is_read_only_without_a_seed",
+            "tests/test_cli.py::TestFuzz::test_flag_text_that_does_not_parse_exits_2")),
+    Mutant("CampaignConfig skips the mu_grid validator", "src/monoq/harness.py",
+           '("mu_grid", measures.require_power)', '("mu_grid", lambda mu: None)',
+           ("tests/test_cli.py::TestFuzz::test_negative_power_exits_2",
+            "tests/test_harness.py::TestConfig::test_power_cap")),
+    Mutant("the MONOQ_SEED default dropped", "src/monoq/cli.py",
+           '    settings.setdefault("seed", os.environ.get("MONOQ_SEED"))\n', "",
+           ("tests/test_cli.py::TestFuzz::test_env_seed_default",
+            "tests/test_cli.py::TestFuzz::test_env_seed_is_parsed_like_the_flag")),
+    Mutant("falpha_table skips its order check", "src/monoq/harness.py",
+           "    for alpha in alphas:\n        measures._require_alpha(alpha)\n", "",
+           ("tests/test_harness.py::TestHelpers::test_falpha_table_orders_are_checked",)),
 )
 
 
